@@ -21,7 +21,7 @@ from .encoder import (FrameHeader, build_encoder, decode, encode,
 from .errors import RelaycastError, UnsupportedParameterError
 from .simulator import (baseline_rate, end_to_end, parse_tree, simulate,
                         verify_delivery)
-from .symbols import format_stream, parse_stream
+from .symbols import format_stream, is_decimal, parse_stream
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,7 +90,7 @@ def _read_value(value: str, kind: str) -> str:
         return path.read_text()
     if kind == "bits" and not value.strip("01"):
         return value
-    if kind == "stream" and all(t == "N" or t.isdigit() for t in value.split()):
+    if kind == "stream" and all(t == "N" or is_decimal(t) for t in value.split()):
         return value
     raise FileNotFoundError(value)
 

@@ -434,6 +434,10 @@ class FrameHeader:
     pad: int
 
     def __post_init__(self):
+        for value in (self.bit_length, self.pad):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParameterError(
+                    f"frame fields must be integers, got {value!r}")
         if self.bit_length < 0 or self.pad < 0:
             raise InvalidParameterError("frame fields must be nonnegative")
 

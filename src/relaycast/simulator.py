@@ -8,18 +8,24 @@ its place, which is only correct when the source stream is admissible.
 That is exactly the property the violation log makes testable: a
 violation is recorded whenever a node is ON while its parent transmits a
 data symbol, and an inadmissible source provably produces one.
+
+A relay's stream depends only on its parent's, so by induction every
+node at one depth transmits and hears the same sequence, admissible
+source or not. The simulator therefore scans once per depth, not once
+per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
 from .encoder import build_encoder, decode, encode
 from .errors import InvalidParameterError, RelaycastError, TopologyError
-from .symbols import N, Symbol, Word, is_data
+from .symbols import N, Symbol, Word, is_data, is_decimal
 
 
 class _Erased:
@@ -76,12 +82,12 @@ def parse_tree(text: str) -> TreeTopology:
         if len(parts) != 2:
             raise TopologyError("format", f"line {lineno}: expected "
                                 f"'<node> <parent>', got {raw.strip()!r}")
-        if not parts[0].isdigit():
+        if not is_decimal(parts[0]):
             raise TopologyError("format", f"line {lineno}: bad node id {parts[0]!r}")
         node = int(parts[0])
         if parts[1] == "-":
             parent: Optional[int] = None
-        elif parts[1].isdigit():
+        elif is_decimal(parts[1]):
             parent = int(parts[1])
         else:
             raise TopologyError("format", f"line {lineno}: bad parent {parts[1]!r}")
@@ -134,36 +140,91 @@ def parse_tree(text: str) -> TreeTopology:
 class SimTrace:
     """Per-slot transcript of what every node transmitted and received.
 
+    Every node at one depth transmits and hears the same sequence, so
+    the trace stores one row per depth (``depth_transmitted``,
+    ``depth_received`` and the slots of ``depth_violations``) plus the
+    node-to-depth map; the per-node views ``transmitted``, ``received``
+    and ``violations`` are expanded from those rows when first read.
+
     ``received`` holds :data:`ERASED` where the half-duplex rule lost a
     symbol and ``None`` for the source, which has no parent to hear.
     """
 
     nodes: Tuple[int, ...]
-    transmitted: Tuple[Tuple[Symbol, ...], ...]
-    received: Tuple[Tuple[object, ...], ...]
-    violations: Tuple[Tuple[int, int], ...]
+    depth: Dict[int, int]
+    depth_transmitted: Tuple[Word, ...]
+    depth_received: Tuple[Tuple[object, ...], ...]
+    depth_violations: Tuple[Tuple[int, ...], ...]
 
     @property
     def num_slots(self) -> int:
-        return len(self.transmitted)
+        return len(self.depth_transmitted[0])
+
+    def _per_node(self, rows) -> tuple:
+        """Slot-major rows over all nodes from one row per depth."""
+        return tuple(zip(*(rows[self.depth[v]] for v in self.nodes)))
+
+    @cached_property
+    def transmitted(self) -> Tuple[Tuple[Symbol, ...], ...]:
+        return self._per_node(self.depth_transmitted)
+
+    @cached_property
+    def received(self) -> Tuple[Tuple[object, ...], ...]:
+        return self._per_node(self.depth_received)
+
+    @cached_property
+    def violations(self) -> Tuple[Tuple[int, int], ...]:
+        """``(slot, node)`` pairs, sorted by slot, then by node id."""
+        by_slot: Dict[int, set] = {}
+        for d, slots in enumerate(self.depth_violations):
+            for t in slots:
+                by_slot.setdefault(t, set()).add(d)
+        return tuple((t, v) for t in sorted(by_slot)
+                     for v in self.nodes if self.depth[v] in by_slot[t])
 
     def transmit_stream(self, node: int) -> Word:
         """Everything ``node`` sent, slot by slot."""
-        i = self.nodes.index(node)
-        return tuple(row[i] for row in self.transmitted)
+        if node not in self.depth:
+            raise ValueError(f"node {node} is not in the trace")
+        return self.depth_transmitted[self.depth[node]]
 
     def export(self) -> str:
         """One line per slot: ``t | v:sym ...``, ``*`` marking erased reception."""
         lines = []
-        for t, row in enumerate(self.transmitted):
-            cells = []
-            for i, node in enumerate(self.nodes):
-                token = "N" if not is_data(row[i]) else str(row[i])
-                if self.received[t][i] is ERASED:
-                    token += "*"
-                cells.append(f"{node}:{token}")
-            lines.append(f"{t} | " + " ".join(cells))
+        for t in range(self.num_slots):
+            tokens = []
+            for sent, heard in zip(self.depth_transmitted, self.depth_received):
+                token = str(sent[t]) if is_data(sent[t]) else "N"
+                tokens.append(token + "*" if heard[t] is ERASED else token)
+            cells = " ".join(f"{v}:{tokens[self.depth[v]]}" for v in self.nodes)
+            lines.append(f"{t} | {cells}")
         return "\n".join(lines)
+
+
+def _relay(parent_stream: Word) -> Tuple[Word, Tuple[object, ...], Tuple[int, ...]]:
+    """One depth's transmissions, receptions and violation slots.
+
+    The relay transmits what it stored in the previous slot, initially
+    silence. While OFF it stores what its parent sends; while ON it
+    records an erasure and stores silence, since it cannot know what it
+    missed, and a data symbol from the parent in that slot is a
+    violation.
+    """
+    sent: List[Symbol] = []
+    heard: List[object] = []
+    lost: List[int] = []
+    pending: Symbol = N
+    for t, incoming in enumerate(parent_stream):
+        sent.append(pending)
+        if is_data(pending):
+            heard.append(ERASED)
+            if is_data(incoming):
+                lost.append(t)
+            pending = N
+        else:
+            heard.append(incoming)
+            pending = incoming
+    return tuple(sent), tuple(heard), tuple(lost)
 
 
 def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
@@ -171,45 +232,33 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
     """Run ``len(source_stream) + extra_slots`` slots of forwarding.
 
     The source transmits its stream (silence once exhausted); every other
-    node transmits what it stored in the previous slot, initially
-    silence. A node that is OFF stores its parent's symbol for the next
-    slot; a node that is ON records an erasure and stores silence, since
-    it cannot know what it missed. ``extra_slots`` defaults to the tree
-    depth so the pipeline drains. The stream may be inadmissible; every
-    slot where a node is ON under a data-transmitting parent is logged.
+    node repeats, one slot later, what it heard from its parent (see
+    :func:`_relay`). ``extra_slots`` defaults to the tree depth so the
+    pipeline drains. The stream may be inadmissible; every slot where a
+    node is ON under a data-transmitting parent is logged.
+
+    All nodes at one depth behave alike, so this runs one scan per
+    depth, each reading only the stream of the depth above: the cost is
+    O(depth x slots), whatever the number of nodes.
     """
     stream = tuple(source_stream)
     if extra_slots is None:
         extra_slots = topo.max_depth
     if extra_slots < 0:
         raise InvalidParameterError("extra_slots must be nonnegative")
-    nodes = topo.nodes
-    relays = nodes[1:]
-    pending: Dict[int, Symbol] = {v: N for v in relays}
-    transmitted: List[Tuple[Symbol, ...]] = []
-    received: List[Tuple[object, ...]] = []
-    violations: List[Tuple[int, int]] = []
-
-    for t in range(len(stream) + extra_slots):
-        sending: Dict[int, Symbol] = {0: stream[t] if t < len(stream) else N}
-        for v in relays:
-            sending[v] = pending[v]
-        heard: Dict[int, object] = {0: None}
-        for v in relays:
-            from_parent = sending[topo.parent[v]]
-            if is_data(sending[v]):
-                heard[v] = ERASED
-                pending[v] = N
-                if is_data(from_parent):
-                    violations.append((t, v))
-            else:
-                heard[v] = from_parent
-                pending[v] = from_parent
-        transmitted.append(tuple(sending[v] for v in nodes))
-        received.append(tuple(heard[v] for v in nodes))
-
-    return SimTrace(nodes=nodes, transmitted=tuple(transmitted),
-                    received=tuple(received), violations=tuple(violations))
+    sent = stream + (N,) * extra_slots
+    transmitted = [sent]
+    received = [(None,) * len(sent)]
+    violations = [()]
+    for _ in range(topo.max_depth):
+        sent, heard, lost = _relay(sent)
+        transmitted.append(sent)
+        received.append(heard)
+        violations.append(lost)
+    return SimTrace(nodes=topo.nodes, depth=topo.depth,
+                    depth_transmitted=tuple(transmitted),
+                    depth_received=tuple(received),
+                    depth_violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +293,17 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     """
     stream = tuple(source_stream)
     horizon = trace.num_slots
+    # One comparison per depth; keyed by both depths in case ``topo`` is
+    # not the tree the trace ran on.
+    verdicts: Dict[Tuple[int, int], bool] = {}
     entries = []
-    for i, node in enumerate(trace.nodes):
-        d = topo.depth[node]
-        expected = ((N,) * d + stream + (N,) * horizon)[:horizon]
-        actual = tuple(row[i] for row in trace.transmitted)
-        entries.append(NodeDelivery(node=node, depth=d, passed=actual == expected))
+    for node in trace.nodes:
+        d, simulated = topo.depth[node], trace.depth[node]
+        if (d, simulated) not in verdicts:
+            expected = ((N,) * d + stream + (N,) * horizon)[:horizon]
+            verdicts[d, simulated] = trace.depth_transmitted[simulated] == expected
+        entries.append(NodeDelivery(node=node, depth=d,
+                                    passed=verdicts[d, simulated]))
     return DeliveryReport(nodes=tuple(entries),
                           violations=len(trace.violations))
 
@@ -297,8 +351,9 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology, message,
 
     Builds the rate p:n encoder, feeds the encoded stream to the source,
     simulates with at least ``max_depth`` extra slots, then strips each
-    node's depth-long silence prefix from its forwarded stream and
-    decodes it. Every node must recover the message bits exactly.
+    depth's depth-long silence prefix from its forwarded stream and
+    decodes it once for all nodes at that depth. Every node must recover
+    the message bits exactly.
     """
     machine = build_encoder(q, p, n)
     if isinstance(message, str):
@@ -309,16 +364,16 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology, message,
     drain = topo.max_depth if extra_slots is None else max(extra_slots,
                                                            topo.max_depth)
     trace = simulate(topo, stream, drain)
-    entries = []
-    for i, node in enumerate(trace.nodes):
-        d = topo.depth[node]
-        forwarded = tuple(row[i] for row in trace.transmitted)
-        delivered = forwarded[d:d + len(stream)]
+    recovered = []
+    for d, forwarded in enumerate(trace.depth_transmitted):
         try:
-            recovered = decode(machine, delivered, header) == bits
+            recovered.append(
+                decode(machine, forwarded[d:d + len(stream)], header) == bits)
         except RelaycastError:
-            recovered = False
-        entries.append(NodeRecovery(node=node, depth=d, recovered=recovered))
+            recovered.append(False)
+    entries = tuple(NodeRecovery(node=node, depth=topo.depth[node],
+                                 recovered=recovered[topo.depth[node]])
+                    for node in trace.nodes)
     return EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
                           baseline=baseline_rate(q), message_bits=len(bits),
-                          nodes=tuple(entries))
+                          nodes=entries)

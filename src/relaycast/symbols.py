@@ -69,6 +69,15 @@ def is_admissible(word: Sequence[Symbol]) -> bool:
     return all(not (is_data(a) and is_data(b)) for a, b in zip(word, word[1:]))
 
 
+def is_decimal(token: str) -> bool:
+    """True iff ``token`` is one or more ASCII digits ``0-9``.
+
+    ``str.isdigit`` alone also accepts digits of other scripts and
+    superscripts, which ``int`` then mis-reads or rejects.
+    """
+    return token.isascii() and token.isdigit()
+
+
 def parse_stream(text: str, q: int | None = None) -> Word:
     """Parse a token stream like ``0 N 1 N N`` into a word.
 
@@ -78,7 +87,7 @@ def parse_stream(text: str, q: int | None = None) -> Word:
     for token in text.split():
         if token == "N":
             out.append(N)
-        elif token.isdigit():
+        elif is_decimal(token):
             value = int(token)
             if q is not None and value >= q:
                 raise StreamFormatError(

@@ -3,13 +3,15 @@
 The oracles here are deliberately independent of the library internals:
 admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product, expected relay behavior by
-shifting sequences.
+shifting sequences, and the per-depth simulator by the node-by-node
+slot loop it replaced.
 """
 
 import random
+from dataclasses import dataclass
 from itertools import product
 
-from relaycast import N, is_data
+from relaycast import ERASED, N, is_data
 
 
 def scan_admissible(word):
@@ -65,3 +67,64 @@ def random_admissible_stream(rng, q, length):
         out.append(symbol)
         previous_data = symbol is not N
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class NodeTrace:
+    """Per-node transcript in the layout of ``SimTrace``'s views."""
+
+    nodes: tuple
+    transmitted: tuple
+    received: tuple
+    violations: tuple
+
+    def export(self):
+        lines = []
+        for t, row in enumerate(self.transmitted):
+            cells = []
+            for i, node in enumerate(self.nodes):
+                token = "N" if not is_data(row[i]) else str(row[i])
+                if self.received[t][i] is ERASED:
+                    token += "*"
+                cells.append(f"{node}:{token}")
+            lines.append(f"{t} | " + " ".join(cells))
+        return "\n".join(lines)
+
+    def transmit_stream(self, node):
+        i = self.nodes.index(node)
+        return tuple(row[i] for row in self.transmitted)
+
+
+def simulate_per_node(topo, source_stream, extra_slots=None):
+    """Oracle for ``simulate``: every node, every slot, in node-id order.
+
+    Each relay sends what it stored last slot; OFF it stores its
+    parent's symbol, ON it records an erasure, stores silence and logs a
+    violation if the parent sent data.
+    """
+    stream = tuple(source_stream)
+    if extra_slots is None:
+        extra_slots = topo.max_depth
+    nodes = topo.nodes
+    relays = nodes[1:]
+    pending = {v: N for v in relays}
+    transmitted, received, violations = [], [], []
+    for t in range(len(stream) + extra_slots):
+        sending = {0: stream[t] if t < len(stream) else N}
+        for v in relays:
+            sending[v] = pending[v]
+        heard = {0: None}
+        for v in relays:
+            from_parent = sending[topo.parent[v]]
+            if is_data(sending[v]):
+                heard[v] = ERASED
+                pending[v] = N
+                if is_data(from_parent):
+                    violations.append((t, v))
+            else:
+                heard[v] = from_parent
+                pending[v] = from_parent
+        transmitted.append(tuple(sending[v] for v in nodes))
+        received.append(tuple(heard[v] for v in nodes))
+    return NodeTrace(nodes=nodes, transmitted=tuple(transmitted),
+                     received=tuple(received), violations=tuple(violations))

@@ -47,6 +47,23 @@ def test_missing_file_exit_code(capsys):
                 "--stream", "0 N"]) == 4
 
 
+def test_unicode_digits_end_in_error_lines(tmp_path, capsys):
+    tree = tmp_path / "tree.txt"
+    tree.write_text("0 -\n\u00b9 0\n")
+    stream = tmp_path / "stream.txt"
+    stream.write_text("\u0663 N")
+    chain = tmp_path / "chain.txt"
+    chain.write_text(chain_text(1))
+    for argv, code in [(["--tree", str(tree), "--stream", "0 N"], 1),
+                       (["--tree", str(chain), "--stream", str(stream)], 1),
+                       (["--tree", str(chain), "--stream", "\u0663 N"], 4)]:
+        assert run(["simulate"] + argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_help_documents_exit_codes(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out

@@ -44,6 +44,13 @@ def test_stream_parse_errors():
         parse_stream("3 N", q=3)
 
 
+@pytest.mark.parametrize("text", ["\u0663 N", "0 N \u00b2", "\uff11", "1\u0660"])
+def test_stream_rejects_non_ascii_digits(text):
+    # str.isdigit accepts Arabic-Indic, superscript and fullwidth digits
+    with pytest.raises(StreamFormatError):
+        parse_stream(text)
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 

@@ -259,6 +259,13 @@ def test_decode_framing_errors(enc_q1):
         decode(enc_q1, stream, FrameHeader(4, 1))  # inconsistent pad
 
 
+@pytest.mark.parametrize("fields", [(True, 0), (4, False), (4.0, 0),
+                                    ("4", 0), (None, 0), (-1, 0)])
+def test_frame_header_rejects_bad_fields(fields):
+    with pytest.raises(InvalidParameterError):
+        FrameHeader(*fields)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

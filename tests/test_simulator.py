@@ -1,12 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaycast import (ERASED, InvalidParameterError, N, TopologyError,
-                       baseline_rate, end_to_end, is_admissible, is_data,
+import relaycast.simulator
+from relaycast import (ERASED, InvalidParameterError, N, RelaycastError,
+                       TopologyError, baseline_rate, build_encoder, decode,
+                       encode, end_to_end, is_admissible, is_data,
                        parse_stream, parse_tree, simulate, verify_delivery)
 from helpers import (chain_text, fig1_text, random_admissible_stream,
-                     random_bits, random_stream)
+                     random_bits, random_stream, simulate_per_node)
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +47,9 @@ def test_parse_accepts_comments_and_forward_references():
     ("1 0\n", "unknown-parent"),
     ("1 2\n2 1\n", "cycle"),
     ("0 -\n1 1\n", "cycle"),
+    ("\u00b9 0\n", "format"),
+    ("0 -\n\u0663 0\n", "format"),
+    ("0 -\n1 \u0660\n", "format"),
 ])
 def test_parse_tree_errors(text, reason):
     with pytest.raises(TopologyError) as excinfo:
@@ -218,3 +226,94 @@ def test_end_to_end_empty_message():
     report = end_to_end(1, 2, 3, topo, "")
     assert report.all_recovered
     assert report.message_bits == 0
+
+
+# ---------------------------------------------------------------------------
+# the per-depth simulator against the node-by-node oracle
+
+@st.composite
+def trees(draw):
+    """Chains, stars, layered and random recursive trees, ids shuffled."""
+    shape = draw(st.sampled_from(["chain", "star", "layered", "random"]))
+    if shape == "layered":
+        parents, previous = [None], [0]
+        for width in draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)):
+            start = len(parents)
+            parents += [draw(st.sampled_from(previous)) for _ in range(width)]
+            previous = list(range(start, len(parents)))
+    else:
+        size = draw(st.integers(1, 16))
+        parents = [None] + [
+            i - 1 if shape == "chain" else
+            0 if shape == "star" else draw(st.integers(0, i - 1))
+            for i in range(1, size)]
+    ids = [0] + draw(st.permutations(range(1, len(parents))))
+    lines = ["0 -"] + [f"{ids[i]} {ids[parent]}"
+                       for i, parent in enumerate(parents) if i]
+    return parse_tree("\n".join(lines) + "\n")
+
+
+@st.composite
+def streams(draw):
+    """Arbitrary streams over q in {1, 2, 6}, half of them made admissible."""
+    q = draw(st.sampled_from([1, 2, 6]))
+    word = draw(st.lists(st.sampled_from(list(range(q)) + [N]), max_size=30))
+    if draw(st.booleans()):
+        for i in range(1, len(word)):
+            if is_data(word[i - 1]):
+                word[i] = N
+    return tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(topo=trees(), stream=streams(),
+       extra_slots=st.one_of(st.none(), st.integers(0, 3)))
+def test_simulate_matches_per_node_oracle(topo, stream, extra_slots):
+    trace = simulate(topo, stream, extra_slots)
+    oracle = simulate_per_node(topo, stream, extra_slots)
+    assert trace.nodes == oracle.nodes
+    assert trace.num_slots == len(oracle.transmitted)
+    assert trace.transmitted == oracle.transmitted
+    assert trace.received == oracle.received
+    assert trace.violations == oracle.violations
+    assert trace.export() == oracle.export()
+    report = verify_delivery(trace, topo, stream)
+    assert report.violations == len(oracle.violations)
+    horizon = trace.num_slots
+    for entry in report.nodes:
+        d = topo.depth[entry.node]
+        expected = ((N,) * d + stream + (N,) * horizon)[:horizon]
+        assert trace.transmit_stream(entry.node) == \
+            oracle.transmit_stream(entry.node)
+        assert entry.passed == (oracle.transmit_stream(entry.node) == expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo=trees(), bits=st.text(alphabet="01", max_size=40),
+       code=st.sampled_from([(1, 2, 3), (6, 3, 2)]),
+       extra_slots=st.integers(0, 3), flip=st.one_of(st.none(), st.integers(0)))
+def test_end_to_end_matches_per_node_decoding(topo, bits, code, extra_slots, flip):
+    """Per-node recovery equals decoding each node's own oracle stream.
+
+    ``flip`` corrupts one symbol of the encoded stream, so that some
+    depths fail to recover and the per-depth verdicts are exercised.
+    """
+    machine = build_encoder(*code)
+    stream, header = encode(machine, bits)
+    if flip is not None and stream:
+        i = flip % len(stream)
+        stream = stream[:i] + ((0 if stream[i] is N else N),) + stream[i + 1:]
+    with mock.patch.object(relaycast.simulator, "encode",
+                           lambda *_: (stream, header)):
+        report = end_to_end(*code, topo, bits, extra_slots=extra_slots)
+    oracle = simulate_per_node(topo, stream, max(extra_slots, topo.max_depth))
+    expected = []
+    for node in topo.nodes:
+        d = topo.depth[node]
+        delivered = oracle.transmit_stream(node)[d:d + len(stream)]
+        try:
+            recovered = decode(machine, delivered, header) == bits
+        except RelaycastError:
+            recovered = False
+        expected.append((node, d, recovered))
+    assert [(e.node, e.depth, e.recovered) for e in report.nodes] == expected
