@@ -30,7 +30,7 @@ from .simulator import (DeliveryReport, ERASED, EndToEndReport, NodeDelivery,
                         NodeRecovery, SimTrace, TreeTopology, baseline_rate,
                         end_to_end, parse_tree, simulate, verify_delivery)
 from .symbols import (Alphabet, N, Symbol, Word, format_stream, is_admissible,
-                      is_data, parse_stream, symbol_key, word_key)
+                      is_data, parse_stream, word_key)
 from .cli import TableRow, run, table_report
 
 __version__ = "0.1.0"
@@ -53,5 +53,5 @@ __all__ = [
     "matrix_power", "matrix_vector", "parse_encoder", "parse_stream",
     "parse_tree", "power_graph", "prune_to_encoder", "run",
     "serialize_encoder", "simulate", "spectral_radius", "split_states",
-    "symbol_key", "table_report", "verify_delivery", "word_key",
+    "table_report", "verify_delivery", "word_key",
 ]

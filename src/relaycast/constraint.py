@@ -25,20 +25,14 @@ from typing import List, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
-from .symbols import N, Word, is_data, word_key
+from .symbols import N, Word, _check_positive, is_data, word_ranks
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
 Matrix = Sequence[Sequence[int]]
 
 
-def _check_q(q):
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise InvalidParameterError(
-            f"need a positive number of data symbols, got q={q!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A labeled edge; ``word`` is the label (one symbol per slot)."""
 
@@ -72,36 +66,40 @@ class ConstraintGraph:
         return [e for e in self.edges if e.src == state]
 
 
-def _canonical(edges) -> Tuple[Edge, ...]:
-    return tuple(sorted(edges, key=lambda e: (e.src, word_key(e.word), e.dst)))
+def _canonical(triples) -> Tuple[Edge, ...]:
+    """Edges from ``(src, dst, word)`` triples, sorted by source, label, head."""
+    triples = list(triples)
+    rank = word_ranks(word for _, _, word in triples)
+    triples.sort(key=lambda t: (t[0], rank[t[2]], t[1]))
+    return tuple(Edge(src, dst, word) for src, dst, word in triples)
 
 
 def make_constraint(q: int) -> ConstraintGraph:
     """Two-state presentation with adjacency ``[[1, q], [1, 0]]``."""
-    _check_q(q)
-    edges = [Edge(0, 1, (k,)) for k in range(q)]
-    edges.append(Edge(0, 0, (N,)))
-    edges.append(Edge(1, 0, (N,)))
-    return ConstraintGraph(q=q, states=("OFF", "ON"), edges=_canonical(edges))
+    _check_positive(q, "q")
+    triples = [(0, 1, (k,)) for k in range(q)]
+    triples.append((0, 0, (N,)))
+    triples.append((1, 0, (N,)))
+    return ConstraintGraph(q=q, states=("OFF", "ON"), edges=_canonical(triples))
 
 
 def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
     """Presentation whose edges are the length-n paths of ``g``.
 
     Labels concatenate along the path; the adjacency matrix is the n-th
-    power of ``g``'s. ``n=1`` returns ``g`` itself.
+    power of ``g``'s. ``n=1`` returns ``g`` itself. Paths grow as plain
+    ``(src, dst, word)`` triples; only the length-n ones become edges.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"power must be a positive integer, got {n!r}")
+    _check_positive(n, "power")
     if n == 1:
         return g
-    by_src: List[List[Edge]] = [[] for _ in g.states]
+    by_src: List[List[Tuple[int, Word]]] = [[] for _ in g.states]
     for e in g.edges:
-        by_src[e.src].append(e)
-    paths = list(g.edges)
+        by_src[e.src].append((e.dst, e.word))
+    paths = [(e.src, e.dst, e.word) for e in g.edges]
     for _ in range(n - 1):
-        paths = [Edge(e.src, f.dst, e.word + f.word)
-                 for e in paths for f in by_src[e.dst]]
+        paths = [(src, head, word + label)
+                 for src, dst, word in paths for head, label in by_src[dst]]
     return ConstraintGraph(q=g.q, states=g.states, edges=_canonical(paths))
 
 
@@ -113,7 +111,7 @@ def count_words(q: int, n: int) -> int:
     silence extends any admissible word, while a word ending in one of
     the q data symbols extends only words ending in silence.
     """
-    _check_q(q)
+    _check_positive(q, "q")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"length must be nonnegative, got {n!r}")
     a, b = 1, q + 1
@@ -131,7 +129,7 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
     encoder tests. Refuses to start when the search space ``(q+1)**n``
     exceeds ``cap``.
     """
-    _check_q(q)
+    _check_positive(q, "q")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InvalidParameterError(f"length must be nonnegative, got {n!r}")
     if (q + 1) ** n > cap:
@@ -224,7 +222,7 @@ def characteristic_roots(q: int) -> Tuple[float, float]:
 
     Their sum is 1 and their product is -q.
     """
-    _check_q(q)
+    _check_positive(q, "q")
     root = math.sqrt(1.0 + 4.0 * q)
     return ((1.0 + root) / 2.0, (1.0 - root) / 2.0)
 
@@ -236,5 +234,5 @@ def capacity(q: int) -> float:
     eigenvalue. For q=1 this is log2 of the golden ratio, 0.694242...;
     for q=6 it is log2(3).
     """
-    _check_q(q)
+    _check_positive(q, "q")
     return math.log2((1.0 + math.sqrt(4.0 * q + 1.0)) / 2.0)

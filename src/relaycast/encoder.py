@@ -40,17 +40,13 @@ from .errors import (AmbiguousEncoderError, EncoderBuildError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
-from .symbols import Word, format_stream, parse_stream, word_key
+from .symbols import (Word, _check_positive, format_stream, is_decimal,
+                      parse_stream, word_ranks)
 
 _PERRON_SCALE_LIMIT = 4096
 _FEASIBILITY_CEILING = 1 << 20
 
 Transition = Tuple[Word, int]
-
-
-def _check_positive(value, name):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +175,36 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
         return g
 
     g, weights = _restrict_to_support(g, list(x.vector))
+    rank = word_ranks(e.word for e in g.edges)
+    words = list(rank)  # rank order
     names = list(g.states)
-    edges = list(g.edges)
+    # States keep a fixed id; ids[i] is the state at position i. out[s]
+    # maps a head id to the label ranks of the edges s -> head, so a
+    # round rewrites only the split state's edges and the lists that
+    # point at it.
+    ids = list(range(len(names)))
+    out: List[Dict[int, List[int]]] = [{} for _ in names]
+    for e in g.edges:
+        out[e.src].setdefault(e.dst, []).append(rank[e.word])
 
     while True:
         heaviest = max(weights)
         if heaviest <= 1:
             break
         u = weights.index(heaviest)
-        outgoing = sorted((e for e in edges if e.src == u),
-                          key=lambda e: (-weights[e.dst], word_key(e.word), e.dst))
-        out_weight = sum(weights[e.dst] for e in outgoing)
+        uid = ids[u]
+        pos = {sid: i for i, sid in enumerate(ids)}
+        # (head weight, label rank, head position, head id), ordered by
+        # descending head weight, then label, then current head position
+        outgoing = sorted((-weights[pos[d]], r, pos[d], d)
+                          for d, ranks in out[uid].items() for r in ranks)
+        out_weight = -sum(e[0] for e in outgoing)
         partition = None
         for first_weight in range(1, heaviest):
             acc = 0
             cut = None
             for i, e in enumerate(outgoing):
-                acc += weights[e.dst]
+                acc -= e[0]
                 if acc >= target * first_weight:
                     cut = i + 1
                     break
@@ -208,33 +217,31 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
             raise StateSplitError(
                 f"state {names[u]!r} admits no weight-consistent partition")
         first_weight, cut = partition
-        in_first = {id(e) for e in outgoing[:cut]}
 
-        # u becomes u.0 at index u and u.1 at index u+1; higher indices
-        # shift up by one.
-        def new_index(old):
-            return old if old < u else old + 1
-
-        rebuilt = []
-        for e in edges:
-            if e.src == u:
-                src = u if id(e) in in_first else u + 1
-            else:
-                src = new_index(e.src)
-            heads = [u, u + 1] if e.dst == u else [new_index(e.dst)]
-            rebuilt.extend(Edge(src, dst, e.word) for dst in heads)
+        # u becomes u.0 (keeping id uid) at position u and u.1 (new id
+        # vid) at position u+1; every edge into u gains a copy into u.1.
+        vid = len(out)
+        first: Dict[int, List[int]] = {}
+        second: Dict[int, List[int]] = {}
+        for i, (_, r, _, d) in enumerate(outgoing):
+            (first if i < cut else second).setdefault(d, []).append(r)
+        out[uid] = first
+        out.append(second)
+        for heads in out:
+            if uid in heads:
+                heads[vid] = list(heads[uid])
+        ids.insert(u + 1, vid)
         names[u:u + 1] = [names[u] + ".0", names[u] + ".1"]
         weights[u:u + 1] = [first_weight, heaviest - first_weight]
-        edges = rebuilt
 
-    result = ConstraintGraph(q=g.q, states=tuple(names),
-                             edges=tuple(sorted(edges, key=lambda e: (e.src, word_key(e.word), e.dst))))
-    degrees = [0] * len(result.states)
-    for e in result.edges:
-        degrees[e.src] += 1
-    if any(d < target for d in degrees):
-        raise StateSplitError("splitting left a state short of out-degree 2**p")
-    return result
+    pos = {sid: i for i, sid in enumerate(ids)}
+    edges = []
+    for src, sid in enumerate(ids):
+        row = sorted((r, pos[d]) for d, ranks in out[sid].items() for r in ranks)
+        if len(row) < target:
+            raise StateSplitError("splitting left a state short of out-degree 2**p")
+        edges.extend(Edge(src, dst, words[r]) for r, dst in row)
+    return ConstraintGraph(q=g.q, states=tuple(names), edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +376,31 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     if g.q != q:
         raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
     fanout = 1 << p
+    by_src: List[List[Edge]] = [[] for _ in g.states]
     for e in g.edges:
         if len(e.word) != n:
             raise NonUniformLabelError(
                 f"edge label {format_stream(e.word)!r} is not {n} symbols")
+        by_src[e.src].append(e)
+    rank = word_ranks(e.word for e in g.edges)
+
+    def order(e):
+        return (rank[e.word], e.dst)
 
     kept: List[List[Edge]] = []
-    for state in range(len(g.states)):
-        outgoing = sorted((e for e in g.edges if e.src == state),
-                          key=lambda e: (word_key(e.word), e.dst))
+    for state, outgoing in enumerate(by_src):
         if len(outgoing) < fanout:
             raise InsufficientDegreeError(
                 f"state {g.states[state]!r} has out-degree {len(outgoing)}, "
                 f"needs {fanout}")
+        outgoing.sort(key=order)
         primaries, duplicates = [], []
         seen = set()
         for e in outgoing:
-            key = word_key(e.word)
-            (duplicates if key in seen else primaries).append(e)
-            seen.add(key)
+            (duplicates if e.word in seen else primaries).append(e)
+            seen.add(e.word)
         chosen = (primaries + duplicates)[:fanout]
-        chosen.sort(key=lambda e: (word_key(e.word), e.dst))
+        chosen.sort(key=order)
         kept.append(chosen)
 
     start = 0
@@ -569,12 +580,10 @@ def parse_encoder(text: str) -> Encoder:
     if not lines:
         raise EncoderFormatError("empty encoder text")
     header = lines[0].split()
-    if len(header) != 6 or header[0] != "ENC":
+    if (len(header) != 6 or header[0] != "ENC"
+            or not all(map(is_decimal, header[1:]))):
         raise EncoderFormatError(f"bad header line {lines[0]!r}")
-    try:
-        q, p, n, num_states, start = (int(v) for v in header[1:])
-    except ValueError as exc:
-        raise EncoderFormatError(f"bad header line {lines[0]!r}") from exc
+    q, p, n, num_states, start = map(int, header[1:])
     if q < 1 or p < 1 or n < 1 or num_states < 1:
         raise EncoderFormatError("header values must be positive")
     fanout = 1 << p
@@ -585,12 +594,13 @@ def parse_encoder(text: str) -> Encoder:
     table: Dict[Tuple[int, int], Transition] = {}
     for line in lines[1:]:
         parts = line.split()
-        if len(parts) != 3 + n:
+        if (len(parts) != 3 + n
+                or not all(map(is_decimal, (parts[0], parts[1], parts[-1])))):
             raise EncoderFormatError(f"bad transition line {line!r}")
+        state, tag, nxt = int(parts[0]), int(parts[1]), int(parts[-1])
         try:
-            state, tag, nxt = int(parts[0]), int(parts[1]), int(parts[-1])
             word = parse_stream(" ".join(parts[2:-1]), q=q)
-        except (ValueError, StreamFormatError) as exc:
+        except StreamFormatError as exc:
             raise EncoderFormatError(f"bad transition line {line!r}") from exc
         if not 0 <= state < num_states or not 0 <= tag < fanout:
             raise EncoderFormatError(f"state or tag out of range in {line!r}")

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .constraint import capacity
 from .encoder import build_encoder, decode, encode
 from .errors import InvalidParameterError, RelaycastError, TopologyError
-from .symbols import N, Symbol, Word, is_data, is_decimal
+from .symbols import N, Symbol, Word, _check_positive, is_data, is_decimal
 
 
 class _Erased:
@@ -314,8 +314,7 @@ def baseline_rate(q: int) -> float:
     Each node stays OFF half the time, so ``0.5 * log2(q+1)`` bits per
     symbol.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or q < 1:
-        raise InvalidParameterError(f"need a positive q, got {q!r}")
+    _check_positive(q, "q")
     return 0.5 * math.log2(q + 1)
 
 

@@ -11,8 +11,9 @@ data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, StreamFormatError
 
@@ -38,6 +39,16 @@ Symbol = Union[int, _Silence]
 Word = Tuple[Symbol, ...]
 
 
+def _check_positive(value, name: str) -> None:
+    """Raise :class:`InvalidParameterError` unless ``value`` is an int >= 1.
+
+    ``bool`` is an ``int`` subclass but never a valid count, so it is
+    rejected too.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
 def is_data(symbol: Symbol) -> bool:
     """True for a data symbol (node ON), False for silence."""
     return not isinstance(symbol, _Silence)
@@ -50,9 +61,7 @@ class Alphabet:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 1:
-            raise InvalidParameterError(
-                f"alphabet needs at least one data symbol, got q={self.q!r}")
+        _check_positive(self.q, "q")
 
     @property
     def size(self) -> int:
@@ -103,11 +112,19 @@ def format_stream(word: Sequence[Symbol]) -> str:
     return " ".join("N" if not is_data(s) else str(s) for s in word)
 
 
-def symbol_key(symbol: Symbol) -> tuple:
-    """Sort key placing data symbols (in numeric order) before silence."""
-    return (1, 0) if not is_data(symbol) else (0, symbol)
+# Silence sorts after every data symbol; data symbols map to themselves.
+_ORDER = {N: math.inf}
 
 
 def word_key(word: Sequence[Symbol]) -> tuple:
     """Lexicographic sort key for words; N orders after all data symbols."""
-    return tuple(symbol_key(s) for s in word)
+    return tuple(map(_ORDER.get, word, word))
+
+
+def word_ranks(words: Iterable[Word]) -> Dict[Word, int]:
+    """Position of each distinct word in :func:`word_key` order.
+
+    Sorting edges on ``rank[word]`` gives the order of ``word_key(word)``
+    while deriving each key only once per distinct word.
+    """
+    return {w: i for i, w in enumerate(sorted(set(words), key=word_key))}

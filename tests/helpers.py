@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the library internals:
 admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product and by their closed (Binet)
-form, expected relay behavior by shifting sequences, and the per-depth
-simulator by the node-by-node slot loop it replaced.
+form, expected relay behavior by shifting sequences, the per-depth
+simulator by the node-by-node slot loop it replaced, and the three
+synthesis stages by the edge-list rebuilds they replaced.
 """
 
 import math
@@ -12,7 +13,11 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from relaycast import ERASED, N, is_data
+from relaycast import (ERASED, N, ConstraintGraph, Edge,
+                       InsufficientDegreeError, InvalidParameterError,
+                       NonUniformLabelError, StateSplitError, format_stream,
+                       is_data, matrix_vector)
+from relaycast.encoder import _assemble
 
 
 def scan_admissible(word):
@@ -160,3 +165,185 @@ def simulate_per_node(topo, source_stream, extra_slots=None):
         received.append(tuple(heard[v] for v in nodes))
     return NodeTrace(nodes=nodes, transmitted=tuple(transmitted),
                      received=tuple(received), violations=tuple(violations))
+
+
+# ---------------------------------------------------------------------------
+# encoder synthesis oracles: each stage as it was before it sorted on
+# precomputed codeword ranks, re-deriving a tuple key per comparison and
+# rebuilding the whole edge list on every split round.
+
+def _oracle_symbol_key(symbol):
+    """Sort key placing data symbols (in numeric order) before silence."""
+    return (1, 0) if not is_data(symbol) else (0, symbol)
+
+
+def oracle_word_key(word):
+    """Lexicographic sort key for words; N orders after all data symbols."""
+    return tuple(_oracle_symbol_key(s) for s in word)
+
+
+def _oracle_check_positive(value, name):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _oracle_canonical(edges):
+    return tuple(sorted(edges, key=lambda e: (e.src, oracle_word_key(e.word), e.dst)))
+
+
+def power_graph_oracle(g, n):
+    """Presentation whose edges are the length-n paths of ``g``.
+
+    Labels concatenate along the path; the adjacency matrix is the n-th
+    power of ``g``'s. ``n=1`` returns ``g`` itself.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidParameterError(f"power must be a positive integer, got {n!r}")
+    if n == 1:
+        return g
+    by_src = [[] for _ in g.states]
+    for e in g.edges:
+        by_src[e.src].append(e)
+    paths = list(g.edges)
+    for _ in range(n - 1):
+        paths = [Edge(e.src, f.dst, e.word + f.word)
+                 for e in paths for f in by_src[e.dst]]
+    return ConstraintGraph(q=g.q, states=g.states, edges=_oracle_canonical(paths))
+
+
+def _oracle_restrict_to_support(g, weights):
+    """Drop zero-weight states; the inequality survives on the rest."""
+    keep = [i for i, w in enumerate(weights) if w > 0]
+    if len(keep) == len(weights):
+        return g, list(weights)
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = tuple(Edge(remap[e.src], remap[e.dst], e.word)
+                  for e in g.edges if e.src in remap and e.dst in remap)
+    graph = ConstraintGraph(q=g.q,
+                            states=tuple(g.states[i] for i in keep),
+                            edges=edges)
+    return graph, [weights[i] for i in keep]
+
+
+def split_states_oracle(g, x):
+    """Out-split states until every weight is 1 (see ``split_states``)."""
+    if len(x.vector) != len(g.states):
+        raise InvalidParameterError(
+            f"weight vector has {len(x.vector)} entries for "
+            f"{len(g.states)} states")
+    if any(w < 0 for w in x.vector) or not any(x.vector):
+        raise StateSplitError("weights must be nonnegative and not all zero")
+    target = 1 << x.p
+    checked = matrix_vector(g.adjacency, x.vector)
+    if any(got < target * want for got, want in zip(checked, x.vector)):
+        raise StateSplitError(
+            "vector fails the weight inequality; not an approximate eigenvector")
+
+    if all(w == 1 for w in x.vector):
+        return g
+
+    g, weights = _oracle_restrict_to_support(g, list(x.vector))
+    names = list(g.states)
+    edges = list(g.edges)
+
+    while True:
+        heaviest = max(weights)
+        if heaviest <= 1:
+            break
+        u = weights.index(heaviest)
+        outgoing = sorted((e for e in edges if e.src == u),
+                          key=lambda e: (-weights[e.dst], oracle_word_key(e.word), e.dst))
+        out_weight = sum(weights[e.dst] for e in outgoing)
+        partition = None
+        for first_weight in range(1, heaviest):
+            acc = 0
+            cut = None
+            for i, e in enumerate(outgoing):
+                acc += weights[e.dst]
+                if acc >= target * first_weight:
+                    cut = i + 1
+                    break
+            if cut is None:
+                break  # even the full set cannot cover first_weight
+            if out_weight - acc >= target * (heaviest - first_weight):
+                partition = (first_weight, cut)
+                break
+        if partition is None:
+            raise StateSplitError(
+                f"state {names[u]!r} admits no weight-consistent partition")
+        first_weight, cut = partition
+        in_first = {id(e) for e in outgoing[:cut]}
+
+        # u becomes u.0 at index u and u.1 at index u+1; higher indices
+        # shift up by one.
+        def new_index(old):
+            return old if old < u else old + 1
+
+        rebuilt = []
+        for e in edges:
+            if e.src == u:
+                src = u if id(e) in in_first else u + 1
+            else:
+                src = new_index(e.src)
+            heads = [u, u + 1] if e.dst == u else [new_index(e.dst)]
+            rebuilt.extend(Edge(src, dst, e.word) for dst in heads)
+        names[u:u + 1] = [names[u] + ".0", names[u] + ".1"]
+        weights[u:u + 1] = [first_weight, heaviest - first_weight]
+        edges = rebuilt
+
+    result = ConstraintGraph(q=g.q, states=tuple(names),
+                             edges=tuple(sorted(edges, key=lambda e: (e.src, oracle_word_key(e.word), e.dst))))
+    degrees = [0] * len(result.states)
+    for e in result.edges:
+        degrees[e.src] += 1
+    if any(d < target for d in degrees):
+        raise StateSplitError("splitting left a state short of out-degree 2**p")
+    return result
+
+
+def prune_to_encoder_oracle(g, q, p, n):
+    """Delete surplus edges down to 2**p per state (see ``prune_to_encoder``)."""
+    _oracle_check_positive(q, "q")
+    _oracle_check_positive(p, "p")
+    _oracle_check_positive(n, "n")
+    if g.q != q:
+        raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
+    fanout = 1 << p
+    for e in g.edges:
+        if len(e.word) != n:
+            raise NonUniformLabelError(
+                f"edge label {format_stream(e.word)!r} is not {n} symbols")
+
+    kept = []
+    for state in range(len(g.states)):
+        outgoing = sorted((e for e in g.edges if e.src == state),
+                          key=lambda e: (oracle_word_key(e.word), e.dst))
+        if len(outgoing) < fanout:
+            raise InsufficientDegreeError(
+                f"state {g.states[state]!r} has out-degree {len(outgoing)}, "
+                f"needs {fanout}")
+        primaries, duplicates = [], []
+        seen = set()
+        for e in outgoing:
+            key = oracle_word_key(e.word)
+            (duplicates if key in seen else primaries).append(e)
+            seen.add(key)
+        chosen = (primaries + duplicates)[:fanout]
+        chosen.sort(key=lambda e: (oracle_word_key(e.word), e.dst))
+        kept.append(chosen)
+
+    start = 0
+    reachable = {start}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for e in kept[state]:
+            if e.dst not in reachable:
+                reachable.add(e.dst)
+                frontier.append(e.dst)
+    order = sorted(reachable)
+    renumber = {old: new for new, old in enumerate(order)}
+    transitions = tuple(
+        tuple((e.word, renumber[e.dst]) for e in kept[old])
+        for old in order)
+    return _assemble(q, p, n, renumber[start], transitions)

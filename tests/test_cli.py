@@ -90,6 +90,24 @@ def test_encoder_cli_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "110100"
 
 
+def test_decode_rejects_non_ascii_encoder_field(tmp_path, capsys):
+    enc_path = tmp_path / "enc.txt"
+    assert run(["build-encoder", "--q", "1", "--p", "2", "--n", "3",
+                "--out", str(enc_path)]) == 0
+    assert run(["encode", "--encoder", str(enc_path), "--bits", "110100",
+                "--format", "raw"]) == 0
+    stream_line = capsys.readouterr().out.splitlines()[1]
+    header, body = enc_path.read_text().split("\n", 1)
+    assert header.endswith(" 0")
+    enc_path.write_text(header[:-1] + "\uff10\n" + body)  # fullwidth zero
+    assert run(["decode", "--encoder", str(enc_path),
+                "--stream", stream_line, "--length", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_build_encoder_infeasible_exit(capsys):
     assert run(["build-encoder", "--q", "1", "--p", "1", "--n", "1"]) == 1
     assert "error:" in capsys.readouterr().err

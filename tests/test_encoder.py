@@ -283,13 +283,37 @@ def test_serialize_format(enc_q1):
     assert len(word) == 3
 
 
-def test_parse_encoder_errors():
+def _fullwidth(token):
+    return "".join(chr(0xFF10 + int(c)) for c in token)
+
+
+def _arabic_indic(token):
+    return "".join(chr(0x0660 + int(c)) for c in token)
+
+
+def test_parse_encoder_errors(enc_q1):
     with pytest.raises(EncoderFormatError):
         parse_encoder("")
     with pytest.raises(EncoderFormatError):
         parse_encoder("ENC 1 2 3\n")
     with pytest.raises(EncoderFormatError):
         parse_encoder("ENC 1 1 1 1 0\n0 0 N 0\n")  # missing tag-1 line
+    # every integer field is ASCII digits only: int() would also read
+    # other scripts' digits and a leading sign as the same number
+    header, first, *rest = serialize_encoder(enc_q1).splitlines()
+    head = header.split()
+    line = first.split()
+    bad_headers = [head[:5] + [_fullwidth(head[5])],
+                   head[:1] + ["+" + head[1]] + head[2:],
+                   head[:3] + [_arabic_indic(head[3])] + head[4:]]
+    bad_lines = [[_arabic_indic(line[0])] + line[1:],
+                 line[:1] + ["+" + line[1]] + line[2:],
+                 line[:-1] + [_fullwidth(line[-1])]]
+    texts = ["\n".join([" ".join(h), first] + rest) for h in bad_headers]
+    texts += ["\n".join([header, " ".join(t)] + rest) for t in bad_lines]
+    for text in texts:
+        with pytest.raises(EncoderFormatError):
+            parse_encoder(text)
 
 
 def test_parse_encoder_rejects_undecodable_machine():

@@ -317,3 +317,17 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, extra_slots, fli
             recovered = False
         expected.append((node, d, recovered))
     assert [(e.node, e.depth, e.recovered) for e in report.nodes] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(topo=trees(), stream=streams(),
+       extra_slots=st.one_of(st.none(), st.integers(0, 3)))
+def test_violations_occur_only_at_depth_one(topo, stream, extra_slots):
+    """A relay never sends two data symbols in a row, so below depth 1
+    no parent can send data while its child is ON."""
+    trace = simulate(topo, stream, extra_slots)
+    assert trace.depth_violations[0] == ()
+    for d in range(1, topo.max_depth + 1):
+        assert is_admissible(trace.depth_transmitted[d])
+        if d >= 2:
+            assert trace.depth_violations[d] == ()

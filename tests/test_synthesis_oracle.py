@@ -1,0 +1,122 @@
+"""Encoder synthesis against the edge-list oracles in ``helpers``.
+
+``power_graph``, ``split_states`` and ``prune_to_encoder`` sort on
+precomputed codeword ranks and update only the edges a split touches.
+Their output must stay byte-for-byte that of the straightforward
+versions kept in ``helpers``: the same edges in the same order, the same
+state names, the same serialized machine, or the same exception.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relaycast import (ApproxEigenvector, ConstraintGraph, Edge, N,
+                       RelaycastError, capacity,
+                       find_approximate_eigenvector, make_constraint,
+                       power_graph, prune_to_encoder, serialize_encoder,
+                       split_states)
+from helpers import (power_graph_oracle, prune_to_encoder_oracle,
+                     split_states_oracle)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except RelaycastError as exc:
+        return (type(exc), str(exc))
+
+
+def _same_graph(fast, slow):
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return False
+    assert fast.states == slow.states
+    assert fast.edges == slow.edges
+    return True
+
+
+def _same_machine(fast, slow):
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert serialize_encoder(fast) == serialize_encoder(slow)
+
+
+# q -> largest block length n in the sweep. It includes chained splits,
+# such as (1,9,13) with weights (5,3), where a descendant is split again.
+SWEEP = {1: 16, 2: 10, 3: 8, 6: 6}
+
+
+@pytest.mark.parametrize("q", sorted(SWEEP))
+def test_synthesis_matches_oracle_sweep(q):
+    base = make_constraint(q)
+    for n in range(1, SWEEP[q] + 1):
+        powered = power_graph(base, n)
+        oracle_powered = power_graph_oracle(base, n)
+        assert _same_graph(powered, oracle_powered)
+        for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1):
+            x = find_approximate_eigenvector(powered.adjacency, p, block_length=n)
+            split = _outcome(split_states, powered, x)
+            if not _same_graph(split, _outcome(split_states_oracle,
+                                               oracle_powered, x)):
+                continue
+            _same_machine(_outcome(prune_to_encoder, split, q, p, n),
+                          _outcome(prune_to_encoder_oracle, split, q, p, n))
+
+
+@st.composite
+def split_cases(draw):
+    """A hand-built graph, a weight vector and the p it is meant for.
+
+    Labels come from a small pool, so one state often carries the same
+    label twice, to one head or to several (a non-deterministic
+    presentation). Most vectors are made to satisfy the weight
+    inequality by adding edges until each state's head weights reach
+    ``2**p`` times its own; heavy weights then force chained splits.
+    The rest are arbitrary, to compare the error paths.
+    """
+    q = draw(st.integers(1, 2))
+    length = draw(st.integers(1, 3))
+    symbols = list(range(q)) + [N]
+    pool = draw(st.lists(st.tuples(*[st.sampled_from(symbols)] * length),
+                         min_size=1, max_size=6, unique=True))
+    size = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+    triples = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                      st.integers(0, size - 1),
+                                      st.sampled_from(pool)), max_size=12))
+    if draw(st.integers(0, 3)) < 3:
+        if not any(weights):
+            weights[0] = 1
+        for src in range(size):
+            heavy = [d for d in range(size) if weights[d]]
+            reach = sum(weights[d] for s, d, _ in triples if s == src)
+            while reach < (weights[src] << p):
+                dst = draw(st.sampled_from(heavy))
+                triples.append((src, dst, draw(st.sampled_from(pool))))
+                reach += weights[dst]
+    else:
+        weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    edges = tuple(Edge(*t) for t in draw(st.permutations(triples)))
+    graph = ConstraintGraph(q=q, states=tuple(f"S{i}" for i in range(size)),
+                            edges=edges)
+    return graph, ApproxEigenvector(tuple(weights), p), length
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=split_cases(), power=st.integers(1, 3))
+def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
+    graph, x, length = case
+    assert _same_graph(power_graph(graph, power), power_graph_oracle(graph, power))
+    split = _outcome(split_states, graph, x)
+    if _same_graph(split, _outcome(split_states_oracle, graph, x)):
+        _same_machine(_outcome(prune_to_encoder, split, graph.q, x.p, length),
+                      _outcome(prune_to_encoder_oracle, split, graph.q, x.p, length))
+    _same_machine(_outcome(prune_to_encoder, graph, graph.q, x.p, length),
+                  _outcome(prune_to_encoder_oracle, graph, graph.q, x.p, length))
+
