@@ -10,11 +10,9 @@ streams, synthesizes finite-state encoders that approach the capacity,
 and verifies the whole story with a slot-synchronous tree simulator.
 """
 
-from .constraint import (ConstraintGraph, DEFAULT_ENUMERATION_CAP, Edge,
-                         capacity, characteristic_roots, count_words,
-                         enumerate_words, format_matrix, make_constraint,
-                         matrix_multiply, matrix_power, matrix_vector,
-                         power_graph, spectral_radius, validate_matrix)
+from .constraint import (ConstraintGraph, Edge, capacity, characteristic_roots,
+                         count_words, enumerate_words, make_constraint,
+                         power_graph, spectral_radius)
 from .encoder import (ApproxEigenvector, Encoder, EncoderReport, FrameHeader,
                       build_encoder, decode, encode, encoder_report,
                       find_approximate_eigenvector, parse_encoder,
@@ -29,29 +27,26 @@ from .errors import (AmbiguousEncoderError, EncoderBuildError,
 from .simulator import (DeliveryReport, ERASED, EndToEndReport, NodeDelivery,
                         NodeRecovery, SimTrace, TreeTopology, baseline_rate,
                         end_to_end, parse_tree, simulate, verify_delivery)
-from .symbols import (Alphabet, N, Symbol, Word, format_stream, is_admissible,
-                      is_data, parse_stream, word_key)
-from .cli import TableRow, run, table_report
+from .symbols import N, format_stream, is_admissible, parse_stream
+from .cli import run, table_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "AmbiguousEncoderError", "ApproxEigenvector",
-    "ConstraintGraph", "DEFAULT_ENUMERATION_CAP", "DeliveryReport",
-    "ERASED", "Edge", "Encoder", "EncoderBuildError", "EncoderFormatError",
-    "EncoderReport", "EndToEndReport", "EnumerationCapError", "FrameHeader",
-    "FramingError", "InfeasibleRateError", "InsufficientDegreeError",
-    "InvalidMatrixError", "InvalidParameterError", "N", "NodeDelivery",
-    "NodeRecovery", "NonUniformLabelError", "RelaycastError", "SimTrace",
-    "StateSplitError", "StreamFormatError", "Symbol", "TableRow",
-    "TopologyError", "TreeTopology", "UnknownCodewordError",
-    "UnsupportedParameterError", "Word", "baseline_rate", "build_encoder",
-    "capacity", "characteristic_roots", "count_words", "decode", "encode",
-    "encoder_report", "end_to_end", "enumerate_words",
-    "find_approximate_eigenvector", "format_matrix", "format_stream",
-    "is_admissible", "is_data", "make_constraint", "matrix_multiply",
-    "matrix_power", "matrix_vector", "parse_encoder", "parse_stream",
-    "parse_tree", "power_graph", "prune_to_encoder", "run",
-    "serialize_encoder", "simulate", "spectral_radius", "split_states",
-    "table_report", "verify_delivery", "word_key",
+    "AmbiguousEncoderError", "ApproxEigenvector", "ConstraintGraph",
+    "DeliveryReport", "ERASED", "Edge", "Encoder", "EncoderBuildError",
+    "EncoderFormatError", "EncoderReport", "EndToEndReport",
+    "EnumerationCapError", "FrameHeader", "FramingError",
+    "InfeasibleRateError", "InsufficientDegreeError", "InvalidMatrixError",
+    "InvalidParameterError", "N", "NodeDelivery", "NodeRecovery",
+    "NonUniformLabelError", "RelaycastError", "SimTrace", "StateSplitError",
+    "StreamFormatError", "TopologyError", "TreeTopology",
+    "UnknownCodewordError", "UnsupportedParameterError", "baseline_rate",
+    "build_encoder", "capacity", "characteristic_roots", "count_words",
+    "decode", "encode", "encoder_report", "end_to_end", "enumerate_words",
+    "find_approximate_eigenvector", "format_stream", "is_admissible",
+    "make_constraint", "parse_encoder", "parse_stream", "parse_tree",
+    "power_graph", "prune_to_encoder", "run", "serialize_encoder",
+    "simulate", "spectral_radius", "split_states", "table_report",
+    "verify_delivery",
 ]

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Tuple
 
-from .constraint import capacity, count_words, enumerate_words
+from .constraint import (DEFAULT_ENUMERATION_CAP, capacity, count_words,
+                         enumerate_words)
 from .encoder import (FrameHeader, build_encoder, decode, encode,
                       encoder_report, parse_encoder, serialize_encoder)
-from .errors import RelaycastError, UnsupportedParameterError
+from .errors import (InvalidParameterError, RelaycastError,
+                     UnsupportedParameterError)
 from .simulator import (baseline_rate, end_to_end, parse_tree, simulate,
                         verify_delivery)
 from .symbols import format_stream, is_decimal, parse_stream
@@ -79,27 +81,30 @@ def _fmt(value: float, fmt: str) -> str:
     return repr(value) if fmt == "raw" else f"{value:.6f}"
 
 
-def _read_value(value: str, kind: str) -> str:
-    """Return file contents when ``value`` names a file, else ``value``.
+def _read_value(value: str, kind: str = "file") -> str:
+    """Return the UTF-8 text of the file ``value`` names, else ``value``.
 
-    Inline values must look like the expected payload; anything else is
-    treated as a missing file.
+    An inline value must look like the expected ``kind`` of payload,
+    ``"bits"`` or ``"stream"``; anything else, and every value of kind
+    ``"file"``, is treated as a missing file.
     """
     path = Path(value)
-    if path.is_file():
-        return path.read_text()
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an inline value too long to be a file name
+        is_file = False
+    if is_file:
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(
+                f"{value} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     if kind == "bits" and not value.strip("01"):
         return value
     if kind == "stream" and all(t == "N" or is_decimal(t) for t in value.split()):
         return value
     raise FileNotFoundError(value)
-
-
-def _read_file(value: str) -> str:
-    path = Path(value)
-    if not path.is_file():
-        raise FileNotFoundError(value)
-    return path.read_text()
 
 
 def _add_format(parser):
@@ -137,7 +142,7 @@ def _cmd_build_encoder(args) -> None:
 
 
 def _cmd_encode(args) -> None:
-    machine = parse_encoder(_read_file(args.encoder))
+    machine = parse_encoder(_read_value(args.encoder))
     bits = _read_value(args.bits, "bits").strip()
     stream, header = encode(machine, bits)
     if args.format == "raw":
@@ -150,14 +155,14 @@ def _cmd_encode(args) -> None:
 
 
 def _cmd_decode(args) -> None:
-    machine = parse_encoder(_read_file(args.encoder))
+    machine = parse_encoder(_read_value(args.encoder))
     stream = parse_stream(_read_value(args.stream, "stream"), q=machine.q)
     pad = (-args.length) % machine.p
     print(decode(machine, stream, FrameHeader(args.length, pad)))
 
 
 def _cmd_simulate(args) -> None:
-    topo = parse_tree(_read_file(args.tree))
+    topo = parse_tree(_read_value(args.tree))
     stream = parse_stream(_read_value(args.stream, "stream"))
     trace = simulate(topo, stream, args.extra_slots)
     print(trace.export())
@@ -169,7 +174,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_end_to_end(args) -> None:
-    topo = parse_tree(_read_file(args.tree))
+    topo = parse_tree(_read_value(args.tree))
     if args.bits is not None:
         bits = _read_value(args.bits, "bits").strip()
     else:
@@ -218,7 +223,7 @@ def _build_parser(command: str) -> Tuple[_Parser, object]:
     if command == "enumerate":
         parser.add_argument("--q", type=int, required=True)
         parser.add_argument("--n", type=int, required=True)
-        parser.add_argument("--cap", type=int, default=10**7)
+        parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
         _add_format(parser)
         return parser, _cmd_enumerate
     if command == "build-encoder":

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
-from .symbols import N, Word, _check_positive, is_data, word_ranks
+from .symbols import N, Word, _check_int, is_data, word_ranks
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -62,9 +62,6 @@ class ConstraintGraph:
             counts[e.src][e.dst] += 1
         return tuple(tuple(row) for row in counts)
 
-    def out_edges(self, state: int) -> List[Edge]:
-        return [e for e in self.edges if e.src == state]
-
 
 def _canonical(triples) -> Tuple[Edge, ...]:
     """Edges from ``(src, dst, word)`` triples, sorted by source, label, head."""
@@ -76,7 +73,7 @@ def _canonical(triples) -> Tuple[Edge, ...]:
 
 def make_constraint(q: int) -> ConstraintGraph:
     """Two-state presentation with adjacency ``[[1, q], [1, 0]]``."""
-    _check_positive(q, "q")
+    _check_int(q, "q")
     triples = [(0, 1, (k,)) for k in range(q)]
     triples.append((0, 0, (N,)))
     triples.append((1, 0, (N,)))
@@ -90,7 +87,7 @@ def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
     power of ``g``'s. ``n=1`` returns ``g`` itself. Paths grow as plain
     ``(src, dst, word)`` triples; only the length-n ones become edges.
     """
-    _check_positive(n, "power")
+    _check_int(n, "power")
     if n == 1:
         return g
     by_src: List[List[Tuple[int, Word]]] = [[] for _ in g.states]
@@ -111,9 +108,8 @@ def count_words(q: int, n: int) -> int:
     silence extends any admissible word, while a word ending in one of
     the q data symbols extends only words ending in silence.
     """
-    _check_positive(q, "q")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvalidParameterError(f"length must be nonnegative, got {n!r}")
+    _check_int(q, "q")
+    _check_int(n, "length", 0)
     a, b = 1, q + 1
     if n == 0:
         return a
@@ -129,9 +125,8 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
     encoder tests. Refuses to start when the search space ``(q+1)**n``
     exceeds ``cap``.
     """
-    _check_positive(q, "q")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvalidParameterError(f"length must be nonnegative, got {n!r}")
+    _check_int(q, "q")
+    _check_int(n, "length", 0)
     if (q + 1) ** n > cap:
         raise EnumerationCapError(
             f"(q+1)**n = {(q + 1) ** n} exceeds enumeration cap {cap}")
@@ -147,54 +142,66 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
 
 
 # ---------------------------------------------------------------------------
-# exact integer matrix helpers
-
-def matrix_multiply(a: Matrix, b: Matrix) -> List[List[int]]:
-    size = range(len(a))
-    return [[sum(a[i][k] * b[k][j] for k in size) for j in size] for i in size]
-
-
-def matrix_power(m: Matrix, n: int) -> List[List[int]]:
-    if n < 1:
-        raise InvalidParameterError("matrix power needs n >= 1")
-    result = [list(row) for row in m]
-    for _ in range(n - 1):
-        result = matrix_multiply(result, m)
-    return result
-
+# exact integer matrices and their Perron root
 
 def matrix_vector(m: Matrix, x: Sequence[int]) -> List[int]:
     return [sum(v * xi for v, xi in zip(row, x)) for row in m]
 
 
-def format_matrix(m: Matrix) -> str:
-    """Row-major, one row per line, entries space-separated."""
-    return "\n".join(" ".join(str(v) for v in row) for row in m)
-
-
 def validate_matrix(matrix: Matrix) -> List[List[int]]:
-    """Return a list-of-lists copy, or raise for non-square/negative input."""
+    """List-of-lists copy of a square, nonempty matrix of nonnegative ints.
+
+    Raises :class:`InvalidMatrixError` for anything else.
+    """
     rows = [list(row) for row in matrix]
     if not rows or any(len(row) != len(rows) for row in rows):
         raise InvalidMatrixError("matrix must be square and nonempty")
-    for row in rows:
-        for value in row:
-            if value < 0:
-                raise InvalidMatrixError(f"negative entry {value!r}")
+    try:
+        for row in rows:
+            for value in row:
+                _check_int(value, "matrix entry", 0)
+    except InvalidParameterError as exc:
+        raise InvalidMatrixError(str(exc)) from None
     return rows
 
 
-# ---------------------------------------------------------------------------
-# spectral quantities
+def _is_irreducible(m: Matrix) -> bool:
+    """True iff every index reaches every other one along nonzero entries."""
+    reach = [{i} | {j for j, v in enumerate(row) if v} for i, row in enumerate(m)]
+    for _ in range(len(m).bit_length()):  # each round doubles the path length
+        reach = [set().union(*(reach[j] for j in r)) for r in reach]
+    return all(len(r) == len(m) for r in reach)
 
-def spectral_radius(matrix: Matrix, tol: float = 1e-12,
-                    max_iterations: int = 100_000) -> float:
-    """Largest absolute eigenvalue of a nonnegative matrix.
 
-    2x2 matrices (the ``[[1, q], [1, 0]]`` family and its relatives) use
-    the exact quadratic closed form. Larger matrices use power iteration
-    with Collatz-Wielandt ratio bounds, run on ``A + I`` so that
-    irreducible inputs become primitive and the bounds converge.
+def _perron(m: Matrix) -> Tuple[float, List[float]]:
+    """Perron root and eigenvector, the vector scaled to minimum entry 1.
+
+    Power iteration on ``A + I``, normalized to maximum entry 1, keeps
+    every entry positive and converges for any irreducible nonnegative A;
+    it stops once no entry moves by 1e-14.
+    """
+    size = len(m)
+    x = [1.0] * size
+    for _ in range(100_000):
+        y = [sum(row[j] * x[j] for j in range(size)) + x[i]
+             for i, row in enumerate(m)]
+        top = max(y)
+        y = [v / top for v in y]
+        settled = max(abs(a - b) for a, b in zip(x, y)) < 1e-14
+        x = y
+        if settled:
+            break
+    bottom = min(x)
+    return top - 1.0, [v / bottom for v in x]
+
+
+def spectral_radius(matrix: Matrix) -> float:
+    """Largest absolute eigenvalue of a nonnegative integer matrix.
+
+    1x1 and 2x2 matrices (the ``[[1, q], [1, 0]]`` family and its
+    relatives) use the exact closed form. Larger matrices must be
+    irreducible, else :class:`InvalidMatrixError`; their Perron root
+    comes from power iteration.
     """
     m = validate_matrix(matrix)
     size = len(m)
@@ -203,18 +210,9 @@ def spectral_radius(matrix: Matrix, tol: float = 1e-12,
     if size == 2:
         (a, b), (c, d) = m
         return ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    x = [1.0] * size
-    low, high = 0.0, math.inf
-    for _ in range(max_iterations):
-        y = [sum(row[j] * x[j] for j in range(size)) + x[i]
-             for i, row in enumerate(m)]
-        ratios = [yi / xi for yi, xi in zip(y, x)]
-        low, high = min(ratios), max(ratios)
-        if high - low <= tol:
-            break
-        top = max(y)
-        x = [v / top for v in y]
-    return (low + high) / 2.0 - 1.0
+    if not _is_irreducible(m):
+        raise InvalidMatrixError("a matrix larger than 2x2 must be irreducible")
+    return _perron(m)[0]
 
 
 def characteristic_roots(q: int) -> Tuple[float, float]:
@@ -222,7 +220,7 @@ def characteristic_roots(q: int) -> Tuple[float, float]:
 
     Their sum is 1 and their product is -q.
     """
-    _check_positive(q, "q")
+    _check_int(q, "q")
     root = math.sqrt(1.0 + 4.0 * q)
     return ((1.0 + root) / 2.0, (1.0 - root) / 2.0)
 
@@ -234,5 +232,4 @@ def capacity(q: int) -> float:
     eigenvalue. For q=1 this is log2 of the golden ratio, 0.694242...;
     for q=6 it is log2(3).
     """
-    _check_positive(q, "q")
-    return math.log2((1.0 + math.sqrt(4.0 * q + 1.0)) / 2.0)
+    return math.log2(characteristic_roots(q)[0])

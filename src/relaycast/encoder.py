@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .constraint import (ConstraintGraph, Edge, Matrix, capacity,
+from .constraint import (ConstraintGraph, Edge, Matrix, _perron, capacity,
                          make_constraint, matrix_vector, power_graph,
                          validate_matrix)
 from .errors import (AmbiguousEncoderError, EncoderBuildError,
@@ -40,7 +40,7 @@ from .errors import (AmbiguousEncoderError, EncoderBuildError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
-from .symbols import (Word, _check_positive, format_stream, is_decimal,
+from .symbols import (Word, _check_int, format_stream, is_decimal,
                       parse_stream, word_ranks)
 
 _PERRON_SCALE_LIMIT = 4096
@@ -58,7 +58,6 @@ class ApproxEigenvector:
 
     vector: Tuple[int, ...]
     p: int
-    n: Optional[int] = None
 
 
 def _franaszek_fixpoint(matrix, seed, target):
@@ -76,34 +75,12 @@ def _franaszek_fixpoint(matrix, seed, target):
         x = y
 
 
-def _perron_direction(matrix):
-    """Dominant eigenvector direction, normalized to minimum entry 1.
-
-    Power iteration on ``A + I`` keeps every entry positive and converges
-    for any irreducible nonnegative A.
-    """
-    size = len(matrix)
-    x = [1.0] * size
-    for _ in range(100_000):
-        y = [sum(row[j] * x[j] for j in range(size)) + x[i]
-             for i, row in enumerate(matrix)]
-        top = max(y)
-        y = [v / top for v in y]
-        if max(abs(a - b) for a, b in zip(x, y)) < 1e-14:
-            x = y
-            break
-        x = y
-    bottom = min(x)
-    return [v / bottom for v in x]
-
-
 def _reduced(vector):
-    g = math.gcd(*vector) if len(vector) > 1 else vector[0]
+    g = math.gcd(*vector)
     return tuple(v // g for v in vector)
 
 
-def find_approximate_eigenvector(adjacency: Matrix, p: int,
-                                 block_length: Optional[int] = None) -> ApproxEigenvector:
+def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector:
     """Small nonzero integer vector with ``adjacency @ x >= 2**p * x``.
 
     Seeds the Franaszek fixpoint iteration with integer roundings of the
@@ -112,7 +89,7 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int,
     the zero fixpoint exists, i.e. p bits per block are not sustainable.
     """
     matrix = validate_matrix(adjacency)
-    _check_positive(p, "p")
+    _check_int(p, "p")
     target = 1 << p
     size = len(matrix)
     ceiling = _franaszek_fixpoint(matrix, [_FEASIBILITY_CEILING] * size, target)
@@ -120,13 +97,13 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int,
         raise InfeasibleRateError(
             f"no nonzero weight vector supports {p} bits per block "
             f"for this adjacency")
-    direction = _perron_direction(matrix)
+    _, direction = _perron(matrix)
     for scale in range(1, _PERRON_SCALE_LIMIT + 1):
         seed = [max(1, round(scale * v)) for v in direction]
         x = _franaszek_fixpoint(matrix, seed, target)
         if any(x):
-            return ApproxEigenvector(_reduced(x), p, block_length)
-    return ApproxEigenvector(_reduced(ceiling), p, block_length)
+            return ApproxEigenvector(_reduced(x), p)
+    return ApproxEigenvector(_reduced(ceiling), p)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +245,21 @@ class Encoder:
 
     @cached_property
     def _by_codeword(self):
-        """Per state: codeword -> ((tag, next), ...)."""
-        index = []
-        for outs in self.transitions:
-            lookup: Dict[Word, list] = {}
-            for tag, (word, nxt) in enumerate(outs):
-                lookup.setdefault(word, []).append((tag, nxt))
-            index.append({w: tuple(v) for w, v in lookup.items()})
-        return tuple(index)
+        return _codeword_index(self.transitions)
 
 
-def _anticipation(transitions) -> int:
+def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
+    """Per state: codeword -> ((tag, next), ...), in tag order."""
+    index = []
+    for outs in transitions:
+        lookup: Dict[Word, list] = {}
+        for tag, (word, nxt) in enumerate(outs):
+            lookup.setdefault(word, []).append((tag, nxt))
+        index.append({w: tuple(v) for w, v in lookup.items()})
+    return tuple(index)
+
+
+def _anticipation(index) -> int:
     """Lookahead blocks needed to resolve shared codewords, or raise.
 
     Explores the graph over unordered state pairs reachable by emitting a
@@ -287,15 +268,10 @@ def _anticipation(transitions) -> int:
     apart, so the machine is rejected. Returns 0 for a machine whose
     codewords are distinct at every state, else 1 + the longest pair path.
     """
-    index: List[Dict[Word, List[int]]] = []
     forks = set()
-    for state, outs in enumerate(transitions):
-        heads: Dict[Word, List[int]] = {}
-        for _, (word, nxt) in enumerate(outs):
-            heads.setdefault(word, []).append(nxt)
-        index.append(heads)
-        for word, targets in heads.items():
-            for a, b in combinations(targets, 2):
+    for state, by_word in enumerate(index):
+        for word, moves in by_word.items():
+            for (_, a), (_, b) in combinations(moves, 2):
                 if a == b:
                     raise AmbiguousEncoderError(
                         f"state {state} emits {format_stream(word)!r} to "
@@ -307,12 +283,12 @@ def _anticipation(transitions) -> int:
     def successors(pair):
         a, b = pair
         nxt = set()
-        for word, a_heads in index[a].items():
-            b_heads = index[b].get(word)
-            if not b_heads:
+        for word, a_moves in index[a].items():
+            b_moves = index[b].get(word)
+            if not b_moves:
                 continue
-            for ta in a_heads:
-                for tb in b_heads:
+            for _, ta in a_moves:
+                for _, tb in b_moves:
                     if ta == tb:
                         raise AmbiguousEncoderError(
                             f"states {a} and {b} merge on {format_stream(word)!r}")
@@ -358,7 +334,7 @@ def _assemble(q, p, n, start_state, transitions) -> Encoder:
         raise EncoderBuildError(f"start state {start_state} out of range")
     return Encoder(q=q, p=p, n=n, start_state=start_state,
                    transitions=transitions,
-                   anticipation=_anticipation(transitions))
+                   anticipation=_anticipation(_codeword_index(transitions)))
 
 
 def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
@@ -370,9 +346,9 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     order. States that become unreachable from the start state (the
     first descendant of OFF, index 0) are dropped.
     """
-    _check_positive(q, "q")
-    _check_positive(p, "p")
-    _check_positive(n, "n")
+    _check_int(q, "q")
+    _check_int(p, "p")
+    _check_int(n, "n")
     if g.q != q:
         raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
     fanout = 1 << p
@@ -426,10 +402,10 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
     Deterministic in (q, p, n). Raises :class:`InfeasibleRateError` when
     p/n exceeds the capacity.
     """
-    _check_positive(q, "q")
+    _check_int(q, "q")
     base = make_constraint(q)
     powered = power_graph(base, n)
-    x = find_approximate_eigenvector(powered.adjacency, p, block_length=n)
+    x = find_approximate_eigenvector(powered.adjacency, p)
     split = split_states(powered, x)
     return prune_to_encoder(split, q, p, n)
 
@@ -445,12 +421,8 @@ class FrameHeader:
     pad: int
 
     def __post_init__(self):
-        for value in (self.bit_length, self.pad):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParameterError(
-                    f"frame fields must be integers, got {value!r}")
-        if self.bit_length < 0 or self.pad < 0:
-            raise InvalidParameterError("frame fields must be nonnegative")
+        _check_int(self.bit_length, "bit_length", 0)
+        _check_int(self.pad, "pad", 0)
 
 
 def _normalize_bits(bits) -> str:
@@ -586,11 +558,14 @@ def parse_encoder(text: str) -> Encoder:
     q, p, n, num_states, start = map(int, header[1:])
     if q < 1 or p < 1 or n < 1 or num_states < 1:
         raise EncoderFormatError("header values must be positive")
-    fanout = 1 << p
-    if len(lines) - 1 != num_states * fanout:
+    given = len(lines) - 1
+    if p >= given.bit_length():  # fewer lines than one state's 2**p
         raise EncoderFormatError(
-            f"expected {num_states * fanout} transition lines, "
-            f"got {len(lines) - 1}")
+            f"p={p} needs 2**p transition lines per state, got {given}")
+    fanout = 1 << p
+    if given != num_states * fanout:
+        raise EncoderFormatError(
+            f"expected {num_states * fanout} transition lines, got {given}")
     table: Dict[Tuple[int, int], Transition] = {}
     for line in lines[1:]:
         parts = line.split()

@@ -10,7 +10,8 @@ class InvalidParameterError(RelaycastError, ValueError):
 
 
 class InvalidMatrixError(RelaycastError, ValueError):
-    """A matrix argument is not square or has a negative entry."""
+    """A matrix argument is not square, has an entry that is not a
+    nonnegative ``int``, or is reducible where that is not allowed."""
 
 
 class EnumerationCapError(RelaycastError):
@@ -28,8 +29,10 @@ class InfeasibleRateError(RelaycastError):
 class StateSplitError(RelaycastError):
     """State splitting could not form a required edge partition.
 
-    Indicates an invalid weight vector; unreachable for vectors produced
-    by :func:`find_approximate_eigenvector`.
+    Raised for an invalid weight vector, and also for some valid ones:
+    the greedy cut in :func:`split_states` can miss a partition that
+    exists, e.g. ``build_encoder(3, 6, 5)`` with the vector (7, 3) that
+    :func:`find_approximate_eigenvector` returns.
     """
 
 

@@ -24,26 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
 from .encoder import build_encoder, decode, encode
-from .errors import InvalidParameterError, RelaycastError, TopologyError
-from .symbols import N, Symbol, Word, _check_positive, is_data, is_decimal
-
-
-class _Erased:
-    """Singleton marker for a reception lost to the half-duplex rule."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ERASED"
-
-
-ERASED = _Erased()
+from .errors import RelaycastError, TopologyError
+from .symbols import (ERASED, N, Symbol, Word, _check_int, is_data,
+                      is_decimal)
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +43,6 @@ class TreeTopology:
     @property
     def max_depth(self) -> int:
         return max(self.depth.values())
-
-    def children(self, node: int) -> Tuple[int, ...]:
-        return tuple(v for v in self.nodes if self.parent.get(v) == node)
 
 
 def parse_tree(text: str) -> TreeTopology:
@@ -244,8 +224,7 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
     stream = tuple(source_stream)
     if extra_slots is None:
         extra_slots = topo.max_depth
-    if extra_slots < 0:
-        raise InvalidParameterError("extra_slots must be nonnegative")
+    _check_int(extra_slots, "extra_slots", 0)
     sent = stream + (N,) * extra_slots
     transmitted = [sent]
     received = [(None,) * len(sent)]
@@ -314,7 +293,7 @@ def baseline_rate(q: int) -> float:
     Each node stays OFF half the time, so ``0.5 * log2(q+1)`` bits per
     symbol.
     """
-    _check_positive(q, "q")
+    _check_int(q, "q")
     return 0.5 * math.log2(q + 1)
 
 
@@ -354,6 +333,8 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology, message,
     decodes it once for all nodes at that depth. Every node must recover
     the message bits exactly.
     """
+    if extra_slots is not None:
+        _check_int(extra_slots, "extra_slots", 0)
     machine = build_encoder(q, p, n)
     if isinstance(message, str):
         bits = message

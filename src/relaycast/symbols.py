@@ -4,6 +4,7 @@ A symbol is either a data symbol (an ``int`` in ``0..q-1``, the node is
 ON) or the distinguished silence symbol ``N`` (the node is OFF, i.e.
 listening). Silence is a sentinel object rather than the integer ``q``
 so that arithmetic on it fails loudly instead of corrupting a stream.
+The simulator's ``ERASED`` reception is a sentinel of the same kind.
 
 Streams serialize as whitespace-separated tokens: decimal digits for
 data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
@@ -12,65 +13,53 @@ data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, StreamFormatError
 
 
-class _Silence:
-    """Singleton marker for a slot with no transmission."""
+class _Marker:
+    """A named singleton symbol: silence ``N`` or an erased reception.
 
-    __slots__ = ()
-    _instance = None
+    Copying or unpickling a marker returns the marker itself.
+    """
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "N"
+        return self._name
+
+    def __reduce__(self):
+        # pickled as the module global of the same name
+        return self._name
 
 
-N = _Silence()
+N = _Marker("N")
+# What the simulator records where the half-duplex rule lost a symbol.
+ERASED = _Marker("ERASED")
 
-Symbol = Union[int, _Silence]
+Symbol = Union[int, _Marker]
 Word = Tuple[Symbol, ...]
 
 
-def _check_positive(value, name: str) -> None:
-    """Raise :class:`InvalidParameterError` unless ``value`` is an int >= 1.
+def _check_int(value, name: str, minimum: int = 1) -> None:
+    """Raise :class:`InvalidParameterError` unless ``value >= minimum``.
 
-    ``bool`` is an ``int`` subclass but never a valid count, so it is
-    rejected too.
+    ``value`` must be an ``int``; ``minimum`` is 1 for counts and 0 for
+    lengths and offsets. ``bool`` is an ``int`` subclass but never a
+    valid count, so it is rejected too.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def is_data(symbol: Symbol) -> bool:
-    """True for a data symbol (node ON), False for silence."""
-    return not isinstance(symbol, _Silence)
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """The q+1 channel symbols: data symbols ``0..q-1`` plus silence."""
-
-    q: int
-
-    def __post_init__(self):
-        _check_positive(self.q, "q")
-
-    @property
-    def size(self) -> int:
-        return self.q + 1
-
-    def symbols(self) -> Iterator[Symbol]:
-        """All symbols, data symbols first, silence last."""
-        yield from range(self.q)
-        yield N
+    """True for every symbol but silence ``N``."""
+    return symbol is not N
 
 
 def is_admissible(word: Sequence[Symbol]) -> bool:

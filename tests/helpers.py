@@ -4,8 +4,10 @@ The oracles here are deliberately independent of the library internals:
 admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product and by their closed (Binet)
 form, expected relay behavior by shifting sequences, the per-depth
-simulator by the node-by-node slot loop it replaced, and the three
-synthesis stages by the edge-list rebuilds they replaced.
+simulator by the node-by-node slot loop it replaced, the three
+synthesis stages by the edge-list rebuilds they replaced, and the weight
+vector by the eigenvector search as it was before it shared the power
+iteration of ``spectral_radius``.
 """
 
 import math
@@ -14,10 +16,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from relaycast import (ERASED, N, ConstraintGraph, Edge,
-                       InsufficientDegreeError, InvalidParameterError,
-                       NonUniformLabelError, StateSplitError, format_stream,
-                       is_data, matrix_vector)
+                       InfeasibleRateError, InsufficientDegreeError,
+                       InvalidParameterError, NonUniformLabelError,
+                       StateSplitError, format_stream)
+from relaycast.constraint import matrix_vector, validate_matrix
 from relaycast.encoder import _assemble
+from relaycast.symbols import is_data
 
 
 def scan_admissible(word):
@@ -63,6 +67,16 @@ def binet_count(q, n):
     a = count_leading_coefficient(q)
     plus, minus = _count_roots(q)
     return a * plus ** n + (1 - a) * minus ** n
+
+
+def matrix_power(m, n):
+    """The n-th power of a square integer matrix, n >= 1, by repeated products."""
+    size = range(len(m))
+    result = [list(row) for row in m]
+    for _ in range(n - 1):
+        result = [[sum(result[i][k] * m[k][j] for k in size) for j in size]
+                  for i in size]
+    return result
 
 
 def chain_text(depth):
@@ -347,3 +361,60 @@ def prune_to_encoder_oracle(g, q, p, n):
         tuple((e.word, renumber[e.dst]) for e in kept[old])
         for old in order)
     return _assemble(q, p, n, renumber[start], transitions)
+
+
+# ---------------------------------------------------------------------------
+# weight-vector oracle: the eigenvector search with its own copy of the
+# power iteration, as it was before that iteration moved into
+# ``constraint._perron``.
+
+def _oracle_franaszek_fixpoint(matrix, seed, target):
+    x = list(seed)
+    while True:
+        ax = matrix_vector(matrix, x)
+        y = [min(xi, axi // target) for xi, axi in zip(x, ax)]
+        if y == x:
+            return x
+        x = y
+
+
+def perron_direction_oracle(matrix):
+    """Dominant eigenvector direction, normalized to minimum entry 1."""
+    size = len(matrix)
+    x = [1.0] * size
+    for _ in range(100_000):
+        y = [sum(row[j] * x[j] for j in range(size)) + x[i]
+             for i, row in enumerate(matrix)]
+        top = max(y)
+        y = [v / top for v in y]
+        if max(abs(a - b) for a, b in zip(x, y)) < 1e-14:
+            x = y
+            break
+        x = y
+    bottom = min(x)
+    return [v / bottom for v in x]
+
+
+def _oracle_reduced(vector):
+    g = math.gcd(*vector) if len(vector) > 1 else vector[0]
+    return tuple(v // g for v in vector)
+
+
+def approximate_eigenvector_oracle(adjacency, p):
+    """The weight vector ``find_approximate_eigenvector`` must return."""
+    matrix = validate_matrix(adjacency)
+    _oracle_check_positive(p, "p")
+    target = 1 << p
+    size = len(matrix)
+    ceiling = _oracle_franaszek_fixpoint(matrix, [1 << 20] * size, target)
+    if not any(ceiling):
+        raise InfeasibleRateError(
+            f"no nonzero weight vector supports {p} bits per block "
+            f"for this adjacency")
+    direction = perron_direction_oracle(matrix)
+    for scale in range(1, 4096 + 1):
+        seed = [max(1, round(scale * v)) for v in direction]
+        x = _oracle_franaszek_fixpoint(matrix, seed, target)
+        if any(x):
+            return _oracle_reduced(x)
+    return _oracle_reduced(ceiling)

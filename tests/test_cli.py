@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaycast import capacity, count_words, table_report
 from relaycast.cli import run
@@ -62,6 +67,17 @@ def test_unicode_digits_end_in_error_lines(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
+
+
+def test_long_inline_values_are_not_file_names(tmp_path, capsys):
+    # longer than the 255-byte limit on one file name component
+    tree = tmp_path / "chain.txt"
+    tree.write_text(chain_text(1))
+    assert run(["simulate", "--tree", str(tree), "--stream", "0 N " * 100]) == 0
+    assert "node 1 depth 1: ok" in capsys.readouterr().out
+    assert run(["end-to-end", "--q", "1", "--p", "2", "--n", "3",
+                "--tree", str(tree), "--bits", "01" * 200]) == 0
+    assert "all recovered: yes" in capsys.readouterr().out
 
 
 def test_help_documents_exit_codes(capsys):
@@ -175,3 +191,51 @@ def test_cli_output_matches_library_exactly(capsys):
     assert capsys.readouterr().out == f"{count_words(3, 40)}\n"
     assert run(["capacity", "--q", "6"]) == 0
     assert capsys.readouterr().out == f"{capacity(6):.6f}\n"
+
+
+# (command, the flag whose file gets arbitrary bytes, the other flags);
+# "{tree}", "{enc}" and "{bits}" name valid files
+FILE_FLAGS = [
+    ("simulate", "--tree", ["--stream", "0 N"]),
+    ("simulate", "--stream", ["--tree", "{tree}"]),
+    ("encode", "--encoder", ["--bits", "0110"]),
+    ("encode", "--bits", ["--encoder", "{enc}"]),
+    ("decode", "--encoder", ["--stream", "N N N", "--length", "2"]),
+    ("decode", "--stream", ["--encoder", "{enc}", "--length", "2"]),
+    ("end-to-end", "--tree", ["--q", "1", "--p", "2", "--n", "3",
+                              "--bits", "{bits}"]),
+    ("end-to-end", "--bits", ["--q", "1", "--p", "2", "--n", "3",
+                              "--tree", "{tree}"]),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    files = {"tree": root / "tree.txt", "enc": root / "enc.txt",
+             "bits": root / "bits.txt", "input": root / "input"}
+    files["tree"].write_text(chain_text(2))
+    files["bits"].write_text("0110\n")
+    assert run(["build-encoder", "--q", "1", "--p", "2", "--n", "3",
+                "--out", str(files["enc"])]) == 0
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("command,flag,rest", FILE_FLAGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(max_size=64))
+@example(data=b"\xff0 -\n")
+@example(data=b"ENC 1 20000 1 1 0\n")
+def test_arbitrary_file_bytes_end_in_an_exit_code(cli_files, command, flag,
+                                                  rest, data):
+    with open(cli_files["input"], "wb") as handle:
+        handle.write(data)
+    argv = [command, flag, cli_files["input"]]
+    argv += [arg.format(**cli_files) for arg in rest]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in range(5)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

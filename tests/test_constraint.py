@@ -1,34 +1,25 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from relaycast import (Alphabet, EnumerationCapError, InvalidMatrixError,
+from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
                        InvalidParameterError, N, StreamFormatError, capacity,
                        characteristic_roots, count_words, enumerate_words,
-                       format_matrix, format_stream, is_admissible,
-                       make_constraint, matrix_power, parse_stream,
+                       find_approximate_eigenvector, format_stream,
+                       is_admissible, make_constraint, parse_stream,
                        power_graph, spectral_radius)
+from relaycast.symbols import is_data
 from helpers import (brute_force_words, count_leading_coefficient,
-                     scan_admissible)
+                     matrix_power, scan_admissible)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
 # ---------------------------------------------------------------------------
-# alphabet and streams
-
-def test_alphabet_size_and_symbols():
-    a = Alphabet(3)
-    assert a.size == 4
-    assert list(a.symbols()) == [0, 1, 2, N]
-
-
-@pytest.mark.parametrize("q", [0, -1, "2", 1.5])
-def test_alphabet_rejects_bad_q(q):
-    with pytest.raises(InvalidParameterError):
-        Alphabet(q)
-
+# streams
 
 def test_stream_roundtrip():
     word = (0, N, 1, N, N)
@@ -43,6 +34,18 @@ def test_stream_parse_errors():
         parse_stream("0 -1")
     with pytest.raises(StreamFormatError):
         parse_stream("3 N", q=3)
+
+
+def test_markers_are_singletons():
+    for marker, name in ((N, "N"), (ERASED, "ERASED")):
+        assert repr(marker) == name
+        assert copy.copy(marker) is marker
+        assert copy.deepcopy(marker) is marker
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(marker, protocol)) is marker
+    assert N is not ERASED
+    assert [is_data(s) for s in (0, 5, N, ERASED, None)] == \
+        [True, True, False, True, True]
 
 
 @pytest.mark.parametrize("text", ["\u0663 N", "0 N \u00b2", "\uff11", "1\u0660"])
@@ -85,7 +88,7 @@ def test_make_constraint_structure():
     assert labels == {(0, 0, (N,)), (0, 1, (0,)), (0, 1, (1,)), (1, 0, (N,))}
 
 
-@pytest.mark.parametrize("q", [0, -3])
+@pytest.mark.parametrize("q", [0, -3, -1, "2", 1.5])
 def test_make_constraint_rejects_degenerate(q):
     with pytest.raises(InvalidParameterError):
         make_constraint(q)
@@ -193,6 +196,27 @@ def test_spectral_radius_rejects_bad_matrices():
         spectral_radius([])
 
 
+@pytest.mark.parametrize("matrix", [
+    [["a"]], [[1.5, 1], [1, 0]], [[True, 1], [1, 0]], [[1, 1], [1, None]],
+])
+def test_matrices_must_hold_nonnegative_ints(matrix):
+    # a float entry used to yield a radius (2.0 here), a string a TypeError
+    with pytest.raises(InvalidMatrixError):
+        spectral_radius(matrix)
+    with pytest.raises(InvalidMatrixError):
+        find_approximate_eigenvector(matrix, 1)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0, 0], [0, 2, 0], [0, 0, 3]],  # used to divide by zero
+    [[2, 1, 0], [0, 2, 0], [0, 0, 1]],  # used to return 1.500015, not 2
+    [[1, 1, 1], [1, 1, 1], [0, 0, 1]],  # the last state reaches no other
+])
+def test_spectral_radius_rejects_reducible_matrices(matrix):
+    with pytest.raises(InvalidMatrixError):
+        spectral_radius(matrix)
+
+
 def test_capacity_values():
     assert capacity(1) == pytest.approx(0.694242, abs=1e-6)
     assert capacity(1) == pytest.approx(math.log2(GOLDEN_RATIO), abs=1e-12)
@@ -261,6 +285,3 @@ def test_power_graph_adjacency_is_matrix_power(q):
         keys = [(e.src, e.word) for e in powered.edges]
         assert len(keys) == len(set(keys))
 
-
-def test_format_matrix():
-    assert format_matrix([[1, 2], [3, 4]]) == "1 2\n3 4"

@@ -11,9 +11,9 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        UnknownCodewordError, build_encoder, capacity,
                        count_words, decode, encode, encoder_report,
                        find_approximate_eigenvector, is_admissible,
-                       make_constraint, matrix_vector, parse_encoder,
-                       power_graph, prune_to_encoder, serialize_encoder,
-                       split_states)
+                       make_constraint, parse_encoder, power_graph,
+                       prune_to_encoder, serialize_encoder, split_states)
+from relaycast.constraint import matrix_vector
 from helpers import random_bits
 
 
@@ -29,11 +29,11 @@ def _satisfies_inequality(adjacency, vector, p):
 def test_eigenvector_q1_example():
     adjacency = power_graph(make_constraint(1), 3).adjacency
     assert [list(r) for r in adjacency] == [[3, 2], [2, 1]]
-    found = find_approximate_eigenvector(adjacency, 2, block_length=3)
+    found = find_approximate_eigenvector(adjacency, 2)
     assert _satisfies_inequality(adjacency, found.vector, 2)
     assert matrix_vector(adjacency, found.vector) == [8, 5]
     assert found.vector == (2, 1)
-    assert (found.p, found.n) == (2, 3)
+    assert found.p == 2
 
 
 def test_eigenvector_q6_example():
@@ -68,9 +68,9 @@ def test_eigenvector_feasibility_sweep():
 
 def test_split_q6_walkthrough():
     g = power_graph(make_constraint(6), 2)
-    split = split_states(g, ApproxEigenvector((3, 1), p=3, n=2))
+    split = split_states(g, ApproxEigenvector((3, 1), p=3))
     assert len(split.states) == 4  # sum of the weights
-    degrees = [len(split.out_edges(s)) for s in range(4)]
+    degrees = [sum(e.src == s for e in split.edges) for s in range(4)]
     assert all(d >= 8 for d in degrees)
     # two rounds: each round adds exactly one state
     assert len(split.states) - len(g.states) == 2
@@ -79,23 +79,23 @@ def test_split_q6_walkthrough():
 
 def test_split_q1():
     g = power_graph(make_constraint(1), 3)
-    split = split_states(g, ApproxEigenvector((2, 1), p=2, n=3))
+    split = split_states(g, ApproxEigenvector((2, 1), p=2))
     assert len(split.states) == 3
-    assert all(len(split.out_edges(s)) >= 4 for s in range(3))
+    assert all(sum(e.src == s for e in split.edges) >= 4 for s in range(3))
 
 
 def test_split_all_ones_is_identity():
     g = power_graph(make_constraint(2), 2)  # A = [[3,2],[1,2]], A@(1,1) = (5,3)
-    split = split_states(g, ApproxEigenvector((1, 1), p=1, n=2))
+    split = split_states(g, ApproxEigenvector((1, 1), p=1))
     assert split is g
 
 
 def test_split_rejects_invalid_vector():
     g = power_graph(make_constraint(1), 3)
     with pytest.raises(StateSplitError):
-        split_states(g, ApproxEigenvector((1, 1), p=3, n=3))
+        split_states(g, ApproxEigenvector((1, 1), p=3))
     with pytest.raises(InvalidParameterError):
-        split_states(g, ApproxEigenvector((1, 1, 1), p=1, n=3))
+        split_states(g, ApproxEigenvector((1, 1, 1), p=1))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,8 @@ def test_parse_encoder_errors(enc_q1):
         parse_encoder("ENC 1 2 3\n")
     with pytest.raises(EncoderFormatError):
         parse_encoder("ENC 1 1 1 1 0\n0 0 N 0\n")  # missing tag-1 line
+    with pytest.raises(EncoderFormatError):
+        parse_encoder("ENC 1 20000 1 1 0\n0 0 N 0\n")  # 2**p has 6,021 digits
     # every integer field is ASCII digits only: int() would also read
     # other scripts' digits and a leading sign as the same number
     header, first, *rest = serialize_encoder(enc_q1).splitlines()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import relaycast.simulator
 from relaycast import (ERASED, InvalidParameterError, N, RelaycastError,
                        TopologyError, baseline_rate, build_encoder, decode,
-                       encode, end_to_end, is_admissible, is_data,
-                       parse_stream, parse_tree, simulate, verify_delivery)
+                       encode, end_to_end, is_admissible, parse_stream,
+                       parse_tree, simulate, verify_delivery)
+from relaycast.symbols import is_data
 from helpers import (chain_text, fig1_text, random_admissible_stream,
                      random_bits, random_stream, simulate_per_node)
 
@@ -28,7 +29,7 @@ def test_parse_fig1_shape():
     topo = parse_tree(fig1_text())
     assert len(topo.nodes) == 13
     assert topo.max_depth == 3
-    assert topo.children(0) == (1, 2, 3)
+    assert sorted(v for v, u in topo.parent.items() if u == 0) == [1, 2, 3]
 
 
 def test_parse_accepts_comments_and_forward_references():
@@ -93,6 +94,16 @@ def test_erased_reception_marked():
 def test_negative_extra_slots_rejected():
     with pytest.raises(InvalidParameterError):
         simulate(parse_tree(chain_text(1)), (N,), extra_slots=-1)
+
+
+@pytest.mark.parametrize("extra_slots", [1.5, "2", True, -1])
+def test_extra_slots_must_be_a_nonnegative_int(extra_slots):
+    # 1.5 and "2" used to end in TypeError, and True counted as one slot
+    topo = parse_tree(chain_text(1))
+    with pytest.raises(InvalidParameterError):
+        simulate(topo, (0, N), extra_slots)
+    with pytest.raises(InvalidParameterError):
+        end_to_end(1, 2, 3, topo, "01", extra_slots=extra_slots)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 precomputed codeword ranks and update only the edges a split touches.
 Their output must stay byte-for-byte that of the straightforward
 versions kept in ``helpers``: the same edges in the same order, the same
-state names, the same serialized machine, or the same exception.
+state names, the same serialized machine, or the same exception. The
+weight vectors between the stages must equal those of the eigenvector
+search kept there.
 """
 
 import math
@@ -18,8 +20,8 @@ from relaycast import (ApproxEigenvector, ConstraintGraph, Edge, N,
                        find_approximate_eigenvector, make_constraint,
                        power_graph, prune_to_encoder, serialize_encoder,
                        split_states)
-from helpers import (power_graph_oracle, prune_to_encoder_oracle,
-                     split_states_oracle)
+from helpers import (approximate_eigenvector_oracle, power_graph_oracle,
+                     prune_to_encoder_oracle, split_states_oracle)
 
 
 def _outcome(fn, *args):
@@ -59,7 +61,9 @@ def test_synthesis_matches_oracle_sweep(q):
         oracle_powered = power_graph_oracle(base, n)
         assert _same_graph(powered, oracle_powered)
         for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1):
-            x = find_approximate_eigenvector(powered.adjacency, p, block_length=n)
+            x = find_approximate_eigenvector(powered.adjacency, p)
+            assert x.vector == approximate_eigenvector_oracle(
+                oracle_powered.adjacency, p)
             split = _outcome(split_states, powered, x)
             if not _same_graph(split, _outcome(split_states_oracle,
                                                oracle_powered, x)):
