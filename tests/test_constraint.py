@@ -88,8 +88,15 @@ def test_make_constraint_structure():
     assert labels == {(0, 0, (N,)), (0, 1, (0,)), (0, 1, (1,)), (1, 0, (N,))}
 
 
-@pytest.mark.parametrize("q", [0, -3, -1, "2", 1.5])
+@pytest.mark.parametrize("q", [0, -3])
 def test_make_constraint_rejects_degenerate(q):
+    with pytest.raises(InvalidParameterError):
+        make_constraint(q)
+
+
+@pytest.mark.parametrize("q", [0, -1, "2", 1.5])
+def test_alphabet_rejects_bad_q(q):
+    """The data alphabet {0..q-1} needs a positive integer q."""
     with pytest.raises(InvalidParameterError):
         make_constraint(q)
 
