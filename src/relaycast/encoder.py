@@ -19,9 +19,11 @@ and there are fewer than 2**p of them), the builder certifies bounded
 lookahead decodability: it follows every pair of states reachable by
 emitting identical blocks and verifies the pair dies out within a fixed
 number of blocks, the machine's *anticipation*. ``encode`` appends that
-many fixed flush blocks so the lookahead always has material, and
-``decode`` tracks all label-consistent paths; by the certificate, every
-surviving path agrees on the message bits.
+many fixed flush blocks so the lookahead always has material. ``decode``
+follows the set of label-consistent states with one table lookup per
+block and keeps a back-pointer per state; by the certificate, every path
+surviving the flush merges within it, and one walk back recovers the
+message bits.
 """
 
 from __future__ import annotations
@@ -247,6 +249,10 @@ class Encoder:
     def _by_codeword(self):
         return _codeword_index(self.transitions)
 
+    @cached_property
+    def _subset_table(self) -> _SubsetTable:
+        return _SubsetTable(self)
+
 
 def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
     """Per state: codeword -> ((tag, next), ...), in tag order."""
@@ -257,6 +263,44 @@ def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
             lookup.setdefault(word, []).append((tag, nxt))
         index.append({w: tuple(v) for w, v in lookup.items()})
     return tuple(index)
+
+
+class _SubsetTable:
+    """Decode steps over candidate-state tuples, built on first sight.
+
+    A row belongs to one sorted tuple of machine states and maps a block
+    to ``(next tuple, next row, back-pointers)``, where the back-pointer
+    of each next state is ``(index in the tuple, p-bit tag string)``.
+    Only blocks that match a transition are stored, so every error is
+    raised afresh with the index of its own block. Rows are filled by
+    ``dict`` stores of equal values, so concurrent decoders at worst
+    repeat a step.
+    """
+
+    def __init__(self, encoder: Encoder):
+        self._by_codeword = encoder._by_codeword
+        self._tag_format = f"0{encoder.p}b"
+        self._rows: Dict[Tuple[int, ...], dict] = {}
+        first = (encoder.start_state,)
+        self.start = (first, self._rows.setdefault(first, {}))
+
+    def advance(self, states, row, block, index):
+        """The step from ``states`` on ``block``, stored in ``row``."""
+        moves: Dict[int, tuple] = {}
+        for j, state in enumerate(states):
+            for tag, nxt in self._by_codeword[state].get(block, ()):
+                if nxt in moves:
+                    raise AmbiguousEncoderError(
+                        "two decode paths converged; machine certificate broken")
+                moves[nxt] = (j, format(tag, self._tag_format))
+        if not moves:
+            raise UnknownCodewordError(
+                f"block {index} ({format_stream(block)}) matches no transition")
+        after = tuple(sorted(moves))
+        step = (after, self._rows.setdefault(after, {}),
+                tuple(moves[s] for s in after))
+        row[block] = step
+        return step
 
 
 def _anticipation(index) -> int:
@@ -464,11 +508,19 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
 def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     """Recover the original bits; exact inverse of :func:`encode`.
 
-    Tracks every state the observed blocks allow (shared codewords keep
-    several alive). The flush appended by encode guarantees that all
-    paths surviving to the end agree on the message bits; stray streams
-    that match no transition raise :class:`UnknownCodewordError` at the
-    offending block.
+    The decoder's state is the tuple of machine states the blocks so far
+    allow (shared codewords keep several alive). Each block costs one
+    lookup in the encoder's subset table, which gives the next tuple and
+    a back-pointer per next state: its index in the previous tuple and
+    its tag. The table is filled on first sight of a (tuple, block) pair
+    and kept on the encoder, so it grows only with the candidate sets
+    and codewords actually seen. After the last block every survivor is
+    walked back through the flush; the certificate merges them there
+    into one path, which is walked back to block 0. Time and memory are
+    O(blocks).
+
+    Stray streams that match no transition raise
+    :class:`UnknownCodewordError` at the offending block.
     """
     stream = tuple(word)
     if len(stream) % encoder.n:
@@ -486,27 +538,27 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     if message_blocks == 0:
         return ""
 
-    lookup = encoder._by_codeword
-    candidates: Dict[int, str] = {encoder.start_state: ""}
-    for i in range(total):
-        block = stream[i * encoder.n:(i + 1) * encoder.n]
-        advanced: Dict[int, str] = {}
-        in_message = i < message_blocks
-        for state, bits_so_far in candidates.items():
-            for tag, nxt in lookup[state].get(block, ()):
-                if nxt in advanced:
-                    raise AmbiguousEncoderError(
-                        "two decode paths converged; machine certificate broken")
-                advanced[nxt] = (bits_so_far + format(tag, f"0{encoder.p}b")
-                                 if in_message else bits_so_far)
-        if not advanced:
-            raise UnknownCodewordError(
-                f"block {i} ({format_stream(block)}) matches no transition")
-        candidates = advanced
-    survivors = set(candidates.values())
-    if len(survivors) != 1:
+    table = encoder._subset_table
+    states, row = table.start
+    history = []  # per block, the shared back-pointer tuple
+    for block in zip(*[iter(stream)] * encoder.n):
+        step = row.get(block)
+        if step is None:
+            step = table.advance(states, row, block, len(history))
+        states, row, back = step
+        history.append(back)
+
+    # survivors not merged within the flush differ in some message tag
+    live = range(len(states))
+    for back in reversed(history[message_blocks:]):
+        live = {back[j][0] for j in live}
+    if len(live) != 1:
         raise AmbiguousEncoderError("flush failed to single out the message")
-    return survivors.pop()[:length]
+    (j,) = live
+    tags = [""] * message_blocks
+    for i in range(message_blocks - 1, -1, -1):
+        j, tags[i] = history[i][j]
+    return "".join(tags)[:length]
 
 
 # ---------------------------------------------------------------------------

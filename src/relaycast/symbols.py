@@ -67,33 +67,42 @@ def is_admissible(word: Sequence[Symbol]) -> bool:
     return all(not (is_data(a) and is_data(b)) for a, b in zip(word, word[1:]))
 
 
+# Python refuses to convert longer digit strings when its int string
+# limit is set (``sys.set_int_max_str_digits``); 640 is the lowest limit
+# it can be set to, so ``int`` accepts every token that passes.
+_MAX_DECIMAL_DIGITS = 640
+
+
 def is_decimal(token: str) -> bool:
-    """True iff ``token`` is one or more ASCII digits ``0-9``.
+    """True iff ``token`` is 1 to 640 ASCII digits ``0-9``.
 
     ``str.isdigit`` alone also accepts digits of other scripts and
     superscripts, which ``int`` then mis-reads or rejects.
     """
-    return token.isascii() and token.isdigit()
+    return len(token) <= _MAX_DECIMAL_DIGITS and token.isascii() and token.isdigit()
 
 
 def parse_stream(text: str, q: int | None = None) -> Word:
     """Parse a token stream like ``0 N 1 N N`` into a word.
 
-    When ``q`` is given, data symbols must lie in ``0..q-1``.
+    When ``q`` is given, data symbols must lie in ``0..q-1``. Each
+    distinct token is checked once, in order of first occurrence, so the
+    first bad token of the stream is the one reported.
     """
-    out = []
-    for token in text.split():
+    tokens = text.split()
+    symbols: Dict[str, Symbol] = {}
+    for token in dict.fromkeys(tokens):
         if token == "N":
-            out.append(N)
+            symbols[token] = N
         elif is_decimal(token):
             value = int(token)
             if q is not None and value >= q:
                 raise StreamFormatError(
                     f"data symbol {value} out of range for q={q}")
-            out.append(value)
+            symbols[token] = value
         else:
             raise StreamFormatError(f"bad stream token {token!r}")
-    return tuple(out)
+    return tuple(map(symbols.__getitem__, tokens))
 
 
 def format_stream(word: Sequence[Symbol]) -> str:

@@ -5,9 +5,10 @@ admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product and by their closed (Binet)
 form, expected relay behavior by shifting sequences, the per-depth
 simulator by the node-by-node slot loop it replaced, the three
-synthesis stages by the edge-list rebuilds they replaced, and the weight
+synthesis stages by the edge-list rebuilds they replaced, the weight
 vector by the eigenvector search as it was before it shared the power
-iteration of ``spectral_radius``.
+iteration of ``spectral_radius``, and ``decode`` by the path-tracking
+decoder that carries every candidate's bit string forward.
 """
 
 import math
@@ -15,13 +16,22 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from relaycast import (ERASED, N, ConstraintGraph, Edge,
-                       InfeasibleRateError, InsufficientDegreeError,
-                       InvalidParameterError, NonUniformLabelError,
-                       StateSplitError, format_stream)
+from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
+                       Edge, FramingError, InfeasibleRateError,
+                       InsufficientDegreeError, InvalidParameterError,
+                       NonUniformLabelError, RelaycastError,
+                       StateSplitError, UnknownCodewordError, format_stream)
 from relaycast.constraint import matrix_vector, validate_matrix
 from relaycast.encoder import _assemble
 from relaycast.symbols import is_data
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except RelaycastError as exc:
+        return (type(exc), str(exc))
 
 
 def scan_admissible(word):
@@ -418,3 +428,52 @@ def approximate_eigenvector_oracle(adjacency, p):
         if any(x):
             return _oracle_reduced(x)
     return _oracle_reduced(ceiling)
+
+
+def decode_oracle(encoder, word, header):
+    """The bits ``decode`` must return, or the error it must raise.
+
+    Carries every candidate state forward with the whole bit string of
+    its path, rebuilt by concatenation in every block, so its cost grows
+    with the square of the message length. The flush appended by encode
+    guarantees that all paths surviving to the end agree on the message
+    bits; stray streams that match no transition raise
+    :class:`UnknownCodewordError` at the offending block.
+    """
+    stream = tuple(word)
+    if len(stream) % encoder.n:
+        raise FramingError(
+            f"stream length {len(stream)} is not a multiple of n={encoder.n}")
+    length = header.bit_length
+    if header.pad != (-length) % encoder.p:
+        raise FramingError(
+            f"pad {header.pad} inconsistent with bit length {length}")
+    message_blocks = (length + encoder.p - 1) // encoder.p
+    expected = message_blocks + (encoder.anticipation if message_blocks else 0)
+    total = len(stream) // encoder.n
+    if total != expected:
+        raise FramingError(f"stream has {total} blocks, frame implies {expected}")
+    if message_blocks == 0:
+        return ""
+
+    lookup = encoder._by_codeword
+    candidates = {encoder.start_state: ""}
+    for i in range(total):
+        block = stream[i * encoder.n:(i + 1) * encoder.n]
+        advanced = {}
+        in_message = i < message_blocks
+        for state, bits_so_far in candidates.items():
+            for tag, nxt in lookup[state].get(block, ()):
+                if nxt in advanced:
+                    raise AmbiguousEncoderError(
+                        "two decode paths converged; machine certificate broken")
+                advanced[nxt] = (bits_so_far + format(tag, f"0{encoder.p}b")
+                                 if in_message else bits_so_far)
+        if not advanced:
+            raise UnknownCodewordError(
+                f"block {i} ({format_stream(block)}) matches no transition")
+        candidates = advanced
+    survivors = set(candidates.values())
+    if len(survivors) != 1:
+        raise AmbiguousEncoderError("flush failed to single out the message")
+    return survivors.pop()[:length]

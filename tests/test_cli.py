@@ -59,7 +59,10 @@ def test_unicode_digits_end_in_error_lines(tmp_path, capsys):
     stream.write_text("\u0663 N")
     chain = tmp_path / "chain.txt"
     chain.write_text(chain_text(1))
+    long_id = tmp_path / "long_id.txt"  # beyond int()'s digit limit
+    long_id.write_text("0 -\n" + "1" * 5000 + " 0\n")
     for argv, code in [(["--tree", str(tree), "--stream", "0 N"], 1),
+                       (["--tree", str(long_id), "--stream", "0 N"], 1),
                        (["--tree", str(chain), "--stream", str(stream)], 1),
                        (["--tree", str(chain), "--stream", "\u0663 N"], 4)]:
         assert run(["simulate"] + argv) == code

@@ -34,6 +34,10 @@ def test_stream_parse_errors():
         parse_stream("0 -1")
     with pytest.raises(StreamFormatError):
         parse_stream("3 N", q=3)
+    with pytest.raises(StreamFormatError, match="'X'"):
+        parse_stream("0 X 1 Y X 7", q=3)  # the first bad token is named
+    with pytest.raises(StreamFormatError):
+        parse_stream("0 N " + "1" * 5000)  # beyond int()'s digit limit
 
 
 def test_markers_are_singletons():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        ConstraintGraph, Edge, EncoderFormatError, FrameHeader,
@@ -14,7 +17,8 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        make_constraint, parse_encoder, power_graph,
                        prune_to_encoder, serialize_encoder, split_states)
 from relaycast.constraint import matrix_vector
-from helpers import random_bits
+from relaycast.encoder import Encoder
+from helpers import decode_oracle, outcome, random_bits
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -259,6 +263,87 @@ def test_decode_framing_errors(enc_q1):
         decode(enc_q1, stream, FrameHeader(4, 1))  # inconsistent pad
 
 
+def _converging_machine():
+    """State 0 forks on N into states 1 and 2, which both reach 0 on N."""
+    return Encoder(q=1, p=1, n=1, start_state=0, anticipation=1,
+                   transitions=((((N,), 1), ((N,), 2)),
+                                (((N,), 0), ((0,), 0)),
+                                (((N,), 0), ((0,), 1))))
+
+
+DIFFERENTIAL_RATES = [(1, 2, 3), (6, 3, 2), (1, 9, 13), (6, 11, 7)]
+
+
+@pytest.fixture(scope="module")
+def differential_machines():
+    """The four built machines, plus two whose certificate is broken:
+    one whose forks converge and (1,2,3) with too short a flush."""
+    machines = {rate: build_encoder(*rate) for rate in DIFFERENTIAL_RATES}
+    machines["converging"] = _converging_machine()
+    machines["short flush"] = dataclasses.replace(machines[(1, 2, 3)],
+                                                  anticipation=0)
+    return machines
+
+
+def _corrupt(data, machine, stream, header):
+    """The stream and header after one drawn corruption, or unchanged."""
+    kind = data.draw(st.sampled_from(
+        ["none", "flip", "swap", "random block", "truncate", "header"]))
+    alphabet = list(range(machine.q)) + [N]
+    blocks = [stream[i:i + machine.n]
+              for i in range(0, len(stream), machine.n)]
+    if kind == "flip" and stream:
+        i = data.draw(st.integers(0, len(stream) - 1))
+        symbol = data.draw(st.sampled_from(
+            [s for s in alphabet if s is not stream[i]]))
+        stream = stream[:i] + (symbol,) + stream[i + 1:]
+    elif kind == "swap" and blocks:
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        j = data.draw(st.integers(0, len(blocks) - 1))
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+        stream = sum(blocks, ())
+    elif kind == "random block" and blocks:
+        i = data.draw(st.integers(0, len(blocks) - 1))
+        blocks[i] = tuple(data.draw(st.lists(st.sampled_from(alphabet),
+                                             min_size=machine.n,
+                                             max_size=machine.n)))
+        stream = sum(blocks, ())
+    elif kind == "truncate" and stream:
+        stream = stream[:data.draw(st.integers(0, len(stream) - 1))]
+    elif kind == "header":
+        header = FrameHeader(data.draw(st.integers(0, header.bit_length + 30)),
+                             data.draw(st.integers(0, machine.p)))
+    return kind, stream, header
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_decode_matches_oracle(differential_machines, data):
+    name = data.draw(st.sampled_from(sorted(differential_machines, key=str)))
+    machine = differential_machines[name]
+    bits = data.draw(st.text("01", max_size=12 * machine.p))
+    stream, header = encode(machine, bits)
+    kind, stream, header = _corrupt(data, machine, stream, header)
+    expected = outcome(decode_oracle, machine, stream, header)
+    assert outcome(decode, machine, stream, header) == expected
+    if kind == "none" and name in DIFFERENTIAL_RATES:
+        assert expected == bits
+
+
+@pytest.mark.parametrize("name,message", [
+    ("converging", "two decode paths converged; machine certificate broken"),
+    ("short flush", "flush failed to single out the message"),
+])
+def test_broken_certificates_reach_both_ambiguity_errors(
+        differential_machines, name, message):
+    machine = differential_machines[name]
+    stream, header = encode(machine, "0110")
+    for fn in (decode, decode_oracle):
+        with pytest.raises(AmbiguousEncoderError) as excinfo:
+            fn(machine, stream, header)
+        assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("fields", [(True, 0), (4, False), (4.0, 0),
                                     ("4", 0), (None, 0), (-1, 0)])
 def test_frame_header_rejects_bad_fields(fields):
@@ -300,6 +385,8 @@ def test_parse_encoder_errors(enc_q1):
         parse_encoder("ENC 1 1 1 1 0\n0 0 N 0\n")  # missing tag-1 line
     with pytest.raises(EncoderFormatError):
         parse_encoder("ENC 1 20000 1 1 0\n0 0 N 0\n")  # 2**p has 6,021 digits
+    with pytest.raises(EncoderFormatError):
+        parse_encoder("ENC 1 1 1 " + "1" * 5000 + " 0\n")  # beyond int()'s limit
     # every integer field is ASCII digits only: int() would also read
     # other scripts' digits and a leading sign as the same number
     header, first, *rest = serialize_encoder(enc_q1).splitlines()

@@ -51,6 +51,8 @@ def test_parse_accepts_comments_and_forward_references():
     ("\u00b9 0\n", "format"),
     ("0 -\n\u0663 0\n", "format"),
     ("0 -\n1 \u0660\n", "format"),
+    pytest.param("0 -\n" + "1" * 5000 + " 0\n", "format",
+                 id="node-id-beyond-int-digit-limit"),
 ])
 def test_parse_tree_errors(text, reason):
     with pytest.raises(TopologyError) as excinfo:

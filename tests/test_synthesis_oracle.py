@@ -6,7 +6,8 @@ Their output must stay byte-for-byte that of the straightforward
 versions kept in ``helpers``: the same edges in the same order, the same
 state names, the same serialized machine, or the same exception. The
 weight vectors between the stages must equal those of the eigenvector
-search kept there.
+search kept there. The small machines of the sweep also round-trip
+through the text formats and through encode and decode.
 """
 
 import math
@@ -16,20 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaycast import (ApproxEigenvector, ConstraintGraph, Edge, N,
-                       RelaycastError, capacity,
-                       find_approximate_eigenvector, make_constraint,
+                       build_encoder, capacity, decode, encode,
+                       find_approximate_eigenvector, format_stream,
+                       make_constraint, parse_encoder, parse_stream,
                        power_graph, prune_to_encoder, serialize_encoder,
                        split_states)
-from helpers import (approximate_eigenvector_oracle, power_graph_oracle,
-                     prune_to_encoder_oracle, split_states_oracle)
-
-
-def _outcome(fn, *args):
-    """``fn(*args)``, or the type and message of the error it raised."""
-    try:
-        return fn(*args)
-    except RelaycastError as exc:
-        return (type(exc), str(exc))
+from helpers import (approximate_eigenvector_oracle, outcome,
+                     power_graph_oracle, prune_to_encoder_oracle,
+                     split_states_oracle)
 
 
 def _same_graph(fast, slow):
@@ -64,12 +59,12 @@ def test_synthesis_matches_oracle_sweep(q):
             x = find_approximate_eigenvector(powered.adjacency, p)
             assert x.vector == approximate_eigenvector_oracle(
                 oracle_powered.adjacency, p)
-            split = _outcome(split_states, powered, x)
-            if not _same_graph(split, _outcome(split_states_oracle,
+            split = outcome(split_states, powered, x)
+            if not _same_graph(split, outcome(split_states_oracle,
                                                oracle_powered, x)):
                 continue
-            _same_machine(_outcome(prune_to_encoder, split, q, p, n),
-                          _outcome(prune_to_encoder_oracle, split, q, p, n))
+            _same_machine(outcome(prune_to_encoder, split, q, p, n),
+                          outcome(prune_to_encoder_oracle, split, q, p, n))
 
 
 @st.composite
@@ -117,10 +112,49 @@ def split_cases(draw):
 def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
     graph, x, length = case
     assert _same_graph(power_graph(graph, power), power_graph_oracle(graph, power))
-    split = _outcome(split_states, graph, x)
-    if _same_graph(split, _outcome(split_states_oracle, graph, x)):
-        _same_machine(_outcome(prune_to_encoder, split, graph.q, x.p, length),
-                      _outcome(prune_to_encoder_oracle, split, graph.q, x.p, length))
-    _same_machine(_outcome(prune_to_encoder, graph, graph.q, x.p, length),
-                  _outcome(prune_to_encoder_oracle, graph, graph.q, x.p, length))
+    split = outcome(split_states, graph, x)
+    if _same_graph(split, outcome(split_states_oracle, graph, x)):
+        _same_machine(outcome(prune_to_encoder, split, graph.q, x.p, length),
+                      outcome(prune_to_encoder_oracle, split, graph.q, x.p, length))
+    _same_machine(outcome(prune_to_encoder, graph, graph.q, x.p, length),
+                  outcome(prune_to_encoder_oracle, graph, graph.q, x.p, length))
 
+
+# every rate of the sweep with q <= 2 and n <= 8 (57 machines, all build)
+SMALL_RATES = [(q, p, n) for q in (1, 2) for n in range(1, min(SWEEP[q], 8) + 1)
+               for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1)]
+
+
+@pytest.fixture(scope="module")
+def small_sweep_machines():
+    return {rate: build_encoder(*rate) for rate in SMALL_RATES}
+
+
+@pytest.mark.parametrize("rate", SMALL_RATES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_streams_roundtrip_through_text_and_decode(small_sweep_machines, rate,
+                                                   data):
+    machine = small_sweep_machines[rate]
+    symbols = list(range(machine.q)) + [N]
+    word = tuple(data.draw(st.lists(st.sampled_from(symbols), max_size=40)))
+    assert parse_stream(format_stream(word), q=machine.q) == word
+    bits = data.draw(st.text("01", max_size=10 * machine.p))
+    stream, header = encode(machine, bits)
+    parsed = parse_stream(format_stream(stream), q=machine.q)
+    assert parsed == stream
+    assert decode(machine, parsed, header) == bits
+
+
+@pytest.mark.parametrize("rate", SMALL_RATES)
+@settings(max_examples=5, deadline=None)
+@given(sep=st.sampled_from([" ", "  ", "\t", " \t "]),
+       newline=st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"]))
+def test_encoders_roundtrip_through_text(small_sweep_machines, rate, sep,
+                                         newline):
+    machine = small_sweep_machines[rate]
+    text = serialize_encoder(machine)
+    assert parse_encoder(text) == machine
+    # the parser splits on any whitespace and skips blank lines
+    spaced = newline.join(sep.join(line.split()) for line in text.splitlines())
+    assert serialize_encoder(parse_encoder(spaced)) == text
