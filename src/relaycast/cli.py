@@ -9,6 +9,7 @@ flags, 4 file not found.
 from __future__ import annotations
 
 import argparse
+import errno
 import random
 import sys
 from dataclasses import dataclass
@@ -98,13 +99,13 @@ def _read_value(value: str, kind: str = "file") -> str:
             return path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidParameterError(
-                f"{value} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+                f"{value!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
             ) from None
     if kind == "bits" and not value.strip("01"):
         return value
     if kind == "stream" and all(t == "N" or is_decimal(t) for t in value.split()):
         return value
-    raise FileNotFoundError(value)
+    raise FileNotFoundError(errno.ENOENT, "no such file", value)
 
 
 def _add_format(parser):
@@ -323,7 +324,7 @@ def run(argv) -> int:
     try:
         handler(args)
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc}", file=sys.stderr)
+        print(f"error: file not found: {exc.filename!r}", file=sys.stderr)
         return EXIT_NOT_FOUND
     except RelaycastError as exc:
         print(f"error: {exc}", file=sys.stderr)

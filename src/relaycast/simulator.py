@@ -9,10 +9,12 @@ That is exactly the property the violation log makes testable: a
 violation is recorded whenever a node is ON while its parent transmits a
 data symbol, and an inadmissible source provably produces one.
 
-A relay's stream depends only on its parent's, so by induction every
-node at one depth transmits and hears the same sequence, admissible
-source or not. The simulator therefore scans once per depth, not once
-per node.
+All nodes at one depth behave alike. A relay never sends two data
+symbols in a row, so depth 1's stream is admissible whatever the source
+sends, and each deeper relay passes it on unchanged, one slot later.
+The simulator scans depth 1 once and keeps two rows, the source's and
+depth 1's, deriving deeper rows on read: simulation, delivery checks
+and decoding in the pipeline cost O(slots), whatever the tree's shape.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
 from .encoder import build_encoder, decode, encode
-from .errors import RelaycastError, TopologyError
-from .symbols import (ERASED, N, Symbol, Word, _check_int, is_data,
-                      is_decimal)
+from .errors import InvalidParameterError, RelaycastError, TopologyError
+from .symbols import ERASED, N, Symbol, Word, _check_int, is_decimal
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +121,12 @@ def parse_tree(text: str) -> TreeTopology:
 class SimTrace:
     """Per-slot transcript of what every node transmitted and received.
 
-    Every node at one depth transmits and hears the same sequence, so
-    the trace stores one row per depth (``depth_transmitted``,
-    ``depth_received`` and the slots of ``depth_violations``) plus the
-    node-to-depth map; the per-node views ``transmitted``, ``received``
-    and ``violations`` are expanded from those rows when first read.
+    Two rows: ``source``, the padded source stream, and ``relayed``,
+    what depth 1 sends, with ``lost``, the slots of depth 1's violations.
+    Depth d >= 1 sends ``((N,)*(d-1) + relayed)[:num_slots]`` and hears
+    :data:`ERASED` where it sends data, otherwise what depth d-1 sends;
+    no deeper node has violations. The per-node views ``transmitted``,
+    ``received`` and ``violations`` are derived when first read.
 
     ``received`` holds :data:`ERASED` where the half-duplex rule lost a
     symbol and ``None`` for the source, which has no parent to hear.
@@ -132,79 +134,80 @@ class SimTrace:
 
     nodes: Tuple[int, ...]
     depth: Dict[int, int]
-    depth_transmitted: Tuple[Word, ...]
-    depth_received: Tuple[Tuple[object, ...], ...]
-    depth_violations: Tuple[Tuple[int, ...], ...]
+    source: Word
+    relayed: Word
+    lost: Tuple[int, ...]
 
     @property
     def num_slots(self) -> int:
-        return len(self.depth_transmitted[0])
+        return len(self.source)
 
-    def _per_node(self, rows) -> tuple:
-        """Slot-major rows over all nodes from one row per depth."""
+    def _sent(self, d: int) -> Word:
+        """What every node at depth ``d`` transmits."""
+        return ((N,) * (d - 1) + self.relayed)[:self.num_slots] if d else self.source
+
+    def _heard(self, d: int) -> Tuple[object, ...]:
+        """What every node at depth ``d`` receives."""
+        if d == 0:
+            return (None,) * self.num_slots
+        return tuple(u if s is N else ERASED
+                     for s, u in zip(self._sent(d), self._sent(d - 1)))
+
+    def _per_node(self, row) -> tuple:
+        """Slot-major rows over all nodes from ``row(depth)``."""
+        rows = [row(d) for d in range(max(self.depth.values()) + 1)]
         return tuple(zip(*(rows[self.depth[v]] for v in self.nodes)))
 
     @cached_property
     def transmitted(self) -> Tuple[Tuple[Symbol, ...], ...]:
-        return self._per_node(self.depth_transmitted)
+        return self._per_node(self._sent)
 
     @cached_property
     def received(self) -> Tuple[Tuple[object, ...], ...]:
-        return self._per_node(self.depth_received)
+        return self._per_node(self._heard)
 
     @cached_property
     def violations(self) -> Tuple[Tuple[int, int], ...]:
         """``(slot, node)`` pairs, sorted by slot, then by node id."""
-        by_slot: Dict[int, set] = {}
-        for d, slots in enumerate(self.depth_violations):
-            for t in slots:
-                by_slot.setdefault(t, set()).add(d)
-        return tuple((t, v) for t in sorted(by_slot)
-                     for v in self.nodes if self.depth[v] in by_slot[t])
+        relays = [v for v in self.nodes if self.depth[v] == 1]
+        return tuple((t, v) for t in self.lost for v in relays)
 
     def transmit_stream(self, node: int) -> Word:
         """Everything ``node`` sent, slot by slot."""
         if node not in self.depth:
             raise ValueError(f"node {node} is not in the trace")
-        return self.depth_transmitted[self.depth[node]]
+        return self._sent(self.depth[node])
 
     def export(self) -> str:
         """One line per slot: ``t | v:sym ...``, ``*`` marking erased reception."""
+        rows = [self._sent(d) for d in range(max(self.depth.values()) + 1)]
         lines = []
         for t in range(self.num_slots):
-            tokens = []
-            for sent, heard in zip(self.depth_transmitted, self.depth_received):
-                token = str(sent[t]) if is_data(sent[t]) else "N"
-                tokens.append(token + "*" if heard[t] is ERASED else token)
+            # a relay's reception is erased exactly when it sends data
+            tokens = ["N" if row[t] is N else f"{row[t]}*" if d else str(row[t])
+                      for d, row in enumerate(rows)]
             cells = " ".join(f"{v}:{tokens[self.depth[v]]}" for v in self.nodes)
             lines.append(f"{t} | {cells}")
         return "\n".join(lines)
 
 
-def _relay(parent_stream: Word) -> Tuple[Word, Tuple[object, ...], Tuple[int, ...]]:
-    """One depth's transmissions, receptions and violation slots.
+def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
+    """A depth-1 relay's transmissions and violation slots.
 
     The relay transmits what it stored in the previous slot, initially
     silence. While OFF it stores what its parent sends; while ON it
-    records an erasure and stores silence, since it cannot know what it
-    missed, and a data symbol from the parent in that slot is a
-    violation.
+    stores silence, since it cannot know what it missed, and a data
+    symbol from the parent in that slot is a violation.
     """
     sent: List[Symbol] = []
-    heard: List[object] = []
     lost: List[int] = []
     pending: Symbol = N
     for t, incoming in enumerate(parent_stream):
         sent.append(pending)
-        if is_data(pending):
-            heard.append(ERASED)
-            if is_data(incoming):
-                lost.append(t)
-            pending = N
-        else:
-            heard.append(incoming)
-            pending = incoming
-    return tuple(sent), tuple(heard), tuple(lost)
+        if pending is not N and incoming is not N:
+            lost.append(t)
+        pending = incoming if pending is N else N
+    return tuple(sent), tuple(lost)
 
 
 def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
@@ -217,27 +220,17 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
     pipeline drains. The stream may be inadmissible; every slot where a
     node is ON under a data-transmitting parent is logged.
 
-    All nodes at one depth behave alike, so this runs one scan per
-    depth, each reading only the stream of the depth above: the cost is
-    O(depth x slots), whatever the number of nodes.
+    Only depth 1 is scanned (see :class:`SimTrace`): time and memory
+    are O(slots), whatever the depth and the number of nodes.
     """
     stream = tuple(source_stream)
     if extra_slots is None:
         extra_slots = topo.max_depth
     _check_int(extra_slots, "extra_slots", 0)
-    sent = stream + (N,) * extra_slots
-    transmitted = [sent]
-    received = [(None,) * len(sent)]
-    violations = [()]
-    for _ in range(topo.max_depth):
-        sent, heard, lost = _relay(sent)
-        transmitted.append(sent)
-        received.append(heard)
-        violations.append(lost)
-    return SimTrace(nodes=topo.nodes, depth=topo.depth,
-                    depth_transmitted=tuple(transmitted),
-                    depth_received=tuple(received),
-                    depth_violations=tuple(violations))
+    source = stream + (N,) * extra_slots
+    relayed, lost = _relay(source)
+    return SimTrace(nodes=topo.nodes, depth=topo.depth, source=source,
+                    relayed=relayed, lost=lost)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +262,25 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     silences followed by the source stream, truncated to the simulated
     horizon. For an admissible source this holds at every node with zero
     violations; an inadmissible source breaks it somewhere.
+
+    Depth d >= 1 sends ``relayed`` d-1 slots late, so it passes iff
+    ``relayed`` matches depth 1's expected row before slot
+    ``horizon - d + 1``. ``topo`` must be the tree the trace ran on.
     """
+    if topo.depth != trace.depth:
+        raise InvalidParameterError("topology is not the one the trace ran on")
     stream = tuple(source_stream)
     horizon = trace.num_slots
-    # One comparison per depth; keyed by both depths in case ``topo`` is
-    # not the tree the trace ran on.
-    verdicts: Dict[Tuple[int, int], bool] = {}
+    expected = ((N,) + stream + (N,) * horizon)[:horizon]
+    first_miss = next((t for t, (got, want) in
+                       enumerate(zip(trace.relayed, expected)) if got != want),
+                      horizon)
+    source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
     entries = []
     for node in trace.nodes:
-        d, simulated = topo.depth[node], trace.depth[node]
-        if (d, simulated) not in verdicts:
-            expected = ((N,) * d + stream + (N,) * horizon)[:horizon]
-            verdicts[d, simulated] = trace.depth_transmitted[simulated] == expected
-        entries.append(NodeDelivery(node=node, depth=d,
-                                    passed=verdicts[d, simulated]))
+        d = trace.depth[node]
+        passed = first_miss > horizon - d if d else source_ok
+        entries.append(NodeDelivery(node=node, depth=d, passed=passed))
     return DeliveryReport(nodes=tuple(entries),
                           violations=len(trace.violations))
 
@@ -330,8 +328,9 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology, message,
     Builds the rate p:n encoder, feeds the encoded stream to the source,
     simulates with at least ``max_depth`` extra slots, then strips each
     depth's depth-long silence prefix from its forwarded stream and
-    decodes it once for all nodes at that depth. Every node must recover
-    the message bits exactly.
+    decodes it. Every node must recover the message bits exactly. Every
+    depth >= 1 forwards ``relayed[1:1 + len(stream)]``, so at most two
+    windows are decoded: that one and the source's.
     """
     if extra_slots is not None:
         _check_int(extra_slots, "extra_slots", 0)
@@ -344,15 +343,15 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology, message,
     drain = topo.max_depth if extra_slots is None else max(extra_slots,
                                                            topo.max_depth)
     trace = simulate(topo, stream, drain)
+    windows = (stream, trace.relayed[1:1 + len(stream)])[:topo.max_depth + 1]
     recovered = []
-    for d, forwarded in enumerate(trace.depth_transmitted):
+    for window in windows:
         try:
-            recovered.append(
-                decode(machine, forwarded[d:d + len(stream)], header) == bits)
+            recovered.append(decode(machine, window, header) == bits)
         except RelaycastError:
             recovered.append(False)
     entries = tuple(NodeRecovery(node=node, depth=topo.depth[node],
-                                 recovered=recovered[topo.depth[node]])
+                                 recovered=recovered[min(topo.depth[node], 1)])
                     for node in trace.nodes)
     return EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
                           baseline=baseline_rate(q), message_bits=len(bits),

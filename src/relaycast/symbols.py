@@ -107,7 +107,7 @@ def parse_stream(text: str, q: int | None = None) -> Word:
 
 def format_stream(word: Sequence[Symbol]) -> str:
     """Inverse of :func:`parse_stream`."""
-    return " ".join("N" if not is_data(s) else str(s) for s in word)
+    return " ".join(["N" if s is N else str(s) for s in word])
 
 
 # Silence sorts after every data symbol; data symbols map to themselves.

@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the library internals:
 admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product and by their closed (Binet)
-form, expected relay behavior by shifting sequences, the per-depth
-simulator by the node-by-node slot loop it replaced, the three
+form, expected relay behavior by shifting sequences, the simulator by
+the node-by-node slot loop and by the scan per depth that it replaced
+in turn (neither derives deeper rows from depth 1's), the three
 synthesis stages by the edge-list rebuilds they replaced, the weight
 vector by the eigenvector search as it was before it shared the power
 iteration of ``spectral_radius``, and ``decode`` by the path-tracking
@@ -189,6 +190,54 @@ def simulate_per_node(topo, source_stream, extra_slots=None):
         received.append(tuple(heard[v] for v in nodes))
     return NodeTrace(nodes=nodes, transmitted=tuple(transmitted),
                      received=tuple(received), violations=tuple(violations))
+
+
+def _relay_per_depth(parent_stream):
+    """One depth's transmissions, receptions and violation slots.
+
+    The relay transmits what it stored in the previous slot, initially
+    silence. While OFF it stores what its parent sends; while ON it
+    records an erasure and stores silence, and a data symbol from the
+    parent in that slot is a violation.
+    """
+    sent, heard, lost = [], [], []
+    pending = N
+    for t, incoming in enumerate(parent_stream):
+        sent.append(pending)
+        if is_data(pending):
+            heard.append(ERASED)
+            if is_data(incoming):
+                lost.append(t)
+            pending = N
+        else:
+            heard.append(incoming)
+            pending = incoming
+    return tuple(sent), tuple(heard), tuple(lost)
+
+
+def simulate_per_depth(topo, source_stream, extra_slots=None):
+    """Oracle for ``simulate``: one relay scan per depth.
+
+    Each depth's scan reads the stream of the depth above, so no row is
+    derived from depth 1's; nodes then copy the rows of their depth.
+    """
+    stream = tuple(source_stream)
+    if extra_slots is None:
+        extra_slots = topo.max_depth
+    sent = stream + (N,) * extra_slots
+    transmitted, received, lost = [sent], [(None,) * len(sent)], [()]
+    for _ in range(topo.max_depth):
+        sent, heard, slots = _relay_per_depth(sent)
+        transmitted.append(sent)
+        received.append(heard)
+        lost.append(slots)
+    nodes = topo.nodes
+    return NodeTrace(
+        nodes=nodes,
+        transmitted=tuple(zip(*(transmitted[topo.depth[v]] for v in nodes))),
+        received=tuple(zip(*(received[topo.depth[v]] for v in nodes))),
+        violations=tuple(sorted((t, v) for v in nodes
+                                for t in lost[topo.depth[v]])))
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,9 @@ def test_cli_output_matches_library_exactly(capsys):
     assert capsys.readouterr().out == f"{capacity(6):.6f}\n"
 
 
-# (command, the flag whose file gets arbitrary bytes, the other flags);
-# "{tree}", "{enc}" and "{bits}" name valid files
+# (command, the flag that gets a file of arbitrary bytes or an arbitrary
+# inline value, the other flags); "{tree}", "{enc}" and "{bits}" name
+# valid files
 FILE_FLAGS = [
     ("simulate", "--tree", ["--stream", "0 N"]),
     ("simulate", "--stream", ["--tree", "{tree}"]),
@@ -225,15 +226,19 @@ def cli_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command,flag,rest", FILE_FLAGS)
-@settings(max_examples=40, deadline=None)
-@given(data=st.binary(max_size=64))
+@settings(max_examples=80, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), st.text(max_size=64)))
 @example(data=b"\xff0 -\n")
 @example(data=b"ENC 1 20000 1 1 0\n")
+@example(data="a\nb")  # used to print the name over two lines
 def test_arbitrary_file_bytes_end_in_an_exit_code(cli_files, command, flag,
                                                   rest, data):
-    with open(cli_files["input"], "wb") as handle:
-        handle.write(data)
-    argv = [command, flag, cli_files["input"]]
+    """Bytes go to a file named by ``flag``; text is passed inline."""
+    if isinstance(data, bytes):
+        with open(cli_files["input"], "wb") as handle:
+            handle.write(data)
+        data = cli_files["input"]
+    argv = [command, flag, data]
     argv += [arg.format(**cli_files) for arg in rest]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relaycast.simulator
@@ -12,7 +13,8 @@ from relaycast import (ERASED, InvalidParameterError, N, RelaycastError,
                        parse_tree, simulate, verify_delivery)
 from relaycast.symbols import is_data
 from helpers import (chain_text, fig1_text, random_admissible_stream,
-                     random_bits, random_stream, simulate_per_node)
+                     random_bits, random_stream, simulate_per_depth,
+                     simulate_per_node)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +244,7 @@ def test_end_to_end_empty_message():
 
 
 # ---------------------------------------------------------------------------
-# the per-depth simulator against the node-by-node oracle
+# the two-row simulator against the node-by-node and per-depth oracles
 
 @st.composite
 def trees(draw):
@@ -266,6 +268,38 @@ def trees(draw):
     return parse_tree("\n".join(lines) + "\n")
 
 
+# text on one line: no control characters and no line or paragraph
+# separators, all of which str.splitlines breaks at
+_one_line = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                    max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topo=trees(), data=st.data())
+def test_parse_tree_round_trips_shuffled_commented_text(topo, data):
+    """Tree text re-parses to the same tree in any line order, with
+    comments, blank lines and other blanks between the fields."""
+    pairs = [(0, "-")] + sorted(topo.parent.items())
+    lines = []
+    for node, parent in data.draw(st.permutations(pairs)):
+        gap = data.draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        line = f"{node}{gap}{parent}"
+        if data.draw(st.booleans()):
+            line += " #" + data.draw(_one_line)
+        lines.append(line)
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", "  ", "#", "# x"])))
+    parsed = parse_tree("\n".join(lines))
+    assert parsed.nodes == topo.nodes
+    assert parsed.parent == topo.parent
+    for node in topo.nodes:
+        hops, current = 0, node
+        while current != 0:
+            current = topo.parent[current]
+            hops += 1
+        assert parsed.depth[node] == hops
+
+
 @st.composite
 def streams(draw):
     """Arbitrary streams over q in {1, 2, 6}, half of them made admissible."""
@@ -278,27 +312,77 @@ def streams(draw):
     return tuple(word)
 
 
-@settings(max_examples=300, deadline=None)
-@given(topo=trees(), stream=streams(),
-       extra_slots=st.one_of(st.none(), st.integers(0, 3)))
-def test_simulate_matches_per_node_oracle(topo, stream, extra_slots):
+def _assert_matches(oracle, topo, stream, extra_slots):
     trace = simulate(topo, stream, extra_slots)
-    oracle = simulate_per_node(topo, stream, extra_slots)
     assert trace.nodes == oracle.nodes
     assert trace.num_slots == len(oracle.transmitted)
     assert trace.transmitted == oracle.transmitted
     assert trace.received == oracle.received
     assert trace.violations == oracle.violations
     assert trace.export() == oracle.export()
-    report = verify_delivery(trace, topo, stream)
-    assert report.violations == len(oracle.violations)
+    for node in topo.nodes:
+        assert trace.transmit_stream(node) == oracle.transmit_stream(node)
     horizon = trace.num_slots
-    for entry in report.nodes:
-        d = topo.depth[entry.node]
-        expected = ((N,) * d + stream + (N,) * horizon)[:horizon]
-        assert trace.transmit_stream(entry.node) == \
-            oracle.transmit_stream(entry.node)
-        assert entry.passed == (oracle.transmit_stream(entry.node) == expected)
+    # checked against the simulated stream and against another one
+    for claimed in (stream, stream[1:] + (0,)):
+        report = verify_delivery(trace, topo, claimed)
+        assert report.violations == len(oracle.violations)
+        for entry in report.nodes:
+            d = topo.depth[entry.node]
+            expected = ((N,) * d + claimed + (N,) * horizon)[:horizon]
+            assert entry.passed == \
+                (oracle.transmit_stream(entry.node) == expected)
+
+
+# Depth 1 and depth 2 fail, yet depth 3 passes: the horizon cuts its row
+# before the slot where depth 1's row first differs from the source's.
+DEEP_PASS = dict(topo=parse_tree(chain_text(3)),
+                 stream=parse_stream("1 0 N N"), extra_slots=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(topo=trees(), stream=streams(),
+       extra_slots=st.one_of(st.none(), st.integers(0, 3)))
+@example(**DEEP_PASS)
+def test_simulate_matches_per_node_oracle(topo, stream, extra_slots):
+    _assert_matches(simulate_per_node(topo, stream, extra_slots),
+                    topo, stream, extra_slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(topo=trees(), stream=streams(),
+       extra_slots=st.one_of(st.none(), st.integers(0, 3)))
+@example(**DEEP_PASS)
+def test_simulate_matches_per_depth_oracle(topo, stream, extra_slots):
+    _assert_matches(simulate_per_depth(topo, stream, extra_slots),
+                    topo, stream, extra_slots)
+
+
+def test_verify_delivery_rejects_another_tree():
+    stream = parse_stream("0 N")
+    trace = simulate(parse_tree(chain_text(2)), stream)
+    with pytest.raises(InvalidParameterError):
+        verify_delivery(trace, parse_tree(fig1_text()), stream)
+
+
+def _simulate_peak(depth):
+    topo = parse_tree(chain_text(depth))
+    stream = random_stream(random.Random(depth), 2, 1000)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate(topo, stream, extra_slots=0)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_depth():
+    assert _simulate_peak(2000) <= 2 * _simulate_peak(10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,17 +403,20 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, extra_slots, fli
     with mock.patch.object(relaycast.simulator, "encode",
                            lambda *_: (stream, header)):
         report = end_to_end(*code, topo, bits, extra_slots=extra_slots)
-    oracle = simulate_per_node(topo, stream, max(extra_slots, topo.max_depth))
-    expected = []
-    for node in topo.nodes:
-        d = topo.depth[node]
-        delivered = oracle.transmit_stream(node)[d:d + len(stream)]
-        try:
-            recovered = decode(machine, delivered, header) == bits
-        except RelaycastError:
-            recovered = False
-        expected.append((node, d, recovered))
-    assert [(e.node, e.depth, e.recovered) for e in report.nodes] == expected
+    drain = max(extra_slots, topo.max_depth)
+    for oracle in (simulate_per_node(topo, stream, drain),
+                   simulate_per_depth(topo, stream, drain)):
+        expected = []
+        for node in topo.nodes:
+            d = topo.depth[node]
+            delivered = oracle.transmit_stream(node)[d:d + len(stream)]
+            try:
+                recovered = decode(machine, delivered, header) == bits
+            except RelaycastError:
+                recovered = False
+            expected.append((node, d, recovered))
+        assert [(e.node, e.depth, e.recovered) for e in report.nodes] == \
+            expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,10 +424,12 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, extra_slots, fli
        extra_slots=st.one_of(st.none(), st.integers(0, 3)))
 def test_violations_occur_only_at_depth_one(topo, stream, extra_slots):
     """A relay never sends two data symbols in a row, so below depth 1
-    no parent can send data while its child is ON."""
-    trace = simulate(topo, stream, extra_slots)
-    assert trace.depth_violations[0] == ()
-    for d in range(1, topo.max_depth + 1):
-        assert is_admissible(trace.depth_transmitted[d])
-        if d >= 2:
-            assert trace.depth_violations[d] == ()
+    no parent can send data while its child is ON.
+
+    Checked on the simulator, which relies on it, and on the node-by-node
+    oracle, which does not."""
+    for trace in (simulate(topo, stream, extra_slots),
+                  simulate_per_node(topo, stream, extra_slots)):
+        assert all(topo.depth[v] == 1 for _, v in trace.violations)
+        for node in topo.nodes[1:]:
+            assert is_admissible(trace.transmit_stream(node))
