@@ -12,6 +12,7 @@ import argparse
 import errno
 import random
 import sys
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Tuple
@@ -108,10 +109,6 @@ def _read_value(value: str, kind: str = "file") -> str:
     raise FileNotFoundError(errno.ENOENT, "no such file", value)
 
 
-def _add_format(parser):
-    parser.add_argument("--format", choices=("text", "raw"), default="text")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -181,8 +178,7 @@ def _cmd_end_to_end(args) -> None:
     else:
         rng = random.Random(args.seed)
         bits = "".join(rng.choice("01") for _ in range(args.random))
-    report = end_to_end(args.q, args.p, args.n, topo, bits,
-                        extra_slots=args.extra_slots)
+    report = end_to_end(args.q, args.p, args.n, topo, bits)
     print(f"message bits: {report.message_bits}")
     print(f"rate: {_fmt(report.rate, args.format)}")
     print(f"capacity: {_fmt(report.capacity, args.format)}")
@@ -210,96 +206,75 @@ def _cmd_table(args) -> None:
 # ---------------------------------------------------------------------------
 # dispatch
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_RATE = [("--q", _REQUIRED_INT), ("--p", _REQUIRED_INT), ("--n", _REQUIRED_INT)]
+_STREAM = ("--stream", {"required": True, "help": "path or inline tokens"})
+
+# command -> (handler, summary, [(flag, add_argument options), ...]);
+# every command also takes --format
+_COMMANDS = {
+    "capacity": (_cmd_capacity, "asymptotic rate of the constraint, b/sym",
+                 [("--q", _REQUIRED_INT)]),
+    "count": (_cmd_count, "exact number of admissible words",
+              [("--q", _REQUIRED_INT), ("--n", _REQUIRED_INT)]),
+    "enumerate": (_cmd_enumerate, "list admissible words",
+                  [("--q", _REQUIRED_INT), ("--n", _REQUIRED_INT),
+                   ("--cap", {"type": int,
+                              "default": DEFAULT_ENUMERATION_CAP})]),
+    "build-encoder": (_cmd_build_encoder, "synthesize a rate p:n machine",
+                      _RATE + [("--out", {"help": "write serialized encoder "
+                                          "here and print a report instead"})]),
+    "encode": (_cmd_encode, "bits -> admissible stream",
+               [("--encoder", _REQUIRED),
+                ("--bits", {"required": True,
+                            "help": "path or inline 0/1 string"})]),
+    "decode": (_cmd_decode, "stream -> bits",
+               [("--encoder", _REQUIRED), _STREAM,
+                ("--length", {"type": int, "required": True,
+                              "help": "message length in bits"})]),
+    "simulate": (_cmd_simulate, "forward a stream through a tree",
+                 [("--tree", _REQUIRED), _STREAM,
+                  ("--extra-slots", {"type": int, "default": None})]),
+    "end-to-end": (_cmd_end_to_end, "encode, broadcast, decode at every node",
+                   _RATE + [("--tree", _REQUIRED),
+                            ("--bits", {"help": "path or inline 0/1 string"}),
+                            ("--random", {"type": int, "default": 1000,
+                                          "help": "random message length "
+                                          "when --bits is absent"}),
+                            ("--seed", {"type": int, "default": 0})]),
+    "table": (_cmd_table, "rates vs. depth-limited benchmarks",
+              [("--q", _REQUIRED_INT)]),
+}
+
+
 def _build_parser(command: str) -> Tuple[_Parser, object]:
-    parser = _Parser(prog=f"relaycast {command}", add_help=True)
-    if command == "capacity":
-        parser.add_argument("--q", type=int, required=True)
-        _add_format(parser)
-        return parser, _cmd_capacity
-    if command == "count":
-        parser.add_argument("--q", type=int, required=True)
-        parser.add_argument("--n", type=int, required=True)
-        _add_format(parser)
-        return parser, _cmd_count
-    if command == "enumerate":
-        parser.add_argument("--q", type=int, required=True)
-        parser.add_argument("--n", type=int, required=True)
-        parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-        _add_format(parser)
-        return parser, _cmd_enumerate
-    if command == "build-encoder":
-        parser.add_argument("--q", type=int, required=True)
-        parser.add_argument("--p", type=int, required=True)
-        parser.add_argument("--n", type=int, required=True)
-        parser.add_argument("--out", help="write serialized encoder here "
-                            "and print a report instead")
-        _add_format(parser)
-        return parser, _cmd_build_encoder
-    if command == "encode":
-        parser.add_argument("--encoder", required=True)
-        parser.add_argument("--bits", required=True,
-                            help="path or inline 0/1 string")
-        _add_format(parser)
-        return parser, _cmd_encode
-    if command == "decode":
-        parser.add_argument("--encoder", required=True)
-        parser.add_argument("--stream", required=True,
-                            help="path or inline tokens")
-        parser.add_argument("--length", type=int, required=True,
-                            help="message length in bits")
-        _add_format(parser)
-        return parser, _cmd_decode
-    if command == "simulate":
-        parser.add_argument("--tree", required=True)
-        parser.add_argument("--stream", required=True,
-                            help="path or inline tokens")
-        parser.add_argument("--extra-slots", type=int, default=None)
-        _add_format(parser)
-        return parser, _cmd_simulate
-    if command == "end-to-end":
-        parser.add_argument("--q", type=int, required=True)
-        parser.add_argument("--p", type=int, required=True)
-        parser.add_argument("--n", type=int, required=True)
-        parser.add_argument("--tree", required=True)
-        parser.add_argument("--bits", help="path or inline 0/1 string")
-        parser.add_argument("--random", type=int, default=1000,
-                            help="random message length when --bits is absent")
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--extra-slots", type=int, default=None)
-        _add_format(parser)
-        return parser, _cmd_end_to_end
-    if command == "table":
-        parser.add_argument("--q", type=int, required=True)
-        _add_format(parser)
-        return parser, _cmd_table
-    raise KeyError(command)
+    handler, _, flags = _COMMANDS[command]
+    parser = _Parser(prog=f"relaycast {command}")
+    for flag, options in flags:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--format", choices=("text", "raw"), default="text")
+    return parser, handler
 
 
-_COMMANDS = ("capacity", "count", "enumerate", "build-encoder", "encode",
-             "decode", "simulate", "end-to-end", "table")
+def _command_line(command: str) -> str:
+    _, summary, flags = _COMMANDS[command]
+    usage = " ".join(flag if options.get("required") else f"[{flag}]"
+                     for flag, options in flags)
+    return textwrap.fill(f"{summary} ({usage})", width=72,
+                         initial_indent=f"  {command:<15}",
+                         subsequent_indent=" " * 17,
+                         break_on_hyphens=False)
 
-_HELP = """usage: relaycast <command> [flags]
 
-commands:
-  capacity       asymptotic rate of the constraint, b/sym (--q)
-  count          exact number of admissible words (--q --n)
-  enumerate      list admissible words (--q --n [--cap])
-  build-encoder  synthesize a rate p:n machine (--q --p --n [--out])
-  encode         bits -> admissible stream (--encoder --bits)
-  decode         stream -> bits (--encoder --stream --length)
-  simulate       forward a stream through a tree (--tree --stream
-                 [--extra-slots])
-  end-to-end     encode, broadcast, decode at every node (--q --p --n
-                 --tree [--bits | --random K --seed S])
-  table          rates vs. depth-limited benchmarks (--q 1)
-
-common flags:
-  --format {text,raw}   raw prints full double precision
-
-exit codes:
-  0 success, 1 domain error, 2 unknown command, 3 malformed flags,
-  4 file not found
-"""
+_HELP = "\n".join([
+    "usage: relaycast <command> [flags]", "", "commands:",
+    *map(_command_line, _COMMANDS), "",
+    "common flags:",
+    "  --format {text,raw}   raw prints full double precision", "",
+    "exit codes:",
+    "  0 success, 1 domain error, 2 unknown command, 3 malformed flags,",
+    "  4 file not found", ""])
 
 
 def run(argv) -> int:

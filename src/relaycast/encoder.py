@@ -32,13 +32,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Edge, Matrix, _perron, capacity,
                          make_constraint, matrix_vector, power_graph,
                          validate_matrix)
-from .errors import (AmbiguousEncoderError, EncoderBuildError,
-                     EncoderFormatError, FramingError, InfeasibleRateError,
+from .errors import (AmbiguousEncoderError, EncoderFormatError,
+                     FramingError, InfeasibleRateError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
@@ -303,14 +303,49 @@ class _SubsetTable:
         return step
 
 
+def _levels(index, level) -> Optional[int]:
+    """Nonempty levels of the pair graph from the pair set ``level``.
+
+    Each next level is the set of pairs the current one reaches by
+    emitting a common codeword from both members. Returns ``None`` once
+    there are more levels than distinct pairs seen, since a path that
+    long repeats a pair. A pair that collapses onto a single state
+    raises :class:`AmbiguousEncoderError`.
+    """
+    seen = set(level)
+    count = 0
+    while level:
+        count += 1
+        if count > len(seen):
+            return None
+        following = set()
+        for a, b in level:
+            b_index = index[b]
+            for word, a_moves in index[a].items():
+                b_moves = b_index.get(word)
+                if not b_moves:
+                    continue
+                for _, ta in a_moves:
+                    for _, tb in b_moves:
+                        if ta == tb:
+                            raise AmbiguousEncoderError(
+                                f"states {a} and {b} merge on {format_stream(word)!r}")
+                        following.add((min(ta, tb), max(ta, tb)))
+        level = following
+        seen |= level
+    return count
+
+
 def _anticipation(index) -> int:
     """Lookahead blocks needed to resolve shared codewords, or raise.
 
-    Explores the graph over unordered state pairs reachable by emitting a
-    common codeword from both members. A pair that collapses onto a
-    single state, or that can be prolonged forever, can never be told
-    apart, so the machine is rejected. Returns 0 for a machine whose
-    codewords are distinct at every state, else 1 + the longest pair path.
+    Walks the graph over unordered state pairs reachable by emitting a
+    common codeword from both members, level by level from the pairs a
+    state forks into. A pair that collapses onto a single state, or
+    that can be prolonged forever, can never be told apart, so the
+    machine is rejected. Returns 0 for a machine whose codewords are
+    distinct at every state, else the number of nonempty levels: 1 +
+    the longest pair path.
     """
     forks = set()
     for state, by_word in enumerate(index):
@@ -321,61 +356,15 @@ def _anticipation(index) -> int:
                         f"state {state} emits {format_stream(word)!r} to "
                         f"state {a} under two different tags")
                 forks.add((min(a, b), max(a, b)))
-    if not forks:
-        return 0
-
-    def successors(pair):
-        a, b = pair
-        nxt = set()
-        for word, a_moves in index[a].items():
-            b_moves = index[b].get(word)
-            if not b_moves:
-                continue
-            for _, ta in a_moves:
-                for _, tb in b_moves:
-                    if ta == tb:
-                        raise AmbiguousEncoderError(
-                            f"states {a} and {b} merge on {format_stream(word)!r}")
-                    nxt.add((min(ta, tb), max(ta, tb)))
-        return nxt
-
-    # longest path in the pair graph; a cycle means unbounded ambiguity
-    depth: Dict[tuple, int] = {}
-    in_progress = object()
-
-    def longest(pair):
-        seen = depth.get(pair)
-        if seen is in_progress:
-            raise AmbiguousEncoderError(
-                f"state pair {pair} can stay indistinguishable forever")
-        if seen is not None:
-            return seen
-        depth[pair] = in_progress
-        best = 0
-        for nxt in successors(pair):
-            best = max(best, 1 + longest(nxt))
-        depth[pair] = best
-        return best
-
-    return 1 + max(longest(pair) for pair in sorted(forks))
+    levels = _levels(index, forks)
+    if levels is None:
+        pair = next(f for f in sorted(forks) if _levels(index, {f}) is None)
+        raise AmbiguousEncoderError(
+            f"state pair {pair} can stay indistinguishable forever")
+    return levels
 
 
 def _assemble(q, p, n, start_state, transitions) -> Encoder:
-    fanout = 1 << p
-    if not transitions:
-        raise EncoderBuildError("encoder has no states")
-    for state, outs in enumerate(transitions):
-        if len(outs) != fanout:
-            raise EncoderBuildError(
-                f"state {state} has {len(outs)} transitions, needs {fanout}")
-        for word, nxt in outs:
-            if len(word) != n:
-                raise NonUniformLabelError(
-                    f"codeword {format_stream(word)!r} is not {n} symbols")
-            if not 0 <= nxt < len(transitions):
-                raise EncoderBuildError(f"transition target {nxt} out of range")
-    if not 0 <= start_state < len(transitions):
-        raise EncoderBuildError(f"start state {start_state} out of range")
     return Encoder(q=q, p=p, n=n, start_state=start_state,
                    transitions=transitions,
                    anticipation=_anticipation(_codeword_index(transitions)))
@@ -640,9 +629,10 @@ def parse_encoder(text: str) -> Encoder:
     transitions = tuple(
         tuple(table[(state, tag)] for tag in range(fanout))
         for state in range(num_states))
-    try:
-        return _assemble(q, p, n, start, transitions)
-    except EncoderBuildError as exc:
-        if isinstance(exc, AmbiguousEncoderError):
-            raise
-        raise EncoderFormatError(str(exc)) from exc
+    for outs in transitions:
+        for _, nxt in outs:
+            if nxt >= num_states:
+                raise EncoderFormatError(f"transition target {nxt} out of range")
+    if start >= num_states:
+        raise EncoderFormatError(f"start state {start} out of range")
+    return _assemble(q, p, n, start, transitions)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
-from .encoder import build_encoder, decode, encode
+from .encoder import _normalize_bits, build_encoder, decode, encode
 from .errors import InvalidParameterError, RelaycastError, TopologyError
 from .symbols import ERASED, N, Symbol, Word, _check_int, is_decimal
 
@@ -321,28 +321,21 @@ class EndToEndReport:
         return all(entry.recovered for entry in self.nodes)
 
 
-def end_to_end(q: int, p: int, n: int, topo: TreeTopology, message,
-               extra_slots: Optional[int] = None) -> EndToEndReport:
+def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
+               message) -> EndToEndReport:
     """Encode, broadcast through the tree, decode at every node, compare.
 
     Builds the rate p:n encoder, feeds the encoded stream to the source,
-    simulates with at least ``max_depth`` extra slots, then strips each
-    depth's depth-long silence prefix from its forwarded stream and
+    simulates with the default ``max_depth`` extra slots, then strips
+    each depth's depth-long silence prefix from its forwarded stream and
     decodes it. Every node must recover the message bits exactly. Every
     depth >= 1 forwards ``relayed[1:1 + len(stream)]``, so at most two
     windows are decoded: that one and the source's.
     """
-    if extra_slots is not None:
-        _check_int(extra_slots, "extra_slots", 0)
     machine = build_encoder(q, p, n)
-    if isinstance(message, str):
-        bits = message
-    else:
-        bits = "".join(str(b) for b in message)
+    bits = _normalize_bits(message)
     stream, header = encode(machine, bits)
-    drain = topo.max_depth if extra_slots is None else max(extra_slots,
-                                                           topo.max_depth)
-    trace = simulate(topo, stream, drain)
+    trace = simulate(topo, stream)
     windows = (stream, trace.relayed[1:1 + len(stream)])[:topo.max_depth + 1]
     recovered = []
     for window in windows:

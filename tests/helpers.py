@@ -9,13 +9,15 @@ in turn (neither derives deeper rows from depth 1's), the three
 synthesis stages by the edge-list rebuilds they replaced, the weight
 vector by the eigenvector search as it was before it shared the power
 iteration of ``spectral_radius``, and ``decode`` by the path-tracking
-decoder that carries every candidate's bit string forward.
+decoder that carries every candidate's bit string forward, and the
+anticipation certificate by the memoised depth-first search that the
+level-by-level walk replaced.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
                        Edge, FramingError, InfeasibleRateError,
@@ -526,3 +528,84 @@ def decode_oracle(encoder, word, header):
     if len(survivors) != 1:
         raise AmbiguousEncoderError("flush failed to single out the message")
     return survivors.pop()[:length]
+
+
+def anticipation_oracle(index):
+    """The anticipation ``_anticipation`` must return, or raise.
+
+    Longest path in the graph over unordered state pairs that emit a
+    common codeword, by a memoised depth-first search that recurses once
+    per step, so it is for small machines only. ``index`` is the
+    per-state ``codeword -> ((tag, next), ...)`` map of ``_codeword_index``.
+    """
+    forks = set()
+    for state, by_word in enumerate(index):
+        for word, moves in by_word.items():
+            for (_, a), (_, b) in combinations(moves, 2):
+                if a == b:
+                    raise AmbiguousEncoderError(
+                        f"state {state} emits {format_stream(word)!r} to "
+                        f"state {a} under two different tags")
+                forks.add((min(a, b), max(a, b)))
+    if not forks:
+        return 0
+
+    def successors(pair):
+        a, b = pair
+        nxt = set()
+        for word, a_moves in index[a].items():
+            b_moves = index[b].get(word)
+            if not b_moves:
+                continue
+            for _, ta in a_moves:
+                for _, tb in b_moves:
+                    if ta == tb:
+                        raise AmbiguousEncoderError(
+                            f"states {a} and {b} merge on {format_stream(word)!r}")
+                    nxt.add((min(ta, tb), max(ta, tb)))
+        return nxt
+
+    # longest path in the pair graph; a cycle means unbounded ambiguity
+    depth = {}
+    in_progress = object()
+
+    def longest(pair):
+        seen = depth.get(pair)
+        if seen is in_progress:
+            raise AmbiguousEncoderError(
+                f"state pair {pair} can stay indistinguishable forever")
+        if seen is not None:
+            return seen
+        depth[pair] = in_progress
+        best = 0
+        for nxt in successors(pair):
+            best = max(best, 1 + longest(nxt))
+        depth[pair] = best
+        return best
+
+    return 1 + max(longest(pair) for pair in sorted(forks))
+
+
+def deep_encoder_text(steps):
+    """Encoder text (q=3, p=1, n=1) with anticipation ``steps + 1``.
+
+    State 0 forks on ``N`` into two chains of ``steps + 1`` states that
+    emit ``N`` in step, so the pair graph is one path of ``steps`` steps.
+    Chain states leave on distinct data symbols (0 and 1) to a sink, and
+    the chains end on disjoint codewords ({0, 1} and {2, N}). State
+    ``1 + i`` is the first chain's i-th state, ``2 + steps + i`` the
+    second's, and the last state is the sink.
+    """
+    length = steps + 1
+    sink = 1 + 2 * length
+    lines = [f"ENC 3 1 1 {sink + 1} 0", "0 0 N 1", f"0 1 N {1 + length}"]
+    for i in range(length):
+        a, b = 1 + i, 1 + length + i
+        if i < steps:
+            lines += [f"{a} 0 N {a + 1}", f"{a} 1 0 {sink}",
+                      f"{b} 0 N {b + 1}", f"{b} 1 1 {sink}"]
+        else:
+            lines += [f"{a} 0 0 {sink}", f"{a} 1 1 {sink}",
+                      f"{b} 0 2 {sink}", f"{b} 1 N {sink}"]
+    lines += [f"{sink} 0 N {sink}", f"{sink} 1 0 {sink}"]
+    return "\n".join(lines) + "\n"

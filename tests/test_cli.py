@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from relaycast import capacity, count_words, table_report
 from relaycast.cli import run
-from helpers import chain_text, fig1_text
+from helpers import chain_text, deep_encoder_text, fig1_text
 
 
 def test_capacity_text_output(capsys):
@@ -91,6 +92,30 @@ def test_help_documents_exit_codes(capsys):
     assert run([]) == 2
 
 
+COMMANDS = ["capacity", "count", "enumerate", "build-encoder", "encode",
+            "decode", "simulate", "end-to-end", "table"]
+
+
+def test_help_names_every_command_and_flag(capsys):
+    """Each command's entry in --help lists the flags its -h shows."""
+    assert run(["--help"]) == 0
+    listed = capsys.readouterr().out
+    assert "--format" in listed
+    entries = {}
+    for line in listed.split("commands:\n")[1].split("\n\n")[0].splitlines():
+        if line.startswith("   "):  # continuation of the entry above
+            entries[command] += line
+        else:
+            command = line.split()[0]
+            entries[command] = line
+    assert list(entries) == COMMANDS
+    for command in COMMANDS:
+        assert run([command, "-h"]) == 0
+        shown = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert shown - {"--help", "--format"} == \
+            set(re.findall(r"--[\w-]+", entries[command])), command
+
+
 def test_encoder_cli_roundtrip(tmp_path, capsys):
     enc_path = tmp_path / "enc.txt"
     assert run(["build-encoder", "--q", "1", "--p", "2", "--n", "3",
@@ -125,6 +150,15 @@ def test_decode_rejects_non_ascii_encoder_field(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_decode_with_a_deep_certificate(tmp_path, capsys):
+    # a 2,000-step pair chain, deeper than Python's recursion limit
+    enc_path = tmp_path / "deep.enc"
+    enc_path.write_text(deep_encoder_text(2000))
+    assert run(["decode", "--encoder", str(enc_path), "--stream", "",
+                "--length", "0"]) == 0
+    assert capsys.readouterr() == ("\n", "")
 
 
 def test_build_encoder_infeasible_exit(capsys):

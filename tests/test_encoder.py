@@ -17,8 +17,9 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        make_constraint, parse_encoder, power_graph,
                        prune_to_encoder, serialize_encoder, split_states)
 from relaycast.constraint import matrix_vector
-from relaycast.encoder import Encoder
-from helpers import decode_oracle, outcome, random_bits
+from relaycast.encoder import Encoder, _anticipation, _codeword_index
+from helpers import (anticipation_oracle, decode_oracle, deep_encoder_text,
+                     outcome, random_bits)
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -410,3 +411,70 @@ def test_parse_encoder_rejects_undecodable_machine():
     text = "ENC 1 1 1 1 0\n0 0 N 0\n0 1 N 0\n"
     with pytest.raises(AmbiguousEncoderError):
         parse_encoder(text)
+
+
+@pytest.mark.parametrize("text,pair", [
+    # the fork pair (1, 2) emits N in step forever
+    ("ENC 2 1 1 3 0\n0 0 N 1\n0 1 N 2\n1 0 N 1\n1 1 0 0\n"
+     "2 0 N 2\n2 1 1 0\n", (1, 2)),
+    # the fork (1, 2) dies at once; the fork (3, 4) loops
+    ("ENC 2 1 1 5 0\n0 0 N 1\n0 1 N 2\n1 0 N 3\n1 1 N 4\n2 0 0 0\n"
+     "2 1 1 0\n3 0 N 3\n3 1 0 0\n4 0 N 4\n4 1 1 0\n", (3, 4)),
+])
+def test_parse_encoder_rejects_endless_ambiguity(text, pair):
+    with pytest.raises(AmbiguousEncoderError) as excinfo:
+        parse_encoder(text)
+    assert str(excinfo.value) == \
+        f"state pair {pair} can stay indistinguishable forever"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ENC 1 1 1 2 0\n0 0 N 1\n0 1 0 5\n1 0 N 0\n1 1 0 0\n",
+     "transition target 5 out of range"),
+    ("ENC 1 1 1 2 7\n0 0 N 1\n0 1 0 1\n1 0 N 0\n1 1 0 0\n",
+     "start state 7 out of range"),
+])
+def test_parse_encoder_rejects_out_of_range_states(text, message):
+    with pytest.raises(EncoderFormatError) as excinfo:
+        parse_encoder(text)
+    assert str(excinfo.value) == message
+
+
+def test_deep_certificate_parses_without_recursion():
+    # a 2,000-step pair chain, deeper than Python's recursion limit
+    machine = parse_encoder(deep_encoder_text(2000))
+    assert machine.anticipation == 2001
+    stream, header = encode(machine, "0110")
+    assert decode(machine, stream, header) == "0110"
+
+
+@st.composite
+def transition_tables(draw):
+    """Machines with 1-7 states, p and q in {1, 2}, and n in {1, 2}.
+
+    Codewords come from a pool of at most four, so states often share
+    them and the pair graph has forks, paths, merges and cycles. A
+    state's (codeword, next state) pairs are distinct unless the pool
+    and the states offer fewer than ``2**p`` of them.
+    """
+    q, p, n = (draw(st.integers(1, 2)) for _ in range(3))
+    size = draw(st.integers(1, 7))
+    symbols = st.sampled_from(list(range(q)) + [N])
+    pool = draw(st.lists(st.tuples(*[symbols] * n), min_size=1, max_size=4,
+                         unique=True))
+    moves = [(word, nxt) for word in pool for nxt in range(size)]
+    return tuple(tuple((draw(st.permutations(moves)) * (1 << p))[:1 << p])
+                 for _ in range(size))
+
+
+@settings(max_examples=500, deadline=None)
+@given(transitions=transition_tables())
+def test_anticipation_matches_recursive_oracle(transitions):
+    """The same anticipation, or both reject; the named pair may differ."""
+    index = _codeword_index(transitions)
+    got, expected = (outcome(fn, index)
+                     for fn in (_anticipation, anticipation_oracle))
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and got[0] is expected[0]
+    else:
+        assert got == expected

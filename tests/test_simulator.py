@@ -106,8 +106,6 @@ def test_extra_slots_must_be_a_nonnegative_int(extra_slots):
     topo = parse_tree(chain_text(1))
     with pytest.raises(InvalidParameterError):
         simulate(topo, (0, N), extra_slots)
-    with pytest.raises(InvalidParameterError):
-        end_to_end(1, 2, 3, topo, "01", extra_slots=extra_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +386,8 @@ def test_simulate_memory_does_not_grow_with_depth():
 @settings(max_examples=60, deadline=None)
 @given(topo=trees(), bits=st.text(alphabet="01", max_size=40),
        code=st.sampled_from([(1, 2, 3), (6, 3, 2)]),
-       extra_slots=st.integers(0, 3), flip=st.one_of(st.none(), st.integers(0)))
-def test_end_to_end_matches_per_node_decoding(topo, bits, code, extra_slots, flip):
+       flip=st.one_of(st.none(), st.integers(0)))
+def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
     """Per-node recovery equals decoding each node's own oracle stream.
 
     ``flip`` corrupts one symbol of the encoded stream, so that some
@@ -402,10 +400,9 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, extra_slots, fli
         stream = stream[:i] + ((0 if stream[i] is N else N),) + stream[i + 1:]
     with mock.patch.object(relaycast.simulator, "encode",
                            lambda *_: (stream, header)):
-        report = end_to_end(*code, topo, bits, extra_slots=extra_slots)
-    drain = max(extra_slots, topo.max_depth)
-    for oracle in (simulate_per_node(topo, stream, drain),
-                   simulate_per_depth(topo, stream, drain)):
+        report = end_to_end(*code, topo, bits)
+    for oracle in (simulate_per_node(topo, stream, topo.max_depth),
+                   simulate_per_depth(topo, stream, topo.max_depth)):
         expected = []
         for node in topo.nodes:
             d = topo.depth[node]

@@ -6,8 +6,8 @@ Their output must stay byte-for-byte that of the straightforward
 versions kept in ``helpers``: the same edges in the same order, the same
 state names, the same serialized machine, or the same exception. The
 weight vectors between the stages must equal those of the eigenvector
-search kept there. The small machines of the sweep also round-trip
-through the text formats and through encode and decode.
+search kept there. The machines of the sweep also round-trip through
+the text formats and through encode and decode.
 """
 
 import math
@@ -120,22 +120,33 @@ def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
                   outcome(prune_to_encoder_oracle, graph, graph.q, x.p, length))
 
 
-# every rate of the sweep with q <= 2 and n <= 8 (57 machines, all build)
-SMALL_RATES = [(q, p, n) for q in (1, 2) for n in range(1, min(SWEEP[q], 8) + 1)
-               for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1)]
+def _sweep_rates(q, lengths):
+    return [(q, p, n) for n in lengths
+            for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1)]
+
+
+# every rate of the sweep with q <= 2 and n <= 8 (57 machines), then
+# q=1 beyond n=8 and every q=3 and q=6 rate (135 machines); all build
+# but (3,6,5), which the greedy cut of ``split_states`` rejects
+ROUND_TRIP_RATES = (
+    _sweep_rates(1, range(1, 9)) + _sweep_rates(2, range(1, 9))
+    + _sweep_rates(1, range(9, SWEEP[1] + 1))
+    + [rate for rate in _sweep_rates(3, range(1, SWEEP[3] + 1))
+       if rate != (3, 6, 5)]
+    + _sweep_rates(6, range(1, SWEEP[6] + 1)))
 
 
 @pytest.fixture(scope="module")
-def small_sweep_machines():
-    return {rate: build_encoder(*rate) for rate in SMALL_RATES}
+def sweep_machines():
+    return {rate: build_encoder(*rate) for rate in ROUND_TRIP_RATES}
 
 
-@pytest.mark.parametrize("rate", SMALL_RATES)
+@pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_streams_roundtrip_through_text_and_decode(small_sweep_machines, rate,
+def test_streams_roundtrip_through_text_and_decode(sweep_machines, rate,
                                                    data):
-    machine = small_sweep_machines[rate]
+    machine = sweep_machines[rate]
     symbols = list(range(machine.q)) + [N]
     word = tuple(data.draw(st.lists(st.sampled_from(symbols), max_size=40)))
     assert parse_stream(format_stream(word), q=machine.q) == word
@@ -146,13 +157,12 @@ def test_streams_roundtrip_through_text_and_decode(small_sweep_machines, rate,
     assert decode(machine, parsed, header) == bits
 
 
-@pytest.mark.parametrize("rate", SMALL_RATES)
+@pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
 @settings(max_examples=5, deadline=None)
 @given(sep=st.sampled_from([" ", "  ", "\t", " \t "]),
        newline=st.sampled_from(["\n", "\r\n", "\n\n", "\n \n"]))
-def test_encoders_roundtrip_through_text(small_sweep_machines, rate, sep,
-                                         newline):
-    machine = small_sweep_machines[rate]
+def test_encoders_roundtrip_through_text(sweep_machines, rate, sep, newline):
+    machine = sweep_machines[rate]
     text = serialize_encoder(machine)
     assert parse_encoder(text) == machine
     # the parser splits on any whitespace and skips blank lines
