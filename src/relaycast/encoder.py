@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -432,10 +432,26 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
 def build_encoder(q: int, p: int, n: int) -> Encoder:
     """Synthesize the rate p:n machine for q data symbols plus silence.
 
-    Deterministic in (q, p, n). Raises :class:`InfeasibleRateError` when
-    p/n exceeds the capacity.
+    Deterministic in (q, p, n), so the machine is memoised: every call
+    with the same rate in one process returns the same frozen
+    :class:`Encoder`, shared by all callers, and its decode table stays
+    warm between calls. The machines of the 8 most recently used rates
+    are kept. Raises :class:`InfeasibleRateError` when p/n exceeds the
+    capacity; a rate that fails raises again on every call.
     """
+    # checked in the order the stages check them, before the lookup, so
+    # that True, 2.0 or [2] never reach the cache
     _check_int(q, "q")
+    _check_int(n, "power")
+    _check_int(p, "p")
+    return _synthesize(q, p, n)
+
+
+# A machine with a warm decode table holds a few MB ((1,11,16): about
+# 3 MB), so the memo keeps only a handful of rates.
+@lru_cache(maxsize=8)
+def _synthesize(q: int, p: int, n: int) -> Encoder:
+    """The stage chain of :func:`build_encoder`, on checked arguments."""
     base = make_constraint(q)
     powered = power_graph(base, n)
     x = find_approximate_eigenvector(powered.adjacency, p)

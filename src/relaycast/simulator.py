@@ -236,7 +236,7 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
 # ---------------------------------------------------------------------------
 # delivery verification
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeDelivery:
     node: int
     depth: int
@@ -276,12 +276,12 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
                        enumerate(zip(trace.relayed, expected)) if got != want),
                       horizon)
     source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
-    entries = []
-    for node in trace.nodes:
-        d = trace.depth[node]
-        passed = first_miss > horizon - d if d else source_ok
-        entries.append(NodeDelivery(node=node, depth=d, passed=passed))
-    return DeliveryReport(nodes=tuple(entries),
+    depth = trace.depth
+    passed = [source_ok] + [first_miss > horizon - d
+                            for d in range(1, topo.max_depth + 1)]
+    entries = tuple(NodeDelivery(node, depth[node], passed[depth[node]])
+                    for node in trace.nodes)
+    return DeliveryReport(nodes=entries,
                           violations=len(trace.violations))
 
 
@@ -298,7 +298,7 @@ def baseline_rate(q: int) -> float:
 # ---------------------------------------------------------------------------
 # the full pipeline
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecovery:
     node: int
     depth: int
@@ -325,12 +325,14 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
                message) -> EndToEndReport:
     """Encode, broadcast through the tree, decode at every node, compare.
 
-    Builds the rate p:n encoder, feeds the encoded stream to the source,
-    simulates with the default ``max_depth`` extra slots, then strips
-    each depth's depth-long silence prefix from its forwarded stream and
-    decodes it. Every node must recover the message bits exactly. Every
-    depth >= 1 forwards ``relayed[1:1 + len(stream)]``, so at most two
-    windows are decoded: that one and the source's.
+    Takes the rate p:n machine from :func:`build_encoder`, which
+    synthesizes each rate once per process, feeds the encoded stream to
+    the source, simulates with the default ``max_depth`` extra slots,
+    then strips each depth's depth-long silence prefix from its
+    forwarded stream and decodes it. Every node must recover the
+    message bits exactly. Every depth >= 1 forwards
+    ``relayed[1:1 + len(stream)]``, so at most two windows are decoded:
+    that one and the source's.
     """
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message)
@@ -343,8 +345,8 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
             recovered.append(decode(machine, window, header) == bits)
         except RelaycastError:
             recovered.append(False)
-    entries = tuple(NodeRecovery(node=node, depth=topo.depth[node],
-                                 recovered=recovered[min(topo.depth[node], 1)])
+    depth = topo.depth
+    entries = tuple(NodeRecovery(node, depth[node], recovered[depth[node] > 0])
                     for node in trace.nodes)
     return EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
                           baseline=baseline_rate(q), message_bits=len(bits),

@@ -23,10 +23,32 @@ from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
                        Edge, FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError,
                        NonUniformLabelError, RelaycastError,
-                       StateSplitError, UnknownCodewordError, format_stream)
+                       StateSplitError, UnknownCodewordError, capacity,
+                       format_stream)
 from relaycast.constraint import matrix_vector, validate_matrix
 from relaycast.encoder import _assemble
 from relaycast.symbols import is_data
+
+
+# q -> largest block length n in the sweep. It includes chained splits,
+# such as (1,9,13) with weights (5,3), where a descendant is split again.
+SWEEP = {1: 16, 2: 10, 3: 8, 6: 6}
+
+
+def _sweep_rates(q, lengths):
+    return [(q, p, n) for n in lengths
+            for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1)]
+
+
+# every rate of the sweep with q <= 2 and n <= 8 (57 machines), then
+# q=1 beyond n=8 and every q=3 and q=6 rate (135 machines); all build
+# but (3,6,5), which the greedy cut of ``split_states`` rejects
+ROUND_TRIP_RATES = (
+    _sweep_rates(1, range(1, 9)) + _sweep_rates(2, range(1, 9))
+    + _sweep_rates(1, range(9, SWEEP[1] + 1))
+    + [rate for rate in _sweep_rates(3, range(1, SWEEP[3] + 1))
+       if rate != (3, 6, 5)]
+    + _sweep_rates(6, range(1, SWEEP[6] + 1)))
 
 
 def outcome(fn, *args):

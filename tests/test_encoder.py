@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        make_constraint, parse_encoder, power_graph,
                        prune_to_encoder, serialize_encoder, split_states)
 from relaycast.constraint import matrix_vector
-from relaycast.encoder import Encoder, _anticipation, _codeword_index
-from helpers import (anticipation_oracle, decode_oracle, deep_encoder_text,
-                     outcome, random_bits)
+from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
+                               _synthesize)
+from helpers import (ROUND_TRIP_RATES, anticipation_oracle, decode_oracle,
+                     deep_encoder_text, outcome, random_bits)
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -173,6 +176,79 @@ def test_build_is_deterministic():
         serialize_encoder(build_encoder(1, 2, 3))
     assert serialize_encoder(build_encoder(6, 3, 2)) == \
         serialize_encoder(build_encoder(6, 3, 2))
+
+
+def test_build_returns_one_machine_per_rate():
+    for rate in [(1, 2, 3), (6, 3, 2), (1, 11, 16)]:
+        assert build_encoder(*rate) is build_encoder(*rate)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True, 2, 3), "q must be a positive integer, got True"),
+    ((1, 2.0, 3), "p must be a positive integer, got 2.0"),
+    ((1, 2, True), "power must be a positive integer, got True"),
+    ((1, [2], 3), "p must be a positive integer, got [2]"),
+    ((1, 0, 0), "power must be a positive integer, got 0"),
+    ((0, 0, 0), "q must be a positive integer, got 0"),
+])
+def test_build_checks_arguments_before_the_memo(args, message):
+    """Arguments equal to a cached rate, or unhashable, still fail as
+    the stages would fail them: q first, then n (as "power"), then p."""
+    build_encoder(1, 2, 3)
+    with pytest.raises(InvalidParameterError) as info:
+        build_encoder(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rate, error", [((1, 5, 3), InfeasibleRateError),
+                                         ((3, 6, 5), StateSplitError)])
+def test_build_raises_on_every_call(rate, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            build_encoder(*rate)
+
+
+def test_memoised_machines_match_a_fresh_synthesis():
+    for rate in ROUND_TRIP_RATES:
+        machine = build_encoder(*rate)
+        bits = "1" * (3 * machine.p)
+        stream, header = encode(machine, bits)
+        assert decode(machine, stream, header) == bits  # warm the table
+        assert build_encoder(*rate) is machine
+        assert serialize_encoder(machine) == \
+            serialize_encoder(_synthesize.__wrapped__(*rate))
+
+
+def test_threads_share_one_machine_and_its_table():
+    """Decoders racing to fill one empty decode table each get their
+    own bits back: a shared machine's table only ever gains equal rows."""
+    machine = _synthesize.__wrapped__(1, 9, 13)
+    rng = random.Random(13)
+    messages = [random_bits(rng, 300) for _ in range(6)]
+    streams = [encode(machine, bits) for bits in messages]
+    wrong = []
+
+    def work(i):
+        try:
+            for _ in range(20):
+                if decode(machine, *streams[i]) != messages[i]:
+                    wrong.append(i)
+        except Exception as exc:  # a thread's error would be lost
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(messages))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_anticipation_is_small_and_fixed(enc_q1, enc_q6):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from unittest import mock
@@ -7,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relaycast.simulator
-from relaycast import (ERASED, InvalidParameterError, N, RelaycastError,
-                       TopologyError, baseline_rate, build_encoder, decode,
-                       encode, end_to_end, is_admissible, parse_stream,
-                       parse_tree, simulate, verify_delivery)
+from relaycast import (ERASED, InvalidParameterError, N, NodeDelivery,
+                       NodeRecovery, RelaycastError, TopologyError,
+                       baseline_rate, build_encoder, encode, end_to_end,
+                       is_admissible, parse_stream, parse_tree, simulate,
+                       verify_delivery)
 from relaycast.symbols import is_data
-from helpers import (chain_text, fig1_text, random_admissible_stream,
-                     random_bits, random_stream, simulate_per_depth,
-                     simulate_per_node)
+from helpers import (chain_text, decode_oracle, fig1_text,
+                     random_admissible_stream, random_bits, random_stream,
+                     simulate_per_depth, simulate_per_node)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +394,8 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
 
     ``flip`` corrupts one symbol of the encoded stream, so that some
     depths fail to recover and the per-depth verdicts are exercised.
+    Each example runs twice on the shared machine, the second time with
+    the decode table the first run filled.
     """
     machine = build_encoder(*code)
     stream, header = encode(machine, bits)
@@ -400,7 +404,7 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
         stream = stream[:i] + ((0 if stream[i] is N else N),) + stream[i + 1:]
     with mock.patch.object(relaycast.simulator, "encode",
                            lambda *_: (stream, header)):
-        report = end_to_end(*code, topo, bits)
+        reports = [end_to_end(*code, topo, bits) for _ in range(2)]
     for oracle in (simulate_per_node(topo, stream, topo.max_depth),
                    simulate_per_depth(topo, stream, topo.max_depth)):
         expected = []
@@ -408,12 +412,26 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
             d = topo.depth[node]
             delivered = oracle.transmit_stream(node)[d:d + len(stream)]
             try:
-                recovered = decode(machine, delivered, header) == bits
+                recovered = decode_oracle(machine, delivered, header) == bits
             except RelaycastError:
                 recovered = False
             expected.append((node, d, recovered))
-        assert [(e.node, e.depth, e.recovered) for e in report.nodes] == \
-            expected
+        for report in reports:
+            assert [(e.node, e.depth, e.recovered)
+                    for e in report.nodes] == expected
+
+
+@pytest.mark.parametrize("record, names", [
+    (NodeDelivery, ("node", "depth", "passed")),
+    (NodeRecovery, ("node", "depth", "recovered")),
+])
+def test_node_records_are_frozen(record, names):
+    assert tuple(f.name for f in dataclasses.fields(record)) == names
+    entry = record(3, 1, True)
+    assert entry == record(node=3, depth=1, **{names[2]: True})
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(entry, name, 0)
 
 
 @settings(max_examples=150, deadline=None)

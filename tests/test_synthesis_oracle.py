@@ -22,8 +22,8 @@ from relaycast import (ApproxEigenvector, ConstraintGraph, Edge, N,
                        make_constraint, parse_encoder, parse_stream,
                        power_graph, prune_to_encoder, serialize_encoder,
                        split_states)
-from helpers import (approximate_eigenvector_oracle, outcome,
-                     power_graph_oracle, prune_to_encoder_oracle,
+from helpers import (ROUND_TRIP_RATES, SWEEP, approximate_eigenvector_oracle,
+                     outcome, power_graph_oracle, prune_to_encoder_oracle,
                      split_states_oracle)
 
 
@@ -41,11 +41,6 @@ def _same_machine(fast, slow):
         assert fast == slow
     else:
         assert serialize_encoder(fast) == serialize_encoder(slow)
-
-
-# q -> largest block length n in the sweep. It includes chained splits,
-# such as (1,9,13) with weights (5,3), where a descendant is split again.
-SWEEP = {1: 16, 2: 10, 3: 8, 6: 6}
 
 
 @pytest.mark.parametrize("q", sorted(SWEEP))
@@ -118,22 +113,6 @@ def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
                       outcome(prune_to_encoder_oracle, split, graph.q, x.p, length))
     _same_machine(outcome(prune_to_encoder, graph, graph.q, x.p, length),
                   outcome(prune_to_encoder_oracle, graph, graph.q, x.p, length))
-
-
-def _sweep_rates(q, lengths):
-    return [(q, p, n) for n in lengths
-            for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1)]
-
-
-# every rate of the sweep with q <= 2 and n <= 8 (57 machines), then
-# q=1 beyond n=8 and every q=3 and q=6 rate (135 machines); all build
-# but (3,6,5), which the greedy cut of ``split_states`` rejects
-ROUND_TRIP_RATES = (
-    _sweep_rates(1, range(1, 9)) + _sweep_rates(2, range(1, 9))
-    + _sweep_rates(1, range(9, SWEEP[1] + 1))
-    + [rate for rate in _sweep_rates(3, range(1, SWEEP[3] + 1))
-       if rate != (3, 6, 5)]
-    + _sweep_rates(6, range(1, SWEEP[6] + 1)))
 
 
 @pytest.fixture(scope="module")
