@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Edge, Matrix, _perron, capacity,
                          make_constraint, matrix_vector, power_graph,
@@ -253,6 +253,46 @@ class Encoder:
     def _subset_table(self) -> _SubsetTable:
         return _SubsetTable(self)
 
+    @property
+    def _chunk_blocks(self) -> int:
+        """Blocks per encode-table lookup: as many as fit in one byte."""
+        return max(1, 8 // self.p)
+
+    @cached_property
+    def _chunk_table(self):
+        """``[state][v] = (codeword symbols, state after)`` for a chunk.
+
+        A chunk is ``_chunk_blocks`` blocks, ``v`` their bits read as one
+        big-endian number. With one block per chunk (p >= 5) this is
+        ``transitions`` itself.
+        """
+        if self._chunk_blocks == 1:
+            return self.transitions
+        return _ChunkTable(self.transitions, self._chunk_blocks)
+
+
+class _ChunkTable(dict):
+    """Rows of the k-fold composed transitions, built per state on first use.
+
+    A row holds ``2**(k*p)`` entries, at most 256, so the table holds at
+    most ``num_states * 256``; rows of states an encoding never reaches
+    at a chunk boundary are never built. Concurrent encoders at worst
+    build one row twice and store equal values.
+    """
+
+    def __init__(self, transitions, blocks):
+        super().__init__()
+        self._transitions = transitions
+        self._blocks = blocks
+
+    def __missing__(self, state):
+        row = [((), state)]
+        for _ in range(self._blocks):
+            row = [(word + step, nxt) for word, at in row
+                   for step, nxt in self._transitions[at]]
+        row = self[state] = tuple(row)
+        return row
+
 
 def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
     """Per state: codeword -> ((tag, next), ...), in tag order."""
@@ -303,49 +343,37 @@ class _SubsetTable:
         return step
 
 
-def _levels(index, level) -> Optional[int]:
-    """Nonempty levels of the pair graph from the pair set ``level``.
+def _pair_successors(index, pair) -> set:
+    """Pairs ``pair`` reaches by emitting a common codeword from both members.
 
-    Each next level is the set of pairs the current one reaches by
-    emitting a common codeword from both members. Returns ``None`` once
-    there are more levels than distinct pairs seen, since a path that
-    long repeats a pair. A pair that collapses onto a single state
-    raises :class:`AmbiguousEncoderError`.
+    A pair that collapses onto a single state raises
+    :class:`AmbiguousEncoderError`.
     """
-    seen = set(level)
-    count = 0
-    while level:
-        count += 1
-        if count > len(seen):
-            return None
-        following = set()
-        for a, b in level:
-            b_index = index[b]
-            for word, a_moves in index[a].items():
-                b_moves = b_index.get(word)
-                if not b_moves:
-                    continue
-                for _, ta in a_moves:
-                    for _, tb in b_moves:
-                        if ta == tb:
-                            raise AmbiguousEncoderError(
-                                f"states {a} and {b} merge on {format_stream(word)!r}")
-                        following.add((min(ta, tb), max(ta, tb)))
-        level = following
-        seen |= level
-    return count
+    a, b = pair
+    b_index = index[b]
+    following = set()
+    for word, a_moves in index[a].items():
+        b_moves = b_index.get(word)
+        if not b_moves:
+            continue
+        for _, ta in a_moves:
+            for _, tb in b_moves:
+                if ta == tb:
+                    raise AmbiguousEncoderError(
+                        f"states {a} and {b} merge on {format_stream(word)!r}")
+                following.add((min(ta, tb), max(ta, tb)))
+    return following
 
 
 def _anticipation(index) -> int:
     """Lookahead blocks needed to resolve shared codewords, or raise.
 
     Walks the graph over unordered state pairs reachable by emitting a
-    common codeword from both members, level by level from the pairs a
-    state forks into. A pair that collapses onto a single state, or
-    that can be prolonged forever, can never be told apart, so the
-    machine is rejected. Returns 0 for a machine whose codewords are
-    distinct at every state, else the number of nonempty levels: 1 +
-    the longest pair path.
+    common codeword from both members, from the pairs a state forks
+    into, expanding each pair once. A pair that collapses onto a single
+    state, or that can be prolonged forever, can never be told apart,
+    so the machine is rejected. Returns 0 for a machine whose codewords
+    are distinct at every state, else 1 + the longest pair path.
     """
     forks = set()
     for state, by_word in enumerate(index):
@@ -356,12 +384,37 @@ def _anticipation(index) -> int:
                         f"state {state} emits {format_stream(word)!r} to "
                         f"state {a} under two different tags")
                 forks.add((min(a, b), max(a, b)))
-    levels = _levels(index, forks)
-    if levels is None:
-        pair = next(f for f in sorted(forks) if _levels(index, {f}) is None)
+    successors: Dict[Tuple[int, int], set] = {}
+    stack = sorted(forks)
+    while stack:
+        pair = stack.pop()
+        if pair not in successors:
+            successors[pair] = _pair_successors(index, pair)
+            stack.extend(successors[pair])
+    # Peel pairs whose successors are all peeled, sinks first: a pair's
+    # height is the number of pairs on its longest path. Pairs that can
+    # reach a cycle are never peeled.
+    predecessors: Dict[Tuple[int, int], list] = {pair: [] for pair in successors}
+    unpeeled = {}
+    for pair, following in successors.items():
+        unpeeled[pair] = len(following)
+        for nxt in following:
+            predecessors[nxt].append(pair)
+    ready = [pair for pair, count in unpeeled.items() if not count]
+    height: Dict[Tuple[int, int], int] = {}
+    while ready:
+        pair = ready.pop()
+        height[pair] = 1 + max(map(height.__getitem__, successors[pair]),
+                               default=0)
+        for before in predecessors[pair]:
+            unpeeled[before] -= 1
+            if not unpeeled[before]:
+                ready.append(before)
+    if len(height) < len(successors):
+        pair = min(f for f in forks if f not in height)
         raise AmbiguousEncoderError(
             f"state pair {pair} can stay indistinguishable forever")
-    return levels
+    return max((height[f] for f in forks), default=0)
 
 
 def _assemble(q, p, n, start_state, transitions) -> Encoder:
@@ -491,21 +544,32 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
     to a multiple of p, then appends ``encoder.anticipation`` flush
     blocks (always tag 0) so that decoding can resolve shared codewords
     even at the end of the stream. Empty input maps to the empty stream.
+
+    Whole chunks of up to 8 bits (``8 // p`` blocks) cost one lookup
+    each in the encoder's chunk table; the blocks after the last whole
+    chunk are looked up one at a time.
     """
     text = _normalize_bits(bits)
     length = len(text)
     if length == 0:
         return (), FrameHeader(0, 0)
-    pad = (-length) % encoder.p
+    p = encoder.p
+    pad = (-length) % p
     text += "0" * pad
+    width = encoder._chunk_blocks * p
+    whole = len(text) - len(text) % width
+    table = encoder._chunk_table
+    transitions = encoder.transitions
     out: List = []
     state = encoder.start_state
-    for i in range(0, len(text), encoder.p):
-        tag = int(text[i:i + encoder.p], 2)
-        word, state = encoder.transitions[state][tag]
+    for i in range(0, whole, width):
+        word, state = table[state][int(text[i:i + width], 2)]
+        out.extend(word)
+    for i in range(whole, len(text), p):
+        word, state = transitions[state][int(text[i:i + p], 2)]
         out.extend(word)
     for _ in range(encoder.anticipation):
-        word, state = encoder.transitions[state][0]
+        word, state = transitions[state][0]
         out.extend(word)
     return tuple(out), FrameHeader(length, pad)
 

@@ -82,32 +82,52 @@ def is_decimal(token: str) -> bool:
     return len(token) <= _MAX_DECIMAL_DIGITS and token.isascii() and token.isdigit()
 
 
+class _Symbols(dict):
+    """Token -> symbol, each token checked and converted on first sight."""
+
+    def __init__(self, q):
+        super().__init__()
+        self._q = q
+
+    def __missing__(self, token):
+        if token == "N":
+            symbol = N
+        elif is_decimal(token):
+            symbol = int(token)
+            if self._q is not None and symbol >= self._q:
+                raise StreamFormatError(
+                    f"data symbol {symbol} out of range for q={self._q}")
+        else:
+            raise StreamFormatError(f"bad stream token {token!r}")
+        self[token] = symbol
+        return symbol
+
+
 def parse_stream(text: str, q: int | None = None) -> Word:
     """Parse a token stream like ``0 N 1 N N`` into a word.
 
     When ``q`` is given, data symbols must lie in ``0..q-1``. Each
-    distinct token is checked once, in order of first occurrence, so the
+    distinct token is checked once, on its first occurrence, so the
     first bad token of the stream is the one reported.
     """
-    tokens = text.split()
-    symbols: Dict[str, Symbol] = {}
-    for token in dict.fromkeys(tokens):
-        if token == "N":
-            symbols[token] = N
-        elif is_decimal(token):
-            value = int(token)
-            if q is not None and value >= q:
-                raise StreamFormatError(
-                    f"data symbol {value} out of range for q={q}")
-            symbols[token] = value
-        else:
-            raise StreamFormatError(f"bad stream token {token!r}")
-    return tuple(map(symbols.__getitem__, tokens))
+    return tuple(map(_Symbols(q).__getitem__, text.split()))
+
+
+class _Tokens(dict):
+    """Symbol -> token, each symbol converted on first sight."""
+
+    def __missing__(self, symbol):
+        token = self[symbol] = "N" if symbol is N else str(symbol)
+        return token
 
 
 def format_stream(word: Sequence[Symbol]) -> str:
-    """Inverse of :func:`parse_stream`."""
-    return " ".join(["N" if s is N else str(s) for s in word])
+    """Inverse of :func:`parse_stream`.
+
+    Each distinct symbol is converted once; values that compare equal,
+    such as ``True`` and ``1``, share the token of the first one.
+    """
+    return " ".join(map(_Tokens().__getitem__, word))
 
 
 # Silence sorts after every data symbol; data symbols map to themselves.

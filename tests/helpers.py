@@ -9,9 +9,11 @@ in turn (neither derives deeper rows from depth 1's), the three
 synthesis stages by the edge-list rebuilds they replaced, the weight
 vector by the eigenvector search as it was before it shared the power
 iteration of ``spectral_radius``, and ``decode`` by the path-tracking
-decoder that carries every candidate's bit string forward, and the
+decoder that carries every candidate's bit string forward, the
 anticipation certificate by the memoised depth-first search that the
-level-by-level walk replaced.
+pair-graph walk replaced, ``encode`` by the loop that looks up one block
+at a time, and the stream text formats by the loops that convert one
+token or symbol at a time.
 """
 
 import math
@@ -20,14 +22,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
-                       Edge, FramingError, InfeasibleRateError,
+                       Edge, FrameHeader, FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError,
                        NonUniformLabelError, RelaycastError,
-                       StateSplitError, UnknownCodewordError, capacity,
-                       format_stream)
+                       StateSplitError, StreamFormatError,
+                       UnknownCodewordError, capacity, format_stream)
 from relaycast.constraint import matrix_vector, validate_matrix
 from relaycast.encoder import _assemble
-from relaycast.symbols import is_data
+from relaycast.symbols import is_data, is_decimal
 
 
 # q -> largest block length n in the sweep. It includes chained splits,
@@ -41,14 +43,16 @@ def _sweep_rates(q, lengths):
 
 
 # every rate of the sweep with q <= 2 and n <= 8 (57 machines), then
-# q=1 beyond n=8 and every q=3 and q=6 rate (135 machines); all build
-# but (3,6,5), which the greedy cut of ``split_states`` rejects
+# q=1 beyond n=8, every q=3 and q=6 rate, and q=2 with n = 9 and 10
+# (154 more): all 211 rates of the sweep but (3,6,5), which the greedy
+# cut of ``split_states`` rejects
 ROUND_TRIP_RATES = (
     _sweep_rates(1, range(1, 9)) + _sweep_rates(2, range(1, 9))
     + _sweep_rates(1, range(9, SWEEP[1] + 1))
     + [rate for rate in _sweep_rates(3, range(1, SWEEP[3] + 1))
        if rate != (3, 6, 5)]
-    + _sweep_rates(6, range(1, SWEEP[6] + 1)))
+    + _sweep_rates(6, range(1, SWEEP[6] + 1))
+    + _sweep_rates(2, range(9, SWEEP[2] + 1)))
 
 
 def outcome(fn, *args):
@@ -57,6 +61,58 @@ def outcome(fn, *args):
         return fn(*args)
     except RelaycastError as exc:
         return (type(exc), str(exc))
+
+
+def parse_stream_oracle(text, q=None):
+    """The word ``parse_stream`` must return, or the error it must raise.
+
+    Checks each distinct token once, in order of first occurrence, in a
+    pass before the conversion.
+    """
+    tokens = text.split()
+    symbols = {}
+    for token in dict.fromkeys(tokens):
+        if token == "N":
+            symbols[token] = N
+        elif is_decimal(token):
+            value = int(token)
+            if q is not None and value >= q:
+                raise StreamFormatError(
+                    f"data symbol {value} out of range for q={q}")
+            symbols[token] = value
+        else:
+            raise StreamFormatError(f"bad stream token {token!r}")
+    return tuple(symbols[token] for token in tokens)
+
+
+def format_stream_oracle(word):
+    """The text ``format_stream`` must return, one symbol at a time."""
+    return " ".join(["N" if s is N else str(s) for s in word])
+
+
+def encode_oracle(encoder, bits):
+    """The ``(stream, header)`` that ``encode`` must return.
+
+    Looks up one p-bit block at a time in ``encoder.transitions``, then
+    appends ``encoder.anticipation`` flush blocks under tag 0.
+    """
+    text = bits if isinstance(bits, str) else "".join(str(b) for b in bits)
+    if text.strip("01"):
+        raise StreamFormatError("bit strings may contain only 0 and 1")
+    length = len(text)
+    if length == 0:
+        return (), FrameHeader(0, 0)
+    pad = (-length) % encoder.p
+    text += "0" * pad
+    out = []
+    state = encoder.start_state
+    for i in range(0, len(text), encoder.p):
+        word, state = encoder.transitions[state][int(text[i:i + encoder.p], 2)]
+        out.extend(word)
+    for _ in range(encoder.anticipation):
+        word, state = encoder.transitions[state][0]
+        out.extend(word)
+    return tuple(out), FrameHeader(length, pad)
 
 
 def scan_admissible(word):

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
                        InvalidParameterError, N, StreamFormatError, capacity,
@@ -13,7 +15,8 @@ from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
                        power_graph, spectral_radius)
 from relaycast.symbols import is_data
 from helpers import (brute_force_words, count_leading_coefficient,
-                     matrix_power, scan_admissible)
+                     format_stream_oracle, matrix_power, outcome,
+                     parse_stream_oracle, scan_admissible)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -57,6 +60,31 @@ def test_stream_rejects_non_ascii_digits(text):
     # str.isdigit accepts Arabic-Indic, superscript and fullwidth digits
     with pytest.raises(StreamFormatError):
         parse_stream(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.lists(st.one_of(st.integers(), st.just(N), st.just(ERASED))))
+def test_format_stream_matches_per_symbol_oracle(word):
+    assert format_stream(word) == format_stream_oracle(word)
+
+
+_TOKENS = st.one_of(
+    st.just("N"),
+    st.integers(0, 9).map(str),  # in or out of range for the drawn q
+    st.integers(10, 10 ** 6).map(str),
+    st.just("1" * 641),  # one digit beyond the decimal bound
+    st.sampled_from(["\u0663", "\u00b2", "\uff11", "1\u0660", "-1", "+1", "n"]),
+    st.text(st.characters(blacklist_categories=("Z", "Cc")), min_size=1,
+            max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_TOKENS), q=st.one_of(st.none(), st.integers(1, 7)),
+       sep=st.sampled_from([" ", "  ", "\t", "\n", " \r\n "]))
+def test_parse_stream_matches_per_token_oracle(tokens, q, sep):
+    """The same word, or the same error for the first bad token."""
+    text = sep.join(tokens)
+    assert outcome(parse_stream, text, q) == outcome(parse_stream_oracle, text, q)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
@@ -22,7 +22,7 @@ from relaycast.constraint import matrix_vector
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
                                _synthesize)
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle, decode_oracle,
-                     deep_encoder_text, outcome, random_bits)
+                     deep_encoder_text, encode_oracle, outcome, random_bits)
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -220,18 +220,24 @@ def test_memoised_machines_match_a_fresh_synthesis():
 
 
 def test_threads_share_one_machine_and_its_table():
-    """Decoders racing to fill one empty decode table each get their
-    own bits back: a shared machine's table only ever gains equal rows."""
-    machine = _synthesize.__wrapped__(1, 9, 13)
+    """Encoders and decoders racing to fill a fresh machine's empty
+    tables each get their own stream and bits back: a shared machine's
+    tables only ever gain equal rows. (1,9,13) encodes one block per
+    lookup and (6,3,2) two, so both kinds of encode table race."""
+    machines = [_synthesize.__wrapped__(*rate) for rate in ((1, 9, 13), (6, 3, 2))]
     rng = random.Random(13)
     messages = [random_bits(rng, 300) for _ in range(6)]
-    streams = [encode(machine, bits) for bits in messages]
+    jobs = [(machines[i % 2], bits) for i, bits in enumerate(messages)]
+    streams = [encode_oracle(machine, bits) for machine, bits in jobs]
     wrong = []
 
     def work(i):
+        machine, bits = jobs[i]
         try:
             for _ in range(20):
-                if decode(machine, *streams[i]) != messages[i]:
+                if encode(machine, bits) != streams[i]:
+                    wrong.append(i)
+                if decode(machine, *streams[i]) != bits:
                     wrong.append(i)
         except Exception as exc:  # a thread's error would be lost
             wrong.append(exc)
@@ -249,6 +255,28 @@ def test_threads_share_one_machine_and_its_table():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def _encode_rates():
+    """Per q, the first sweep rate of each p: p = 1 to 11 for q=1, so
+    every chunk width from 8 blocks of 1 bit to 1 block of 11 bits."""
+    first = {}
+    for rate in ROUND_TRIP_RATES:
+        first.setdefault(rate[:2], rate)
+    return sorted(first.values())
+
+
+@pytest.mark.parametrize("rate", _encode_rates())
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_encode_matches_per_block_oracle(rate, data):
+    machine = build_encoder(*rate)
+    width = machine._chunk_blocks * machine.p
+    chunks = data.draw(st.integers(0, 3))
+    for remainder in range(width):  # every remainder modulo the chunk width
+        length = chunks * width + remainder
+        bits = data.draw(st.text("01", min_size=length, max_size=length))
+        assert encode(machine, bits) == encode_oracle(machine, bits)
 
 
 def test_anticipation_is_small_and_fixed(enc_q1, enc_q6):
@@ -545,6 +573,12 @@ def transition_tables(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(transitions=transition_tables())
+# the fork (1, 2) reaches (3, 5), which dies at once, and (4, 6), which
+# lasts one block more: the anticipation is the longer path's, 3
+@example(transitions=(
+    (((N,), 1), ((N,), 2)), (((N,), 3), ((0,), 4)), (((N,), 5), ((0,), 6)),
+    (((0,), 0), ((1,), 0)), (((N,), 7), ((0,), 0)), (((2,), 0), ((N,), 0)),
+    (((N,), 8), ((1,), 0)), (((0,), 0), ((1,), 0)), (((2,), 0), ((N,), 0))))
 def test_anticipation_matches_recursive_oracle(transitions):
     """The same anticipation, or both reject; the named pair may differ."""
     index = _codeword_index(transitions)
