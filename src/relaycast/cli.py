@@ -25,7 +25,7 @@ from .errors import (InvalidParameterError, RelaycastError,
                      UnsupportedParameterError)
 from .simulator import (baseline_rate, end_to_end, parse_tree, simulate,
                         verify_delivery)
-from .symbols import format_stream, is_decimal, parse_stream
+from .symbols import _check_int, format_stream, is_decimal, parse_stream
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -176,6 +176,7 @@ def _cmd_end_to_end(args) -> None:
     if args.bits is not None:
         bits = _read_value(args.bits, "bits").strip()
     else:
+        _check_int(args.random, "random", 0)
         rng = random.Random(args.seed)
         bits = "".join(rng.choice("01") for _ in range(args.random))
     report = end_to_end(args.q, args.p, args.n, topo, bits)
@@ -206,8 +207,19 @@ def _cmd_table(args) -> None:
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _integer(value: str) -> int:
+    """An optional ``-`` then ASCII digits, as every file format spells them.
+
+    ``int`` alone also takes other scripts' digits, ``_`` separators,
+    ``+`` and surrounding spaces.
+    """
+    if not is_decimal(value.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _REQUIRED = {"required": True}
-_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED_INT = {"type": _integer, "required": True}
 _RATE = [("--q", _REQUIRED_INT), ("--p", _REQUIRED_INT), ("--n", _REQUIRED_INT)]
 _STREAM = ("--stream", {"required": True, "help": "path or inline tokens"})
 
@@ -220,7 +232,7 @@ _COMMANDS = {
               [("--q", _REQUIRED_INT), ("--n", _REQUIRED_INT)]),
     "enumerate": (_cmd_enumerate, "list admissible words",
                   [("--q", _REQUIRED_INT), ("--n", _REQUIRED_INT),
-                   ("--cap", {"type": int,
+                   ("--cap", {"type": _integer,
                               "default": DEFAULT_ENUMERATION_CAP})]),
     "build-encoder": (_cmd_build_encoder, "synthesize a rate p:n machine",
                       _RATE + [("--out", {"help": "write serialized encoder "
@@ -231,18 +243,18 @@ _COMMANDS = {
                             "help": "path or inline 0/1 string"})]),
     "decode": (_cmd_decode, "stream -> bits",
                [("--encoder", _REQUIRED), _STREAM,
-                ("--length", {"type": int, "required": True,
+                ("--length", {"type": _integer, "required": True,
                               "help": "message length in bits"})]),
     "simulate": (_cmd_simulate, "forward a stream through a tree",
                  [("--tree", _REQUIRED), _STREAM,
-                  ("--extra-slots", {"type": int, "default": None})]),
+                  ("--extra-slots", {"type": _integer, "default": None})]),
     "end-to-end": (_cmd_end_to_end, "encode, broadcast, decode at every node",
                    _RATE + [("--tree", _REQUIRED),
                             ("--bits", {"help": "path or inline 0/1 string"}),
-                            ("--random", {"type": int, "default": 1000,
+                            ("--random", {"type": _integer, "default": 1000,
                                           "help": "random message length "
                                           "when --bits is absent"}),
-                            ("--seed", {"type": int, "default": 0})]),
+                            ("--seed", {"type": _integer, "default": 0})]),
     "table": (_cmd_table, "rates vs. depth-limited benchmarks",
               [("--q", _REQUIRED_INT)]),
 }

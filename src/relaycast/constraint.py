@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
@@ -149,13 +149,15 @@ def matrix_vector(m: Matrix, x: Sequence[int]) -> List[int]:
 
 
 def validate_matrix(matrix: Matrix) -> List[List[int]]:
-    """List-of-lists copy of a square, nonempty matrix of nonnegative ints.
+    """List-of-lists copy of a 1x1 or 2x2 matrix of nonnegative ints.
 
-    Raises :class:`InvalidMatrixError` for anything else.
+    Every matrix the package builds is the two-state adjacency or a power
+    of it, so nothing larger is accepted. Raises
+    :class:`InvalidMatrixError` for anything else.
     """
     rows = [list(row) for row in matrix]
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise InvalidMatrixError("matrix must be square and nonempty")
+    if not 1 <= len(rows) <= 2 or any(len(row) != len(rows) for row in rows):
+        raise InvalidMatrixError("matrix must be square, 1x1 or 2x2")
     try:
         for row in rows:
             for value in row:
@@ -165,54 +167,31 @@ def validate_matrix(matrix: Matrix) -> List[List[int]]:
     return rows
 
 
-def _is_irreducible(m: Matrix) -> bool:
-    """True iff every index reaches every other one along nonzero entries."""
-    reach = [{i} | {j for j, v in enumerate(row) if v} for i, row in enumerate(m)]
-    for _ in range(len(m).bit_length()):  # each round doubles the path length
-        reach = [set().union(*(reach[j] for j in r)) for r in reach]
-    return all(len(r) == len(m) for r in reach)
+def _perron(m: Matrix) -> Tuple[float, Optional[List[float]]]:
+    """Perron root of a validated matrix, with its eigenvector if irreducible.
 
-
-def _perron(m: Matrix) -> Tuple[float, List[float]]:
-    """Perron root and eigenvector, the vector scaled to minimum entry 1.
-
-    Power iteration on ``A + I``, normalized to maximum entry 1, keeps
-    every entry positive and converges for any irreducible nonnegative A;
-    it stops once no entry moves by 1e-14.
+    Closed form: the root of ``[[a, b], [c, d]]`` is
+    ``((a+d) + sqrt((a-d)**2 + 4bc)) / 2`` with eigenvector
+    ``(b, root - a)``, scaled to minimum entry 1. The vector is ``None``
+    when ``b`` or ``c`` is 0, where the matrix is reducible.
     """
-    size = len(m)
-    x = [1.0] * size
-    for _ in range(100_000):
-        y = [sum(row[j] * x[j] for j in range(size)) + x[i]
-             for i, row in enumerate(m)]
-        top = max(y)
-        y = [v / top for v in y]
-        settled = max(abs(a - b) for a, b in zip(x, y)) < 1e-14
-        x = y
-        if settled:
-            break
-    bottom = min(x)
-    return top - 1.0, [v / bottom for v in x]
+    if len(m) == 1:
+        return float(m[0][0]), [1.0]
+    (a, b), (c, d) = m
+    root = ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
+    if not (b and c):
+        return root, None
+    direction = [b, root - a]
+    bottom = min(direction)
+    return root, [v / bottom for v in direction]
 
 
 def spectral_radius(matrix: Matrix) -> float:
-    """Largest absolute eigenvalue of a nonnegative integer matrix.
+    """Largest absolute eigenvalue of a 1x1 or 2x2 nonnegative integer matrix.
 
-    1x1 and 2x2 matrices (the ``[[1, q], [1, 0]]`` family and its
-    relatives) use the exact closed form. Larger matrices must be
-    irreducible, else :class:`InvalidMatrixError`; their Perron root
-    comes from power iteration.
+    Closed form; any other input raises :class:`InvalidMatrixError`.
     """
-    m = validate_matrix(matrix)
-    size = len(m)
-    if size == 1:
-        return float(m[0][0])
-    if size == 2:
-        (a, b), (c, d) = m
-        return ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    if not _is_irreducible(m):
-        raise InvalidMatrixError("a matrix larger than 2x2 must be irreducible")
-    return _perron(m)[0]
+    return _perron(validate_matrix(matrix))[0]
 
 
 def characteristic_roots(q: int) -> Tuple[float, float]:

@@ -87,8 +87,11 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector
 
     Seeds the Franaszek fixpoint iteration with integer roundings of the
     Perron direction at increasing scales and returns the first nonzero
-    fixpoint, gcd-reduced. Raises :class:`InfeasibleRateError` when only
-    the zero fixpoint exists, i.e. p bits per block are not sustainable.
+    fixpoint, gcd-reduced. A reducible matrix has no Perron direction;
+    it gets the gcd-reduced fixpoint below a uniform ceiling, as does a
+    matrix on which no scale succeeds. Raises :class:`InfeasibleRateError`
+    when only the zero fixpoint exists, i.e. p bits per block are not
+    sustainable. ``adjacency`` is 1x1 or 2x2.
     """
     matrix = validate_matrix(adjacency)
     _check_int(p, "p")
@@ -100,11 +103,12 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector
             f"no nonzero weight vector supports {p} bits per block "
             f"for this adjacency")
     _, direction = _perron(matrix)
-    for scale in range(1, _PERRON_SCALE_LIMIT + 1):
-        seed = [max(1, round(scale * v)) for v in direction]
-        x = _franaszek_fixpoint(matrix, seed, target)
-        if any(x):
-            return ApproxEigenvector(_reduced(x), p)
+    if direction is not None:
+        for scale in range(1, _PERRON_SCALE_LIMIT + 1):
+            seed = [max(1, round(scale * v)) for v in direction]
+            x = _franaszek_fixpoint(matrix, seed, target)
+            if any(x):
+                return ApproxEigenvector(_reduced(x), p)
     return ApproxEigenvector(_reduced(ceiling), p)
 
 
@@ -542,8 +546,9 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
 
     Consumes p bits per block from the start state, zero-padding the tail
     to a multiple of p, then appends ``encoder.anticipation`` flush
-    blocks (always tag 0) so that decoding can resolve shared codewords
-    even at the end of the stream. Empty input maps to the empty stream.
+    blocks (always tag 0, so p zero bits each, appended to the padded
+    bits) so that decoding can resolve shared codewords even at the end
+    of the stream. Empty input maps to the empty stream.
 
     Whole chunks of up to 8 bits (``8 // p`` blocks) cost one lookup
     each in the encoder's chunk table; the blocks after the last whole
@@ -555,7 +560,7 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
         return (), FrameHeader(0, 0)
     p = encoder.p
     pad = (-length) % p
-    text += "0" * pad
+    text += "0" * (pad + p * encoder.anticipation)
     width = encoder._chunk_blocks * p
     whole = len(text) - len(text) % width
     table = encoder._chunk_table
@@ -567,9 +572,6 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
         out.extend(word)
     for i in range(whole, len(text), p):
         word, state = transitions[state][int(text[i:i + p], 2)]
-        out.extend(word)
-    for _ in range(encoder.anticipation):
-        word, state = transitions[state][0]
         out.extend(word)
     return tuple(out), FrameHeader(length, pad)
 

@@ -7,8 +7,8 @@ form, expected relay behavior by shifting sequences, the simulator by
 the node-by-node slot loop and by the scan per depth that it replaced
 in turn (neither derives deeper rows from depth 1's), the three
 synthesis stages by the edge-list rebuilds they replaced, the weight
-vector by the eigenvector search as it was before it shared the power
-iteration of ``spectral_radius``, and ``decode`` by the path-tracking
+vector by the eigenvector search with a power iteration for the Perron
+direction in place of the closed form, and ``decode`` by the path-tracking
 decoder that carries every candidate's bit string forward, the
 anticipation certificate by the memoised depth-first search that the
 pair-graph walk replaced, ``encode`` by the loop that looks up one block
@@ -503,9 +503,9 @@ def prune_to_encoder_oracle(g, q, p, n):
 
 
 # ---------------------------------------------------------------------------
-# weight-vector oracle: the eigenvector search with its own copy of the
-# power iteration, as it was before that iteration moved into
-# ``constraint._perron``.
+# weight-vector oracle: the eigenvector search with the Perron direction
+# taken from a power iteration, independent of the library's 2x2 closed
+# form.
 
 def _oracle_franaszek_fixpoint(matrix, seed, target):
     x = list(seed)

@@ -35,6 +35,7 @@ def test_domain_error_exit_code(capsys):
     assert run(["capacity", "--q", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert run(["count", "--q", "1", "--n", "-5"]) == 1  # well-formed flag
 
 
 def test_unknown_command_exit_code(capsys):
@@ -46,6 +47,14 @@ def test_malformed_flags_exit_code(capsys):
     assert run(["capacity", "--q", "one"]) == 3
     assert run(["capacity"]) == 3
     assert run(["capacity", "--bogus"]) == 3
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\uff11", "1_0", "+1", " 2 "])
+def test_integer_flags_take_only_ascii_digits(value, capsys):
+    # int() reads all five, and no file format accepts any of them
+    assert run(["count", "--q", value, "--n", "5"]) == 3
+    assert run(["count", "--q", "1", "--n", value]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_file_exit_code(capsys):
@@ -185,6 +194,16 @@ def test_end_to_end_cli(tmp_path, capsys):
     assert "all recovered: yes" in out
     assert "rate: 0.666667" in out
     assert "baseline: 0.500000" in out
+
+
+def test_end_to_end_rejects_a_negative_random_length(tmp_path, capsys):
+    tree = tmp_path / "fig1.txt"
+    tree.write_text(fig1_text())
+    assert run(["end-to-end", "--q", "1", "--p", "2", "--n", "3",
+                "--tree", str(tree), "--random", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: random must be a nonnegative integer, got -5\n"
 
 
 def test_table_cli_text(capsys):

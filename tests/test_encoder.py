@@ -21,7 +21,8 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
 from relaycast.constraint import matrix_vector
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
                                _synthesize)
-from helpers import (ROUND_TRIP_RATES, anticipation_oracle, decode_oracle,
+from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
+                     approximate_eigenvector_oracle, decode_oracle,
                      deep_encoder_text, encode_oracle, outcome, random_bits)
 
 
@@ -69,6 +70,32 @@ def test_eigenvector_feasibility_sweep():
                 found = find_approximate_eigenvector(adjacency, p)
                 assert _satisfies_inequality(adjacency, found.vector, p)
                 assert math.gcd(*found.vector) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 2), entries=st.lists(st.integers(0, 6), min_size=4,
+                                                max_size=4),
+       p=st.integers(1, 4))
+@example(size=2, entries=[2, 1, 0, 2], p=1)  # defective: no Perron direction
+@example(size=2, entries=[1, 2, 6, 0], p=2)  # exact direction (1, 1.5)
+def test_eigenvector_of_any_small_matrix(size, entries, p):
+    # valid, or infeasible exactly when the power-iteration oracle says so;
+    # the vectors may differ off the sweep, where the oracle's inexact
+    # direction can round a half-integer seed the other way
+    adjacency = [entries[i * size:(i + 1) * size] for i in range(size)]
+    if outcome(approximate_eigenvector_oracle, adjacency, p)[0] is InfeasibleRateError:
+        with pytest.raises(InfeasibleRateError):
+            find_approximate_eigenvector(adjacency, p)
+        return
+    found = find_approximate_eigenvector(adjacency, p)
+    assert any(found.vector) and math.gcd(*found.vector) == 1
+    assert _satisfies_inequality(adjacency, found.vector, p)
+
+
+def test_eigenvector_of_reducible_matrices():
+    # no Perron direction: the gcd-reduced fixpoint below a uniform ceiling
+    assert find_approximate_eigenvector([[2, 1], [0, 2]], 1).vector == (1, 1)
+    assert find_approximate_eigenvector([[4, 0], [1, 1]], 1).vector == (1, 1)
 
 
 # ---------------------------------------------------------------------------
