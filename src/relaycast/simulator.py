@@ -15,13 +15,18 @@ sends, and each deeper relay passes it on unchanged, one slot later.
 The simulator scans depth 1 once and keeps two rows, the source's and
 depth 1's, deriving deeper rows on read: simulation, delivery checks
 and decoding in the pipeline cost O(slots), whatever the tree's shape.
+A node's delivery or recovery record is fixed by its depth's verdict,
+so the per-node records are built once per verdict pattern and shared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+import re
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
@@ -33,6 +38,10 @@ from .symbols import ERASED, N, Symbol, Word, _check_int, is_decimal
 # ---------------------------------------------------------------------------
 # topology
 
+# verdict patterns whose per-node records a topology keeps, per record type
+_SHARED_PATTERNS = 8
+
+
 @dataclass(frozen=True, eq=False)
 class TreeTopology:
     """Rooted directed tree of node ids; node 0 is the source."""
@@ -40,10 +49,43 @@ class TreeTopology:
     nodes: Tuple[int, ...]
     parent: Dict[int, int]
     depth: Dict[int, int]
+    # record type -> {(source verdict, first passing relay depth): records}
+    _shared: Dict[type, Dict[Tuple[bool, int], tuple]] = field(
+        default_factory=dict, init=False, repr=False)
 
-    @property
+    @cached_property
     def max_depth(self) -> int:
         return max(self.depth.values())
+
+    @cached_property
+    def _relays(self) -> int:
+        """The number of depth-1 nodes."""
+        return sum(d == 1 for d in self.depth.values())
+
+    def _records(self, record: type, source_ok: bool, first_ok: int) -> tuple:
+        """``record(node, depth, verdict)`` for every node, in node order.
+
+        The source's verdict is ``source_ok`` and depth d >= 1's is
+        ``d >= first_ok``: a relay's verdict can only turn from failing
+        to passing with depth, since depth d sends depth 1's row d-1
+        slots late and the horizon cuts off more of it. Records are
+        frozen, so the tuple for one pattern is built once and shared by
+        every report that has it. Each record type keeps the last
+        ``_SHARED_PATTERNS`` patterns it built.
+        """
+        first_ok = min(first_ok, self.max_depth + 1)
+        patterns = self._shared.setdefault(record, {})
+        entries = patterns.get((source_ok, first_ok))
+        if entries is None:
+            verdicts = [source_ok] + [d >= first_ok
+                                      for d in range(1, self.max_depth + 1)]
+            depth = self.depth
+            entries = tuple(record(v, depth[v], verdicts[depth[v]])
+                            for v in self.nodes)
+            if len(patterns) >= _SHARED_PATTERNS:
+                patterns.pop(next(iter(patterns)), None)
+            patterns[source_ok, first_ok] = entries
+        return entries
 
 
 def parse_tree(text: str) -> TreeTopology:
@@ -191,6 +233,10 @@ class SimTrace:
         return "\n".join(lines)
 
 
+# two or more data symbols in a row, in a mask with one byte per slot
+_DATA_RUN = re.compile(rb"\x01\x01+")
+
+
 def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     """A depth-1 relay's transmissions and violation slots.
 
@@ -198,16 +244,23 @@ def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     silence. While OFF it stores what its parent sends; while ON it
     stores silence, since it cannot know what it missed, and a data
     symbol from the parent in that slot is a violation.
+
+    So the relay is ON one slot after each symbol it stores and loses
+    exactly the 2nd, 4th, ... symbol of each maximal run of data
+    symbols: it sends ``(N,) + parent_stream[:-1]`` with silence in the
+    slot after each lost one. The runs are found in C, by one regular
+    expression over a byte mask of the data slots, so Python runs once
+    per lost symbol, not once per slot.
     """
-    sent: List[Symbol] = []
-    lost: List[int] = []
-    pending: Symbol = N
-    for t, incoming in enumerate(parent_stream):
-        sent.append(pending)
-        if pending is not N and incoming is not N:
-            lost.append(t)
-        pending = incoming if pending is N else N
-    return tuple(sent), tuple(lost)
+    mask = bytes(map(operator.is_not, parent_stream, repeat(N)))
+    lost = [t for run in _DATA_RUN.finditer(mask)
+            for t in range(run.start() + 1, run.end(), 2)]
+    # one slot longer than the stream, so a symbol lost in the last slot
+    # has a slot to silence
+    sent = [N, *parent_stream]
+    for t in lost:
+        sent[t + 1] = N
+    return tuple(sent[:-1]), tuple(lost)
 
 
 def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
@@ -265,7 +318,8 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
 
     Depth d >= 1 sends ``relayed`` d-1 slots late, so it passes iff
     ``relayed`` matches depth 1's expected row before slot
-    ``horizon - d + 1``. ``topo`` must be the tree the trace ran on.
+    ``horizon - d + 1``. ``topo`` must be the tree the trace ran on;
+    its per-node records are shared (see ``TreeTopology._records``).
     """
     if topo.depth != trace.depth:
         raise InvalidParameterError("topology is not the one the trace ran on")
@@ -276,13 +330,9 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
                        enumerate(zip(trace.relayed, expected)) if got != want),
                       horizon)
     source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
-    depth = trace.depth
-    passed = [source_ok] + [first_miss > horizon - d
-                            for d in range(1, topo.max_depth + 1)]
-    entries = tuple(NodeDelivery(node, depth[node], passed[depth[node]])
-                    for node in trace.nodes)
-    return DeliveryReport(nodes=entries,
-                          violations=len(trace.violations))
+    return DeliveryReport(
+        nodes=topo._records(NodeDelivery, source_ok, horizon - first_miss + 1),
+        violations=len(trace.lost) * topo._relays)
 
 
 def baseline_rate(q: int) -> float:
@@ -330,24 +380,32 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     the source, simulates with the default ``max_depth`` extra slots,
     then strips each depth's depth-long silence prefix from its
     forwarded stream and decodes it. Every node must recover the
-    message bits exactly. Every depth >= 1 forwards
-    ``relayed[1:1 + len(stream)]``, so at most two windows are decoded:
-    that one and the source's.
+    message bits exactly.
+
+    Every depth >= 1 forwards ``relayed[1:1 + len(stream)]``, which
+    equals the source stream whenever the source is admissible; depth
+    1's window is decoded only when it differs, since decoding is
+    deterministic. Per-node records are shared per tree, for a bounded
+    number of verdict patterns (see ``TreeTopology._records``), so a
+    call does no Python work per node.
     """
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message)
     stream, header = encode(machine, bits)
     trace = simulate(topo, stream)
-    windows = (stream, trace.relayed[1:1 + len(stream)])[:topo.max_depth + 1]
-    recovered = []
-    for window in windows:
+
+    def recovers(window: Word) -> bool:
         try:
-            recovered.append(decode(machine, window, header) == bits)
+            return decode(machine, window, header) == bits
         except RelaycastError:
-            recovered.append(False)
-    depth = topo.depth
-    entries = tuple(NodeRecovery(node, depth[node], recovered[depth[node] > 0])
-                    for node in trace.nodes)
+            return False
+
+    source_ok = recovers(stream)
+    window = trace.relayed[1:1 + len(stream)]
+    relay_ok = (source_ok if window == stream or not topo.max_depth
+                else recovers(window))
+    nodes = topo._records(NodeRecovery, source_ok,
+                          1 if relay_ok else topo.max_depth + 1)
     return EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
                           baseline=baseline_rate(q), message_bits=len(bits),
-                          nodes=entries)
+                          nodes=nodes)

@@ -5,7 +5,8 @@ admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product and by their closed (Binet)
 form, expected relay behavior by shifting sequences, the simulator by
 the node-by-node slot loop and by the scan per depth that it replaced
-in turn (neither derives deeper rows from depth 1's), the three
+in turn (neither derives deeper rows from depth 1's), the relay's run
+scan by the per-slot loop it replaced, the three
 synthesis stages by the edge-list rebuilds they replaced, the weight
 vector by the eigenvector search with a power iteration for the Perron
 direction in place of the closed form, and ``decode`` by the path-tracking
@@ -270,6 +271,23 @@ def simulate_per_node(topo, source_stream, extra_slots=None):
         received.append(tuple(heard[v] for v in nodes))
     return NodeTrace(nodes=nodes, transmitted=tuple(transmitted),
                      received=tuple(received), violations=tuple(violations))
+
+
+def relay_oracle(parent_stream):
+    """Oracle for ``_relay``: the per-slot loop that the run scan replaced.
+
+    The relay transmits what it stored in the previous slot, initially
+    silence. While OFF it stores what its parent sends; while ON it
+    stores silence, and a data symbol from the parent is a violation.
+    """
+    sent, lost = [], []
+    pending = N
+    for t, incoming in enumerate(parent_stream):
+        sent.append(pending)
+        if pending is not N and incoming is not N:
+            lost.append(t)
+        pending = incoming if pending is N else N
+    return tuple(sent), tuple(lost)
 
 
 def _relay_per_depth(parent_stream):

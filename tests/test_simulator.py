@@ -16,7 +16,7 @@ from relaycast import (ERASED, InvalidParameterError, N, NodeDelivery,
 from relaycast.symbols import is_data
 from helpers import (chain_text, decode_oracle, fig1_text,
                      random_admissible_stream, random_bits, random_stream,
-                     simulate_per_depth, simulate_per_node)
+                     relay_oracle, simulate_per_depth, simulate_per_node)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +358,39 @@ def test_simulate_matches_per_depth_oracle(topo, stream, extra_slots):
                     topo, stream, extra_slots)
 
 
+@settings(max_examples=300, deadline=None)
+@given(stream=streams())
+@example(stream=())
+@example(stream=(0,))
+@example(stream=(N, 1, 0, 1, N, N))         # a run of three data symbols
+@example(stream=(N, 0, N, 0, 1))            # a run ending on the last slot
+def test_relay_matches_per_slot_oracle(stream):
+    assert relaycast.simulator._relay(stream) == relay_oracle(stream)
+
+
+def test_verify_delivery_shares_bounded_records_on_deep_chain():
+    """Claims that differ ever earlier in the drain fail at ever more
+    depths: 50 verdict patterns, of which the tree keeps a few."""
+    topo = parse_tree(chain_text(2000))
+    stream = random_admissible_stream(random.Random(10), 1, 100)
+    trace = simulate(topo, stream)
+    horizon = trace.num_slots
+    for j in range(50):
+        # depth 1's row first differs from the claim's at slot
+        # horizon - 40j; depth d sends it d - 1 slots later, within the
+        # horizon for the 40j shallowest relays, which fail
+        claimed = stream + (N,) * (horizon - 1 - len(stream) - 40 * j) + (0,)
+        report = verify_delivery(trace, topo, claimed)
+        assert sum(entry.passed for entry in report.nodes) == 2000 - 40 * j
+        assert report.nodes[0].passed is False
+        assert report.nodes[-1].passed is True
+        assert all(len(patterns) <= relaycast.simulator._SHARED_PATTERNS
+                   for patterns in topo._shared.values())
+    again = verify_delivery(trace, topo, stream)
+    assert again.all_passed
+    assert again.nodes is verify_delivery(trace, topo, stream).nodes
+
+
 def test_verify_delivery_rejects_another_tree():
     stream = parse_stream("0 N")
     trace = simulate(parse_tree(chain_text(2)), stream)
@@ -419,6 +452,43 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
         for report in reports:
             assert [(e.node, e.depth, e.recovered)
                     for e in report.nodes] == expected
+
+
+def test_end_to_end_shares_records_for_equal_verdicts():
+    topo = parse_tree(fig1_text())
+    rng = random.Random(7)
+    first, second = (end_to_end(1, 2, 3, topo, random_bits(rng, 60))
+                     for _ in range(2))
+    assert first.all_recovered and second.all_recovered
+    assert first.nodes is second.nodes
+    # shared records are frozen and have no __dict__ to add attributes to
+    assert not hasattr(first.nodes[0], "__dict__")
+    other = end_to_end(1, 2, 3, parse_tree(fig1_text()), random_bits(rng, 60))
+    assert other.nodes is not first.nodes and other.nodes == first.nodes
+
+
+def test_end_to_end_decodes_each_distinct_window_once():
+    topo = parse_tree(fig1_text())
+    bits = random_bits(random.Random(11), 90)
+    stream, header = encode(build_encoder(1, 2, 3), bits)
+    counting = mock.Mock(wraps=relaycast.simulator.decode)
+    with mock.patch.object(relaycast.simulator, "decode", counting):
+        assert end_to_end(1, 2, 3, topo, bits).all_recovered
+        assert counting.call_count == 1
+        # data right after data: depth 1 loses the second symbol, so its
+        # window differs from the source stream and is decoded as well
+        i = next(t for t in range(len(stream) - 1)
+                 if stream[t] is not N and stream[t + 1] is N)
+        flipped = stream[:i + 1] + (0,) + stream[i + 2:]
+        with mock.patch.object(relaycast.simulator, "encode",
+                               lambda *_: (flipped, header)):
+            report = end_to_end(1, 2, 3, topo, bits)
+        assert counting.call_count == 3
+    # the relay silences the inserted symbol and so forwards the original
+    assert [call.args[1] for call in counting.call_args_list[1:]] == \
+        [flipped, stream]
+    assert [entry.recovered for entry in report.nodes] == \
+        [entry.depth > 0 for entry in report.nodes]
 
 
 @pytest.mark.parametrize("record, names", [
