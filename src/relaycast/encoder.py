@@ -115,32 +115,19 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector
 # ---------------------------------------------------------------------------
 # state splitting
 
-def _restrict_to_support(g, weights):
-    """Drop zero-weight states; the inequality survives on the rest."""
-    keep = [i for i, w in enumerate(weights) if w > 0]
-    if len(keep) == len(weights):
-        return g, list(weights)
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = tuple(Edge(remap[e.src], remap[e.dst], e.word)
-                  for e in g.edges if e.src in remap and e.dst in remap)
-    graph = ConstraintGraph(q=g.q,
-                            states=tuple(g.states[i] for i in keep),
-                            edges=edges)
-    return graph, [weights[i] for i in keep]
-
-
 def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     """Out-split states until every weight is 1.
 
-    Each round splits the heaviest state (ties: lowest index) in two,
-    giving the first descendant the smallest workable weight (1 when
-    possible). The state's outgoing edges, ordered by descending head
-    weight then label, are cut greedily into two groups whose edge-weight
-    sums stay at least ``2**p`` times the descendant weights; edges
-    entering the split state are duplicated to both descendants. The
-    result has ``sum(x.vector)`` states, every one with at least ``2**p``
-    outgoing edges; the number of rounds performed is
-    ``sum(x.vector) - len(g.states)``.
+    Zero-weight states are dropped first. Each round splits the heaviest
+    state (ties: lowest index) in two, giving the first descendant the
+    smallest workable weight (1 when possible). The state's outgoing
+    edges, ordered by descending head weight then label, are cut
+    greedily into two groups whose edge-weight sums stay at least
+    ``2**p`` times the descendant weights; edges entering the split
+    state are duplicated to both descendants. The result has
+    ``sum(x.vector)`` states, every one with at least ``2**p`` outgoing
+    edges; the number of rounds performed is ``sum(x.vector)`` minus the
+    number of nonzero weights.
     """
     if len(x.vector) != len(g.states):
         raise InvalidParameterError(
@@ -157,70 +144,62 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     if all(w == 1 for w in x.vector):
         return g
 
-    g, weights = _restrict_to_support(g, list(x.vector))
+    # Any subset of the words keeps their relative order, so ranking all
+    # of them once orders the kept edges as their own ranks would.
     rank = word_ranks(e.word for e in g.edges)
     words = list(rank)  # rank order
-    names = list(g.states)
-    # States keep a fixed id; ids[i] is the state at position i. out[s]
-    # maps a head id to the label ranks of the edges s -> head, so a
-    # round rewrites only the split state's edges and the lists that
-    # point at it.
-    ids = list(range(len(names)))
+    keep = [i for i, w in enumerate(x.vector) if w]
+    at = {old: new for new, old in enumerate(keep)}
+    names = [g.states[i] for i in keep]
+    weights = [x.vector[i] for i in keep]
+    # A state is its position. out[s] maps a head position to the label
+    # ranks of the edges s -> head.
     out: List[Dict[int, List[int]]] = [{} for _ in names]
     for e in g.edges:
-        out[e.src].setdefault(e.dst, []).append(rank[e.word])
+        if e.src in at and e.dst in at:
+            out[at[e.src]].setdefault(at[e.dst], []).append(rank[e.word])
 
     while True:
         heaviest = max(weights)
         if heaviest <= 1:
             break
         u = weights.index(heaviest)
-        uid = ids[u]
-        pos = {sid: i for i, sid in enumerate(ids)}
-        # (head weight, label rank, head position, head id), ordered by
-        # descending head weight, then label, then current head position
-        outgoing = sorted((-weights[pos[d]], r, pos[d], d)
-                          for d, ranks in out[uid].items() for r in ranks)
+        # (minus head weight, label rank, head)
+        outgoing = sorted((-weights[d], r, d)
+                          for d, ranks in out[u].items() for r in ranks)
+        # The weight inequality holds for every state after every round,
+        # so the out-weight is at least target * heaviest and some prefix
+        # covers each first_weight below heaviest.
         out_weight = -sum(e[0] for e in outgoing)
-        partition = None
         for first_weight in range(1, heaviest):
             acc = 0
-            cut = None
-            for i, e in enumerate(outgoing):
+            for cut, e in enumerate(outgoing, 1):
                 acc -= e[0]
                 if acc >= target * first_weight:
-                    cut = i + 1
                     break
-            if cut is None:
-                break  # even the full set cannot cover first_weight
             if out_weight - acc >= target * (heaviest - first_weight):
-                partition = (first_weight, cut)
                 break
-        if partition is None:
+        else:
             raise StateSplitError(
                 f"state {names[u]!r} admits no weight-consistent partition")
-        first_weight, cut = partition
 
-        # u becomes u.0 (keeping id uid) at position u and u.1 (new id
-        # vid) at position u+1; every edge into u gains a copy into u.1.
-        vid = len(out)
+        # u becomes u.0 at position u and u.1 at position u+1; every head
+        # past u moves up one, and every edge into u gains a copy into u+1.
         first: Dict[int, List[int]] = {}
         second: Dict[int, List[int]] = {}
-        for i, (_, r, _, d) in enumerate(outgoing):
+        for i, (_, r, d) in enumerate(outgoing):
             (first if i < cut else second).setdefault(d, []).append(r)
-        out[uid] = first
-        out.append(second)
-        for heads in out:
-            if uid in heads:
-                heads[vid] = list(heads[uid])
-        ids.insert(u + 1, vid)
+        out[u:u + 1] = [first, second]
+        for s, heads in enumerate(out):
+            out[s] = {d + (d > u): ranks for d, ranks in heads.items()}
+            if u in heads:
+                out[s][u + 1] = heads[u]
         names[u:u + 1] = [names[u] + ".0", names[u] + ".1"]
         weights[u:u + 1] = [first_weight, heaviest - first_weight]
 
-    pos = {sid: i for i, sid in enumerate(ids)}
     edges = []
-    for src, sid in enumerate(ids):
-        row = sorted((r, pos[d]) for d, ranks in out[sid].items() for r in ranks)
+    for src, heads in enumerate(out):
+        row = sorted((r, d) for d, ranks in heads.items() for r in ranks)
         if len(row) < target:
             raise StateSplitError("splitting left a state short of out-degree 2**p")
         edges.extend(Edge(src, dst, words[r]) for r, dst in row)
@@ -706,8 +685,6 @@ def parse_encoder(text: str) -> Encoder:
             raise EncoderFormatError(f"duplicate transition for state "
                                      f"{state} tag {tag}")
         table[(state, tag)] = (word, nxt)
-    if len(table) != num_states * fanout:
-        raise EncoderFormatError("missing transitions")
     transitions = tuple(
         tuple(table[(state, tag)] for tag in range(fanout))
         for state in range(num_states))

@@ -217,7 +217,7 @@ class SimTrace:
     def transmit_stream(self, node: int) -> Word:
         """Everything ``node`` sent, slot by slot."""
         if node not in self.depth:
-            raise ValueError(f"node {node} is not in the trace")
+            raise InvalidParameterError(f"node {node} is not in the trace")
         return self._sent(self.depth[node])
 
     def export(self) -> str:
@@ -321,14 +321,16 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     ``horizon - d + 1``. ``topo`` must be the tree the trace ran on;
     its per-node records are shared (see ``TreeTopology._records``).
     """
-    if topo.depth != trace.depth:
+    if topo.depth is not trace.depth and topo.depth != trace.depth:
         raise InvalidParameterError("topology is not the one the trace ran on")
     stream = tuple(source_stream)
     horizon = trace.num_slots
     expected = ((N,) + stream + (N,) * horizon)[:horizon]
-    first_miss = next((t for t, (got, want) in
-                       enumerate(zip(trace.relayed, expected)) if got != want),
-                      horizon)
+    first_miss = horizon
+    if trace.relayed != expected:  # compared in C; scanned only on a miss
+        first_miss = next((t for t, (got, want) in
+                           enumerate(zip(trace.relayed, expected))
+                           if got != want), horizon)
     source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
     return DeliveryReport(
         nodes=topo._records(NodeDelivery, source_ok, horizon - first_miss + 1),

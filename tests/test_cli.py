@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaycast import capacity, count_words, table_report
+from relaycast import (build_encoder, capacity, count_words, parse_encoder,
+                       serialize_encoder, table_report)
 from relaycast.cli import run
 from helpers import chain_text, deep_encoder_text, fig1_text
 
@@ -159,6 +160,23 @@ def test_decode_rejects_non_ascii_encoder_field(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_decode_rejects_duplicate_transition(tmp_path, capsys):
+    enc_path = tmp_path / "enc.txt"
+    enc_path.write_text("ENC 1 1 1 1 0\n0 0 0 0\n0 0 N 0\n")
+    assert run(["decode", "--encoder", str(enc_path), "--stream", "",
+                "--length", "0"]) == 1
+    assert capsys.readouterr() == \
+        ("", "error: duplicate transition for state 0 tag 0\n")
+
+
+def test_build_encoder_to_stdout(capsys):
+    assert run(["build-encoder", "--q", "6", "--p", "3", "--n", "2"]) == 0
+    text = capsys.readouterr().out
+    machine = build_encoder(6, 3, 2)
+    assert text == serialize_encoder(machine)
+    assert parse_encoder(text) == machine
 
 
 def test_decode_with_a_deep_certificate(tmp_path, capsys):

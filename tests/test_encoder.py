@@ -129,6 +129,11 @@ def test_split_rejects_invalid_vector():
     g = power_graph(make_constraint(1), 3)
     with pytest.raises(StateSplitError):
         split_states(g, ApproxEigenvector((1, 1), p=3))
+    for vector in [(2, -1), (-1, 1), (0, 0)]:
+        with pytest.raises(StateSplitError) as excinfo:
+            split_states(g, ApproxEigenvector(vector, p=1))
+        assert str(excinfo.value) == \
+            "weights must be nonnegative and not all zero"
     with pytest.raises(InvalidParameterError):
         split_states(g, ApproxEigenvector((1, 1, 1), p=1))
 
@@ -564,6 +569,18 @@ def test_parse_encoder_rejects_endless_ambiguity(text, pair):
      "transition target 5 out of range"),
     ("ENC 1 1 1 2 7\n0 0 N 1\n0 1 0 1\n1 0 N 0\n1 1 0 0\n",
      "start state 7 out of range"),
+    ("ENC 0 1 1 1 0\n0 0 N 0\n0 1 N 0\n", "header values must be positive"),
+    ("ENC 1 1 1 2 0\n0 0 N 1\n0 1 0 1\n1 0 N 0\n",
+     "expected 4 transition lines, got 3"),
+    ("ENC 1 1 1 1 0\n0 0 x 0\n0 1 N 0\n", "bad transition line '0 0 x 0'"),
+    # q=1 has only the data symbol 0
+    ("ENC 1 1 1 1 0\n0 0 1 0\n0 1 N 0\n", "bad transition line '0 0 1 0'"),
+    ("ENC 1 1 1 1 0\n0 2 0 0\n0 1 N 0\n",
+     "state or tag out of range in '0 2 0 0'"),
+    ("ENC 1 1 1 1 0\n1 0 0 0\n0 1 N 0\n",
+     "state or tag out of range in '1 0 0 0'"),
+    ("ENC 1 1 1 1 0\n0 0 0 0\n0 0 N 0\n",
+     "duplicate transition for state 0 tag 0"),
 ])
 def test_parse_encoder_rejects_out_of_range_states(text, message):
     with pytest.raises(EncoderFormatError) as excinfo:

@@ -396,6 +396,15 @@ def test_verify_delivery_rejects_another_tree():
     trace = simulate(parse_tree(chain_text(2)), stream)
     with pytest.raises(InvalidParameterError):
         verify_delivery(trace, parse_tree(fig1_text()), stream)
+    # an equal tree parsed again is the same tree
+    assert verify_delivery(trace, parse_tree(chain_text(2)), stream).all_passed
+
+
+def test_transmit_stream_rejects_unknown_node():
+    trace = simulate(parse_tree(chain_text(2)), parse_stream("0 N"))
+    with pytest.raises(InvalidParameterError) as excinfo:
+        trace.transmit_stream(7)
+    assert str(excinfo.value) == "node 7 is not in the trace"
 
 
 def _simulate_peak(depth):

@@ -10,6 +10,7 @@ search kept there. The machines of the sweep also round-trip through
 the text formats and through encode and decode.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -118,6 +119,17 @@ def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
 @pytest.fixture(scope="module")
 def sweep_machines():
     return {rate: build_encoder(*rate) for rate in ROUND_TRIP_RATES}
+
+
+# SHA-256 of the serialized machines of ROUND_TRIP_RATES, joined in order
+SWEEP_DIGEST = \
+    "6bb7367e8d973c42ece338f4d068a5ea24b083c6b856ec7a3ff058e773669c79"
+
+
+def test_sweep_machines_are_pinned(sweep_machines):
+    text = "".join(serialize_encoder(sweep_machines[rate])
+                   for rate in ROUND_TRIP_RATES)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
