@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
@@ -63,41 +64,102 @@ class ConstraintGraph:
         return tuple(tuple(row) for row in counts)
 
 
-def _canonical(triples) -> Tuple[Edge, ...]:
-    """Edges from ``(src, dst, word)`` triples, sorted by source, label, head."""
-    triples = list(triples)
-    rank = word_ranks(word for _, _, word in triples)
-    triples.sort(key=lambda t: (t[0], rank[t[2]], t[1]))
-    return tuple(Edge(src, dst, word) for src, dst, word in triples)
+class _Rows(NamedTuple):
+    """A graph as one out-edge row per state, the form synthesis works on.
+
+    ``out[s]`` maps a head to the label ranks of the edges s -> head,
+    and ``words[r]`` is the label of rank r, in :func:`word_key` order.
+    Rows are never mutated once built; stages build new ones.
+    """
+
+    q: int
+    states: Tuple[str, ...]
+    words: List[Word]
+    out: List[Dict[int, List[int]]]
+
+    @property
+    def adjacency(self) -> List[List[int]]:
+        """Entry [i][j] counts the edges from state i to state j."""
+        size = len(self.out)
+        return [[len(heads.get(d, ())) for d in range(size)] for heads in self.out]
+
+
+def _label_order(heads: Dict[int, List[int]]) -> List[Tuple[int, int]]:
+    """One row's edges as (label rank, head) pairs, sorted."""
+    return sorted((r, d) for d, ranks in heads.items() for r in ranks)
+
+
+def _graph_rows(g: ConstraintGraph) -> _Rows:
+    """The rows of ``g``, its distinct labels ranked once."""
+    rank = word_ranks(e.word for e in g.edges)
+    out: List[Dict[int, List[int]]] = [{} for _ in g.states]
+    for e in g.edges:
+        out[e.src].setdefault(e.dst, []).append(rank[e.word])
+    return _Rows(g.q, g.states, list(rank), out)
+
+
+def _rows_graph(rows: _Rows) -> ConstraintGraph:
+    """The graph of ``rows``, edges sorted by source, label, head."""
+    words = rows.words
+    edges = [Edge(src, dst, words[r]) for src, heads in enumerate(rows.out)
+             for r, dst in _label_order(heads)]
+    return ConstraintGraph(q=rows.q, states=rows.states, edges=tuple(edges))
+
+
+def _constraint_rows(q: int) -> _Rows:
+    """Rows of the two-state presentation: data symbols rank 0..q-1, N rank q."""
+    return _Rows(q, ("OFF", "ON"), [(k,) for k in range(q)] + [(N,)],
+                 [{1: list(range(q)), 0: [q]}, {0: [q]}])
 
 
 def make_constraint(q: int) -> ConstraintGraph:
     """Two-state presentation with adjacency ``[[1, q], [1, 0]]``."""
     _check_int(q, "q")
-    triples = [(0, 1, (k,)) for k in range(q)]
-    triples.append((0, 0, (N,)))
-    triples.append((1, 0, (N,)))
-    return ConstraintGraph(q=q, states=("OFF", "ON"), edges=_canonical(triples))
+    return _rows_graph(_constraint_rows(q))
+
+
+def _power_rows(rows: _Rows, n: int) -> _Rows:
+    """Rows of the n-th power: every length-n path, its labels concatenated.
+
+    ``paths[s][h]`` holds the labels of the paths s -> h. A path one
+    edge longer is an edge s -> d in front of a path d -> h, and edges
+    are taken in label order, so the paths of a deterministic
+    presentation with labels of one length, such as the constraint's,
+    stay in label order per head and ranking them is a linear merge.
+    """
+    if n == 1:
+        return rows
+    words = rows.words
+    steps = [_label_order(heads) for heads in rows.out]
+    paths = [{d: [words[r] for r in sorted(ranks)] for d, ranks in heads.items()}
+             for heads in rows.out]
+    for _ in range(n - 1):
+        longer = []
+        for step in steps:
+            heads: Dict[int, List[Word]] = {}
+            for r, d in step:
+                prepend = words[r].__add__
+                for h, tails in paths[d].items():
+                    heads.setdefault(h, []).extend(map(prepend, tails))
+            longer.append(heads)
+        paths = longer
+    rank = word_ranks(chain.from_iterable(
+        tails for heads in paths for tails in heads.values()))
+    out = [{h: list(map(rank.__getitem__, tails)) for h, tails in heads.items()}
+           for heads in paths]
+    return _Rows(rows.q, rows.states, list(rank), out)
 
 
 def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
     """Presentation whose edges are the length-n paths of ``g``.
 
     Labels concatenate along the path; the adjacency matrix is the n-th
-    power of ``g``'s. ``n=1`` returns ``g`` itself. Paths grow as plain
-    ``(src, dst, word)`` triples; only the length-n ones become edges.
+    power of ``g``'s. ``n=1`` returns ``g`` itself.
     """
     _check_int(n, "power")
     if n == 1:
         return g
-    by_src: List[List[Tuple[int, Word]]] = [[] for _ in g.states]
-    for e in g.edges:
-        by_src[e.src].append((e.dst, e.word))
-    paths = [(e.src, e.dst, e.word) for e in g.edges]
-    for _ in range(n - 1):
-        paths = [(src, head, word + label)
-                 for src, dst, word in paths for head, label in by_src[dst]]
-    return ConstraintGraph(q=g.q, states=g.states, edges=_canonical(paths))
+    return _rows_graph(_power_rows(_graph_rows(g), n))
 
 
 def count_words(q: int, n: int) -> int:

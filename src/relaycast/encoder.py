@@ -34,16 +34,20 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .constraint import (ConstraintGraph, Edge, Matrix, _perron, capacity,
-                         make_constraint, matrix_vector, power_graph,
+from .constraint import (ConstraintGraph, Matrix, _constraint_rows,
+                         _graph_rows, _label_order, _perron, _power_rows,
+                         _Rows, _rows_graph, capacity, matrix_vector,
                          validate_matrix)
+# The graph-level stages stay reachable here, where relaybench's tracer
+# wraps them, though the build chains their row stages directly.
+from .constraint import power_graph  # noqa: F401
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      FramingError, InfeasibleRateError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
 from .symbols import (Word, _check_int, format_stream, is_decimal,
-                      parse_stream, word_ranks)
+                      parse_stream)
 
 _PERRON_SCALE_LIMIT = 4096
 _FEASIBILITY_CEILING = 1 << 20
@@ -127,37 +131,38 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     state are duplicated to both descendants. The result has
     ``sum(x.vector)`` states, every one with at least ``2**p`` outgoing
     edges; the number of rounds performed is ``sum(x.vector)`` minus the
-    number of nonzero weights.
+    number of nonzero weights. A vector of all ones returns ``g`` itself.
     """
-    if len(x.vector) != len(g.states):
+    rows = _graph_rows(g)
+    split = _split_rows(rows, x)
+    return g if split is rows else _rows_graph(split)
+
+
+def _split_rows(rows: _Rows, x: ApproxEigenvector) -> _Rows:
+    """:func:`split_states` on rows; returns ``rows`` itself for all-one weights."""
+    if len(x.vector) != len(rows.states):
         raise InvalidParameterError(
             f"weight vector has {len(x.vector)} entries for "
-            f"{len(g.states)} states")
+            f"{len(rows.states)} states")
     if any(w < 0 for w in x.vector) or not any(x.vector):
         raise StateSplitError("weights must be nonnegative and not all zero")
     target = 1 << x.p
-    checked = matrix_vector(g.adjacency, x.vector)
+    checked = matrix_vector(rows.adjacency, x.vector)
     if any(got < target * want for got, want in zip(checked, x.vector)):
         raise StateSplitError(
             "vector fails the weight inequality; not an approximate eigenvector")
 
     if all(w == 1 for w in x.vector):
-        return g
+        return rows
 
-    # Any subset of the words keeps their relative order, so ranking all
-    # of them once orders the kept edges as their own ranks would.
-    rank = word_ranks(e.word for e in g.edges)
-    words = list(rank)  # rank order
     keep = [i for i, w in enumerate(x.vector) if w]
     at = {old: new for new, old in enumerate(keep)}
-    names = [g.states[i] for i in keep]
+    names = [rows.states[i] for i in keep]
     weights = [x.vector[i] for i in keep]
     # A state is its position. out[s] maps a head position to the label
     # ranks of the edges s -> head.
-    out: List[Dict[int, List[int]]] = [{} for _ in names]
-    for e in g.edges:
-        if e.src in at and e.dst in at:
-            out[at[e.src]].setdefault(at[e.dst], []).append(rank[e.word])
+    out = [{at[d]: ranks for d, ranks in rows.out[i].items() if d in at}
+           for i in keep]
 
     while True:
         heaviest = max(weights)
@@ -197,13 +202,9 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
         names[u:u + 1] = [names[u] + ".0", names[u] + ".1"]
         weights[u:u + 1] = [first_weight, heaviest - first_weight]
 
-    edges = []
-    for src, heads in enumerate(out):
-        row = sorted((r, d) for d, ranks in heads.items() for r in ranks)
-        if len(row) < target:
-            raise StateSplitError("splitting left a state short of out-degree 2**p")
-        edges.extend(Edge(src, dst, words[r]) for r, dst in row)
-    return ConstraintGraph(q=g.q, states=tuple(names), edges=tuple(edges))
+    if any(sum(map(len, heads.values())) < target for heads in out):
+        raise StateSplitError("splitting left a state short of out-degree 2**p")
+    return _Rows(rows.q, tuple(names), rows.words, out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +282,10 @@ def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
     """Per state: codeword -> ((tag, next), ...), in tag order."""
     index = []
     for outs in transitions:
-        lookup: Dict[Word, list] = {}
+        lookup: Dict[Word, tuple] = {}
         for tag, (word, nxt) in enumerate(outs):
-            lookup.setdefault(word, []).append((tag, nxt))
-        index.append({w: tuple(v) for w, v in lookup.items()})
+            lookup[word] = lookup.get(word, ()) + ((tag, nxt),)
+        index.append(lookup)
     return tuple(index)
 
 
@@ -400,10 +401,23 @@ def _anticipation(index) -> int:
     return max((height[f] for f in forks), default=0)
 
 
-def _assemble(q, p, n, start_state, transitions) -> Encoder:
-    return Encoder(q=q, p=p, n=n, start_state=start_state,
-                   transitions=transitions,
-                   anticipation=_anticipation(_codeword_index(transitions)))
+def _assemble(q, p, n, start_state, transitions,
+              keep_index=False) -> Encoder:
+    """The machine, its anticipation certified from its codeword index.
+
+    With ``keep_index`` the machine decodes with that index, as a parsed
+    machine, decoded at once, should. A synthesized machine drops it and
+    builds it again on its first decode: the memo keeps machines whether
+    or not they are decoded, and the index is about half of a fresh
+    machine's memory (0.85 of 1.65 MB for (1,11,16)).
+    """
+    index = _codeword_index(transitions)
+    encoder = Encoder(q=q, p=p, n=n, start_state=start_state,
+                      transitions=transitions,
+                      anticipation=_anticipation(index))
+    if keep_index:
+        vars(encoder)["_by_codeword"] = index  # fills the cached property
+    return encoder
 
 
 def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
@@ -420,49 +434,48 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     _check_int(n, "n")
     if g.q != q:
         raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
-    fanout = 1 << p
-    by_src: List[List[Edge]] = [[] for _ in g.states]
     for e in g.edges:
         if len(e.word) != n:
             raise NonUniformLabelError(
                 f"edge label {format_stream(e.word)!r} is not {n} symbols")
-        by_src[e.src].append(e)
-    rank = word_ranks(e.word for e in g.edges)
+    return _prune_rows(_graph_rows(g), p, n)
 
-    def order(e):
-        return (rank[e.word], e.dst)
 
-    kept: List[List[Edge]] = []
-    for state, outgoing in enumerate(by_src):
+def _prune_rows(rows: _Rows, p: int, n: int) -> Encoder:
+    """:func:`prune_to_encoder` on rows whose labels all have n symbols."""
+    fanout = 1 << p
+    kept: List[List[Tuple[int, int]]] = []
+    for state, heads in enumerate(rows.out):
+        # equal ranks are equal words, so a duplicate codeword follows
+        # its first copy directly
+        outgoing = _label_order(heads)
         if len(outgoing) < fanout:
             raise InsufficientDegreeError(
-                f"state {g.states[state]!r} has out-degree {len(outgoing)}, "
+                f"state {rows.states[state]!r} has out-degree {len(outgoing)}, "
                 f"needs {fanout}")
-        outgoing.sort(key=order)
         primaries, duplicates = [], []
-        seen = set()
-        for e in outgoing:
-            (duplicates if e.word in seen else primaries).append(e)
-            seen.add(e.word)
-        chosen = (primaries + duplicates)[:fanout]
-        chosen.sort(key=order)
-        kept.append(chosen)
+        last = None
+        for edge in outgoing:
+            (duplicates if edge[0] == last else primaries).append(edge)
+            last = edge[0]
+        kept.append(sorted((primaries + duplicates)[:fanout]))
 
     start = 0
     reachable = {start}
     frontier = [start]
     while frontier:
         state = frontier.pop()
-        for e in kept[state]:
-            if e.dst not in reachable:
-                reachable.add(e.dst)
-                frontier.append(e.dst)
+        for _, d in kept[state]:
+            if d not in reachable:
+                reachable.add(d)
+                frontier.append(d)
     order = sorted(reachable)
     renumber = {old: new for new, old in enumerate(order)}
+    words = rows.words
     transitions = tuple(
-        tuple((e.word, renumber[e.dst]) for e in kept[old])
+        tuple((words[r], renumber[d]) for r, d in kept[old])
         for old in order)
-    return _assemble(q, p, n, renumber[start], transitions)
+    return _assemble(rows.q, p, n, renumber[start], transitions)
 
 
 def build_encoder(q: int, p: int, n: int) -> Encoder:
@@ -488,11 +501,9 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
 @lru_cache(maxsize=8)
 def _synthesize(q: int, p: int, n: int) -> Encoder:
     """The stage chain of :func:`build_encoder`, on checked arguments."""
-    base = make_constraint(q)
-    powered = power_graph(base, n)
+    powered = _power_rows(_constraint_rows(q), n)
     x = find_approximate_eigenvector(powered.adjacency, p)
-    split = split_states(powered, x)
-    return prune_to_encoder(split, q, p, n)
+    return _prune_rows(_split_rows(powered, x), p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -694,4 +705,4 @@ def parse_encoder(text: str) -> Encoder:
                 raise EncoderFormatError(f"transition target {nxt} out of range")
     if start >= num_states:
         raise EncoderFormatError(f"start state {start} out of range")
-    return _assemble(q, p, n, start, transitions)
+    return _assemble(q, p, n, start, transitions, keep_index=True)

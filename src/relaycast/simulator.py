@@ -87,6 +87,10 @@ class TreeTopology:
             patterns[source_ok, first_ok] = entries
         return entries
 
+    def _all_pass(self, source_ok: bool, first_ok: int) -> bool:
+        """Whether every record of the pattern :meth:`_records` builds passes."""
+        return source_ok and min(first_ok, self.max_depth + 1) <= 1
+
 
 def parse_tree(text: str) -> TreeTopology:
     """Parse a topology file: one ``<node_id> <parent_id>`` pair per line.
@@ -301,8 +305,9 @@ class DeliveryReport:
     nodes: Tuple[NodeDelivery, ...]
     violations: int
 
-    @property
+    @cached_property
     def all_passed(self) -> bool:
+        """Every node passed; :func:`verify_delivery` fills it in O(1)."""
         return all(entry.passed for entry in self.nodes)
 
 
@@ -332,9 +337,13 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
                            enumerate(zip(trace.relayed, expected))
                            if got != want), horizon)
     source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
-    return DeliveryReport(
-        nodes=topo._records(NodeDelivery, source_ok, horizon - first_miss + 1),
+    first_ok = horizon - first_miss + 1
+    report = DeliveryReport(
+        nodes=topo._records(NodeDelivery, source_ok, first_ok),
         violations=len(trace.lost) * topo._relays)
+    # the verdict pattern decides the cached property without a walk
+    vars(report)["all_passed"] = topo._all_pass(source_ok, first_ok)
+    return report
 
 
 def baseline_rate(q: int) -> float:
@@ -368,8 +377,9 @@ class EndToEndReport:
     message_bits: int
     nodes: Tuple[NodeRecovery, ...]
 
-    @property
+    @cached_property
     def all_recovered(self) -> bool:
+        """Every node recovered; :func:`end_to_end` fills it in O(1)."""
         return all(entry.recovered for entry in self.nodes)
 
 
@@ -388,8 +398,9 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     equals the source stream whenever the source is admissible; depth
     1's window is decoded only when it differs, since decoding is
     deterministic. Per-node records are shared per tree, for a bounded
-    number of verdict patterns (see ``TreeTopology._records``), so a
-    call does no Python work per node.
+    number of verdict patterns (see ``TreeTopology._records``), and the
+    pattern decides ``all_recovered``, so neither the call nor reading
+    the verdict does Python work per node.
     """
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message)
@@ -406,8 +417,11 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     window = trace.relayed[1:1 + len(stream)]
     relay_ok = (source_ok if window == stream or not topo.max_depth
                 else recovers(window))
-    nodes = topo._records(NodeRecovery, source_ok,
-                          1 if relay_ok else topo.max_depth + 1)
-    return EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
-                          baseline=baseline_rate(q), message_bits=len(bits),
-                          nodes=nodes)
+    first_ok = 1 if relay_ok else topo.max_depth + 1
+    report = EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
+                            baseline=baseline_rate(q), message_bits=len(bits),
+                            nodes=topo._records(NodeRecovery, source_ok,
+                                                first_ok))
+    # the verdict pattern decides the cached property without a walk
+    vars(report)["all_recovered"] = topo._all_pass(source_ok, first_ok)
+    return report

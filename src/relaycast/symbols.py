@@ -143,6 +143,9 @@ def word_ranks(words: Iterable[Word]) -> Dict[Word, int]:
     """Position of each distinct word in :func:`word_key` order.
 
     Sorting edges on ``rank[word]`` gives the order of ``word_key(word)``
-    while deriving each key only once per distinct word.
+    while deriving each key only once per distinct word. Duplicates are
+    dropped in input order (``dict.fromkeys``), so words that arrive
+    already in order, as the paths of a power graph do, sort in one
+    linear pass.
     """
-    return {w: i for i, w in enumerate(sorted(set(words), key=word_key))}
+    return {w: i for i, w in enumerate(sorted(dict.fromkeys(words), key=word_key))}

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        find_approximate_eigenvector, is_admissible,
                        make_constraint, parse_encoder, power_graph,
                        prune_to_encoder, serialize_encoder, split_states)
+import relaycast.encoder as encoder_module
 from relaycast.constraint import matrix_vector
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
                                _synthesize)
@@ -632,3 +634,21 @@ def test_anticipation_matches_recursive_oracle(transitions):
         assert isinstance(got, tuple) and got[0] is expected[0]
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize("source, indexes", [("parsed", 1), ("built", 2)])
+def test_codeword_indexes_per_machine(source, indexes):
+    """A parsed machine decodes with the index its certificate was built
+    from. A synthesized one, which the memo keeps whether or not it is
+    ever decoded, drops that index and builds one more on its first
+    decode. Encoding and later decodes build none."""
+    text = serialize_encoder(build_encoder(1, 9, 13))
+    counting = mock.Mock(wraps=encoder_module._codeword_index)
+    with mock.patch.object(encoder_module, "_codeword_index", counting):
+        machine = (_synthesize.__wrapped__(1, 9, 13) if source == "built"
+                   else parse_encoder(text))
+        for seed in (14, 15):
+            bits = random_bits(random.Random(seed), 200)
+            stream, header = encode(machine, bits)
+            assert decode(machine, stream, header) == bits
+    assert counting.call_count == indexes

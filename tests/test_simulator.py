@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relaycast.simulator
-from relaycast import (ERASED, InvalidParameterError, N, NodeDelivery,
-                       NodeRecovery, RelaycastError, TopologyError,
-                       baseline_rate, build_encoder, encode, end_to_end,
+from relaycast import (ERASED, DeliveryReport, EndToEndReport,
+                       InvalidParameterError, N, NodeDelivery, NodeRecovery,
+                       RelaycastError, TopologyError, baseline_rate,
+                       build_encoder, capacity, encode, end_to_end,
                        is_admissible, parse_stream, parse_tree, simulate,
                        verify_delivery)
 from relaycast.symbols import is_data
@@ -498,6 +499,63 @@ def test_end_to_end_decodes_each_distinct_window_once():
         [flipped, stream]
     assert [entry.recovered for entry in report.nodes] == \
         [entry.depth > 0 for entry in report.nodes]
+
+
+def _changed(stream, change):
+    """``stream`` with a data symbol inserted after data (the relays
+    silence it again), with its first data symbol silenced (every node
+    decodes wrong bits or fails), or as it is."""
+    if change == "insert":
+        i = next(t for t in range(len(stream) - 1)
+                 if stream[t] is not N and stream[t + 1] is N)
+        return stream[:i + 1] + (0,) + stream[i + 2:]
+    if change == "silence":
+        i = next(t for t, symbol in enumerate(stream) if symbol is not N)
+        return stream[:i] + (N,) + stream[i + 1:]
+    return stream
+
+
+@pytest.mark.parametrize("text", ["0 -\n", chain_text(1), fig1_text()])
+@pytest.mark.parametrize("change", [None, "insert", "silence"])
+def test_report_verdicts_follow_each_pattern(text, change):
+    """``end_to_end`` and ``verify_delivery`` fill the all-nodes verdict
+    from the verdict pattern; it equals the walk over the records."""
+    topo = parse_tree(text)
+    bits = random_bits(random.Random(12), 90)
+    stream, header = encode(build_encoder(1, 2, 3), bits)
+    stream = _changed(stream, change)
+    with mock.patch.object(relaycast.simulator, "encode",
+                           lambda *_: (stream, header)):
+        report = end_to_end(1, 2, 3, topo, bits)
+    recovered = [entry.recovered for entry in report.nodes]
+    assert recovered == [change is None or (change == "insert" and d > 0)
+                         for d in (entry.depth for entry in report.nodes)]
+    assert vars(report)["all_recovered"] is all(recovered)
+    assert report.all_recovered is all(recovered)
+
+    trace = simulate(topo, stream)
+    for claim in (stream, _changed(stream, "silence")):
+        delivery = verify_delivery(trace, topo, claim)
+        passed = all(entry.passed for entry in delivery.nodes)
+        assert vars(delivery)["all_passed"] is passed
+        assert delivery.all_passed is passed
+
+
+def test_hand_built_reports_walk_their_records():
+    nodes = (NodeRecovery(0, 0, True), NodeRecovery(1, 1, False),
+             NodeRecovery(2, 2, True))
+    report = EndToEndReport(q=1, p=2, n=3, rate=2 / 3, capacity=capacity(1),
+                            baseline=0.5, message_bits=4, nodes=nodes)
+    assert not report.all_recovered
+    assert dataclasses.replace(report, nodes=nodes[::2]).all_recovered
+    # a copy of a report end_to_end filled answers for its own records
+    filled = end_to_end(1, 2, 3, parse_tree(chain_text(2)), "0110")
+    assert filled.all_recovered
+    assert not dataclasses.replace(filled, nodes=nodes).all_recovered
+    delivered = (NodeDelivery(0, 0, True), NodeDelivery(1, 1, True),
+                 NodeDelivery(2, 2, False))
+    assert not DeliveryReport(nodes=delivered, violations=0).all_passed
+    assert DeliveryReport(nodes=delivered[:2], violations=0).all_passed
 
 
 @pytest.mark.parametrize("record, names", [

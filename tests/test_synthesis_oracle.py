@@ -1,8 +1,9 @@
 """Encoder synthesis against the edge-list oracles in ``helpers``.
 
-``power_graph``, ``split_states`` and ``prune_to_encoder`` sort on
-precomputed codeword ranks and update only the edges a split touches.
-Their output must stay byte-for-byte that of the straightforward
+``power_graph``, ``split_states`` and ``prune_to_encoder`` convert a
+graph to rows of codeword ranks per head, run their row stage and
+convert back; ``build_encoder`` chains the row stages and builds no
+graph. Their output must stay byte-for-byte that of the straightforward
 versions kept in ``helpers``: the same edges in the same order, the same
 state names, the same serialized machine, or the same exception. The
 weight vectors between the stages must equal those of the eigenvector
@@ -19,10 +20,12 @@ from hypothesis import strategies as st
 
 from relaycast import (ApproxEigenvector, ConstraintGraph, Edge, N,
                        build_encoder, capacity, decode, encode,
-                       find_approximate_eigenvector, format_stream,
-                       make_constraint, parse_encoder, parse_stream,
-                       power_graph, prune_to_encoder, serialize_encoder,
-                       split_states)
+                       enumerate_words, find_approximate_eigenvector,
+                       format_stream, make_constraint, parse_encoder,
+                       parse_stream, power_graph, prune_to_encoder,
+                       serialize_encoder, split_states)
+from relaycast.constraint import _constraint_rows, _power_rows
+from relaycast.encoder import _synthesize
 from helpers import (ROUND_TRIP_RATES, SWEEP, approximate_eigenvector_oracle,
                      outcome, power_graph_oracle, prune_to_encoder_oracle,
                      split_states_oracle)
@@ -61,6 +64,46 @@ def test_synthesis_matches_oracle_sweep(q):
                 continue
             _same_machine(outcome(prune_to_encoder, split, q, p, n),
                           outcome(prune_to_encoder_oracle, split, q, p, n))
+
+
+def _stage_chain(q, p, n):
+    """The public stages, graph to graph, in ``build_encoder``'s order."""
+    powered = power_graph(make_constraint(q), n)
+    x = find_approximate_eigenvector(powered.adjacency, p)
+    return prune_to_encoder(split_states(powered, x), q, p, n)
+
+
+def _text_or_error(fn, *args):
+    result = outcome(fn, *args)
+    return result if isinstance(result, tuple) else serialize_encoder(result)
+
+
+@pytest.mark.parametrize("q", sorted(SWEEP))
+def test_row_chain_equals_public_stage_chain(q):
+    """Every sweep rate, and the first infeasible p of each n: the same
+    machine text or the same error, (3,6,5)'s ``StateSplitError`` too."""
+    for n in range(1, SWEEP[q] + 1):
+        for p in range(1, math.floor(capacity(q) * n + 1e-9) + 2):
+            assert _text_or_error(_synthesize.__wrapped__, q, p, n) == \
+                _text_or_error(_stage_chain, q, p, n), (q, p, n)
+
+
+def test_build_makes_no_graph_or_edge(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis built a graph object")
+
+    monkeypatch.setattr(ConstraintGraph, "__init__", refuse)
+    monkeypatch.setattr(Edge, "__init__", refuse)
+    # a rate no other test builds, so the memo cannot answer it
+    machine = build_encoder(4, 5, 4)
+    assert machine.p == 5 and machine.n == 4
+    assert serialize_encoder(_synthesize.__wrapped__(1, 11, 16))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_power_rows_rank_words_in_enumeration_order(q):
+    for n in range(1, 7):
+        assert _power_rows(_constraint_rows(q), n).words == enumerate_words(q, n)
 
 
 @st.composite
