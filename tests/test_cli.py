@@ -1,15 +1,19 @@
 import contextlib
+import decimal
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaycast import (build_encoder, capacity, count_words, parse_encoder,
-                       serialize_encoder, table_report)
-from relaycast.cli import run
-from helpers import chain_text, deep_encoder_text, fig1_text
+from relaycast import (StreamFormatError, build_encoder, capacity,
+                       count_words, encode, parse_encoder, serialize_encoder,
+                       table_report)
+from relaycast.cli import _read_value, run
+from relaycast.symbols import is_bits
+from helpers import chain_text, deep_encoder_text, fig1_text, outcome
 
 
 def test_capacity_text_output(capsys):
@@ -25,6 +29,16 @@ def test_capacity_raw_is_full_precision(capsys):
 def test_count_output(capsys):
     assert run(["count", "--q", "1", "--n", "5"]) == 0
     assert capsys.readouterr().out.strip() == "13"
+
+
+def test_count_prints_every_digit(capsys):
+    # 5,225 digits, past the interpreter's default int string limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    assert run(["count", "--q", "1", "--n", "25000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.strip()) > 4300
+    assert decimal.Decimal(out) == count_words(1, 25000)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_enumerate_output(capsys):
@@ -142,6 +156,40 @@ def test_encoder_cli_roundtrip(tmp_path, capsys):
     assert run(["decode", "--encoder", str(enc_path),
                 "--stream", stream_line, "--length", "6"]) == 0
     assert capsys.readouterr().out.strip() == "110100"
+
+
+@pytest.mark.parametrize("stream,length,error", [
+    ("N 0 N x N 0 N 0 N 0 N N", 6, "bad stream token 'x'"),
+    ("N 0 N N N 1 N 0 N 0 N N", 6, "data symbol 1 out of range for q=1"),
+    ("N 0 N N N 0 N 0 N 0 N N", 7, "stream has 4 blocks, frame implies 5"),
+    ("0 0 N N N 0 N 0 N 0 N N", 6, "block 0 (0 0 N) matches no transition"),
+    # the token first, though decoding tokens checks the frame first
+    ("N 0 N x N 0 N 0 N 0 N N", 9, "bad stream token 'x'"),
+    ("N 0 N 0x 1 N 0 N 0 N N N", 3, "bad stream token '0x'"),
+])
+def test_decode_errors_come_in_stream_order(tmp_path, capsys, stream, length,
+                                            error):
+    enc_path, stream_path = tmp_path / "enc.txt", tmp_path / "stream.txt"
+    enc_path.write_text(serialize_encoder(build_encoder(1, 2, 3)))
+    stream_path.write_text(stream + "\n")
+    assert run(["decode", "--encoder", str(enc_path), "--stream",
+                str(stream_path), "--length", str(length)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text("012 \n\u0661\uff10\u00e9", max_size=12))
+def test_bit_checks_accept_only_ascii_zeros_and_ones(enc_q1, text):
+    accepted = not text.strip("01")
+    assert is_bits(text) == accepted
+    error = (StreamFormatError, "bit strings may contain only 0 and 1")
+    assert (outcome(encode, enc_q1, text) == error) != accepted
+    # an inline --bits value that is not bits is taken for a file name
+    if accepted:
+        assert _read_value(text, "bits") == text
+    else:
+        with pytest.raises(FileNotFoundError):
+            _read_value(text, "bits")
 
 
 def test_decode_rejects_non_ascii_encoder_field(tmp_path, capsys):

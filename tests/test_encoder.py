@@ -13,16 +13,17 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        ConstraintGraph, Edge, EncoderFormatError, FrameHeader,
                        FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError, N,
-                       NonUniformLabelError, StateSplitError,
-                       UnknownCodewordError, build_encoder, capacity,
-                       count_words, decode, encode, encoder_report,
-                       find_approximate_eigenvector, is_admissible,
-                       make_constraint, parse_encoder, power_graph,
-                       prune_to_encoder, serialize_encoder, split_states)
+                       NonUniformLabelError, RelaycastError,
+                       StateSplitError, UnknownCodewordError, build_encoder,
+                       capacity, count_words, decode, encode, encoder_report,
+                       find_approximate_eigenvector, format_stream,
+                       is_admissible, make_constraint, parse_encoder,
+                       parse_stream, power_graph, prune_to_encoder,
+                       serialize_encoder, split_states)
 import relaycast.encoder as encoder_module
 from relaycast.constraint import matrix_vector
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
-                               _synthesize)
+                               _encode_text, _synthesize)
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
                      approximate_eigenvector_oracle, decode_oracle,
                      deep_encoder_text, encode_oracle, outcome, random_bits)
@@ -392,6 +393,29 @@ def test_decode_unknown_codeword(enc_q1):
         decode(enc_q1, corrupted, header)
 
 
+def test_decode_rejects_a_str_word(enc_q1):
+    # one character per symbol: "0NN..." would decode character by character
+    stream, header = encode(enc_q1, "110100")
+    text = "".join(format_stream(stream).split())
+    assert len(text) == len(stream)
+    with pytest.raises(RelaycastError):
+        decode(enc_q1, text, header)
+
+
+def test_token_blocks_are_converted_once_per_row(enc_q1):
+    """A second decode of the same tokens converts nothing."""
+    machine = parse_encoder(serialize_encoder(enc_q1))
+    bits = random_bits(random.Random(3), 1000)
+    text, header = _encode_text(machine, bits)
+    counting = mock.Mock(wraps=machine._subset_table.advance)
+    with mock.patch.object(machine._subset_table, "advance", counting):
+        assert decode(machine, text.split(), header) == bits
+        first = counting.call_count
+        assert decode(machine, text.split(), header) == bits
+    assert 0 < first < len(text.split()) // machine.n
+    assert counting.call_count == first
+
+
 def test_decode_framing_errors(enc_q1):
     stream, header = encode(enc_q1, "1101")
     with pytest.raises(FramingError):
@@ -596,6 +620,66 @@ def test_deep_certificate_parses_without_recursion():
     assert machine.anticipation == 2001
     stream, header = encode(machine, "0110")
     assert decode(machine, stream, header) == "0110"
+
+
+def _reached(machine, bits):
+    """The (state, value) pairs of the chunks and of the tail blocks that
+    encoding ``bits`` looks up, walked one block at a time."""
+    chunks, blocks = set(), set()
+    if not bits:
+        return chunks, blocks
+    p = machine.p
+    text = bits + "0" * ((-len(bits)) % p + p * machine.anticipation)
+    width = machine._chunk_blocks * p
+    whole = len(text) - len(text) % width
+    state = machine.start_state
+    for i in range(0, len(text), p):
+        if i >= whole:
+            blocks.add((state, int(text[i:i + p], 2)))
+        elif i % width == 0:
+            chunks.add((state, int(text[i:i + width], 2)))
+        state = machine.transitions[state][int(text[i:i + p], 2)][1]
+    return chunks, blocks
+
+
+def _made(machine):
+    """The (state, value) pairs that each of the text tables holds."""
+    return [{(state, value) for state, row in table.items() for value in row}
+            for table in machine._text_tables]
+
+
+@pytest.fixture(scope="module")
+def deep_machine():
+    return parse_encoder(deep_encoder_text(2000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.text("01", max_size=40))
+@example(bits="")
+@example(bits="1")
+@example(bits="0110101")
+def test_text_codec_on_a_deep_certificate(deep_machine, bits):
+    """8 one-bit blocks per chunk and 2,001 flush blocks; a fresh copy
+    of the machine has empty text tables."""
+    machine = dataclasses.replace(deep_machine)
+    stream, header = encode(machine, bits)
+    text, text_header = _encode_text(machine, bits)
+    assert text == format_stream(stream) and text_header == header
+    tokens = text.split()
+    assert decode(machine, tokens, header) == bits
+    assert decode(machine, parse_stream(text, q=3), header) == bits
+    assert _made(machine) == list(_reached(machine, bits))
+
+
+@settings(max_examples=20, deadline=None)
+@given(bits=st.text("01", max_size=60))
+def test_text_entries_follow_the_message_at_p_11(bits):
+    """One block per chunk, so no tail blocks. A row could hold 2**11
+    entries; only those the message reaches are made."""
+    machine = dataclasses.replace(build_encoder(1, 11, 16))
+    text, _ = _encode_text(machine, bits)
+    assert text == format_stream(encode(machine, bits)[0])
+    assert _made(machine) == list(_reached(machine, bits))
 
 
 @st.composite

@@ -8,7 +8,9 @@ versions kept in ``helpers``: the same edges in the same order, the same
 state names, the same serialized machine, or the same exception. The
 weight vectors between the stages must equal those of the eigenvector
 search kept there. The machines of the sweep also round-trip through
-the text formats and through encode and decode.
+the text formats and through encode and decode, and the CLI's text
+codec (``_encode_text``, and ``decode`` of tokens) matches the symbol
+codec on every one.
 """
 
 import hashlib
@@ -18,14 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaycast import (ApproxEigenvector, ConstraintGraph, Edge, N,
+from relaycast import (ApproxEigenvector, ConstraintGraph, Edge,
+                       FrameHeader, N, RelaycastError, StreamFormatError,
                        build_encoder, capacity, decode, encode,
                        enumerate_words, find_approximate_eigenvector,
                        format_stream, make_constraint, parse_encoder,
                        parse_stream, power_graph, prune_to_encoder,
                        serialize_encoder, split_states)
 from relaycast.constraint import _constraint_rows, _power_rows
-from relaycast.encoder import _synthesize
+from relaycast.encoder import _encode_text, _synthesize
 from helpers import (ROUND_TRIP_RATES, SWEEP, approximate_eigenvector_oracle,
                      outcome, power_graph_oracle, prune_to_encoder_oracle,
                      split_states_oracle)
@@ -202,3 +205,56 @@ def test_encoders_roundtrip_through_text(sweep_machines, rate, sep, newline):
     # the parser splits on any whitespace and skips blank lines
     spaced = newline.join(sep.join(line.split()) for line in text.splitlines())
     assert serialize_encoder(parse_encoder(spaced)) == text
+
+
+BAD_TOKENS = ["x", "-1", "n", "0.0", "\u0663", "\uff10", "1" * 641]
+
+
+def _spoil(data, machine, tokens, header):
+    """The tokens and header after one drawn change, or unchanged.
+
+    "respell" writes some data symbols with leading zeros (``00``);
+    every other change but "none" makes the stream invalid.
+    """
+    kind = data.draw(st.sampled_from(
+        ["none", "respell", "bad token", "out of range", "wrong length",
+         "bad token and wrong length"]))
+    tokens = list(tokens)
+    at = data.draw(st.integers(0, max(len(tokens) - 1, 0)))
+    if kind == "respell":
+        zeros = data.draw(st.sampled_from(["0", "00"]))
+        tokens = [t if t == "N" or i % 2 else zeros + t
+                  for i, t in enumerate(tokens)]
+    elif kind == "out of range" and tokens:
+        tokens[at] = str(machine.q)
+    elif "bad token" in kind and tokens:
+        tokens[at] = data.draw(st.sampled_from(BAD_TOKENS))
+    if "wrong length" in kind:
+        header = FrameHeader(header.bit_length + machine.p, header.pad)
+    return kind, tokens, header
+
+
+@pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_text_codec_matches_the_symbol_codec(sweep_machines, rate, data):
+    """Lengths 0, 1, p - 1, a chunk and one bit either side, and whole
+    chunks, whose tail is flush blocks only."""
+    machine = sweep_machines[rate]
+    width = machine._chunk_blocks * machine.p
+    length = data.draw(st.sampled_from(
+        [0, 1, machine.p - 1, width - 1, width, width + 1, 2 * width]))
+    bits = data.draw(st.text("01", min_size=length, max_size=length))
+    stream, header = encode(machine, bits)
+    text, text_header = _encode_text(machine, bits)
+    assert text == format_stream(stream) and text_header == header
+    kind, tokens, header = _spoil(data, machine, text.split(), header)
+    got = outcome(decode, machine, tokens, header)
+    try:
+        parsed = parse_stream(" ".join(tokens), q=machine.q)
+    except StreamFormatError:
+        assert isinstance(got, tuple) and issubclass(got[0], RelaycastError)
+    else:
+        assert got == outcome(decode, machine, parsed, header)
+    if kind in ("none", "respell"):
+        assert got == bits
