@@ -9,7 +9,6 @@ flags, 4 file not found.
 from __future__ import annotations
 
 import argparse
-import decimal
 import errno
 import random
 import sys
@@ -20,10 +19,8 @@ from typing import List, Tuple
 
 from .constraint import (DEFAULT_ENUMERATION_CAP, capacity, count_words,
                          enumerate_words)
-from .encoder import (FrameHeader, _encode_text, build_encoder, decode,
+from .encoder import (FrameHeader, build_encoder, decode, encode,
                       encoder_report, parse_encoder, serialize_encoder)
-# No command calls encode, but relaybench's tracer wraps it here.
-from .encoder import encode  # noqa: F401
 from .errors import (InvalidParameterError, RelaycastError,
                      UnsupportedParameterError)
 from .simulator import (baseline_rate, end_to_end, parse_tree, simulate,
@@ -122,7 +119,9 @@ def _cmd_capacity(args) -> None:
 
 def _cmd_count(args) -> None:
     # str() of an int past 4,300 digits raises under the interpreter's
-    # default limit; the Decimal of an int is exact and prints every digit
+    # default limit; the Decimal of an int is exact and prints every
+    # digit. Imported here, so that no other command pays for it.
+    import decimal
     print(decimal.Decimal(count_words(args.q, args.n)))
 
 
@@ -148,14 +147,14 @@ def _cmd_build_encoder(args) -> None:
 def _cmd_encode(args) -> None:
     machine = parse_encoder(_read_value(args.encoder))
     bits = _read_value(args.bits, "bits").strip()
-    stream, header = _encode_text(machine, bits)
+    stream, header = encode(machine, bits)
     if args.format == "raw":
         print(f"{header.bit_length} {header.pad}")
-        print(stream)
+        print(format_stream(stream))
     else:
         print(f"length: {header.bit_length}")
         print(f"pad: {header.pad}")
-        print(f"stream: {stream}")
+        print(f"stream: {format_stream(stream)}")
 
 
 def _cmd_decode(args) -> None:

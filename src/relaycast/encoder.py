@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import chain, combinations
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _constraint_rows,
@@ -46,8 +46,8 @@ from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
-from .symbols import (Word, _check_int, _Symbols, _Tokens, format_stream,
-                      is_bits, is_decimal, parse_stream)
+from .symbols import (Word, _check_int, _Symbols, format_stream, is_bits,
+                      is_decimal, parse_stream)
 
 _PERRON_SCALE_LIMIT = 4096
 _FEASIBILITY_CEILING = 1 << 20
@@ -248,65 +248,34 @@ class Encoder:
 
         A chunk is ``_chunk_blocks`` blocks, ``v`` their bits read as one
         big-endian number. With one block per chunk (p >= 5) this is
-        ``transitions`` itself. Otherwise a row holds ``2**(k*p)``
-        entries, at most 256, and is built when an encoding first
-        reaches its state at a chunk boundary.
+        ``transitions`` itself.
         """
         if self._chunk_blocks == 1:
             return self.transitions
-        return _OnDemand(partial(_chunk_row, self.transitions,
-                                 self._chunk_blocks))
-
-    @cached_property
-    def _text_tables(self):
-        """``_chunk_table`` and ``transitions`` with codewords as stream text.
-
-        ``[state][v] = (format_stream(codeword), state after)``, each
-        entry made when an encoding first reaches it, so a p=13 machine
-        formats only the codewords a message reaches, never a whole
-        ``2**p`` row.
-        """
-        return _text_table(self._chunk_table), _text_table(self.transitions)
+        return _ChunkTable(self.transitions, self._chunk_blocks)
 
 
-class _OnDemand(dict):
-    """``make(key)`` for each key, made on first use and kept.
+class _ChunkTable(dict):
+    """Rows of the k-fold composed transitions, built per state on first use.
 
-    Concurrent users at worst make one value twice and store equal
-    values.
+    A row holds ``2**(k*p)`` entries, at most 256, so the table holds at
+    most ``num_states * 256``; rows of states an encoding never reaches
+    at a chunk boundary are never built. Concurrent encoders at worst
+    build one row twice and store equal values.
     """
 
-    def __init__(self, make):
+    def __init__(self, transitions, blocks):
         super().__init__()
-        self._make = make
+        self._transitions = transitions
+        self._blocks = blocks
 
-    def __missing__(self, key):
-        value = self[key] = self._make(key)
-        return value
-
-
-def _chunk_row(transitions, blocks, state):
-    """The ``blocks``-fold composed transitions from ``state``, in tag order."""
-    row = [((), state)]
-    for _ in range(blocks):
-        row = [(word + step, nxt) for word, at in row
-               for step, nxt in transitions[at]]
-    return tuple(row)
-
-
-def _text_table(rows):
-    """``rows[state][v]`` with its codeword as text, per entry on first use.
-
-    The text is :func:`format_stream`'s; the entries share one token
-    table, so each symbol is converted once per table, not per entry.
-    """
-    token = _Tokens().__getitem__
-
-    def entry(row, value):
-        word, nxt = row[value]
-        return " ".join(map(token, word)), nxt
-
-    return _OnDemand(lambda state: _OnDemand(partial(entry, rows[state])))
+    def __missing__(self, state):
+        row = [((), state)]
+        for _ in range(self._blocks):
+            row = [(word + step, nxt) for word, at in row
+                   for step, nxt in self._transitions[at]]
+        row = self[state] = tuple(row)
+        return row
 
 
 def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
@@ -326,8 +295,10 @@ class _SubsetTable:
     A row belongs to one sorted tuple of machine states and maps a block
     to ``(next tuple, next row, back-pointers)``, where the back-pointer
     of each next state is ``(index in the tuple, p-bit tag string)``.
-    A block is a tuple of symbols or of stream tokens, kept as given, so
-    a block of tokens is converted once per row, not once per sight.
+    A block is a tuple of symbols or of stream tokens. A block of tokens
+    is stored only in its canonical spelling (``0``, not ``00``), so a
+    row grows with the codewords seen, not with the spellings sent, and
+    a valid stream's tokens are converted once per row, not per sight.
     Only blocks that match a transition are stored, so every error is
     raised afresh with the index of its own block. Rows are filled by
     ``dict`` stores of equal values, so concurrent decoders at worst
@@ -337,7 +308,7 @@ class _SubsetTable:
     def __init__(self, encoder: Encoder):
         self._by_codeword = encoder._by_codeword
         self._tag_format = f"0{encoder.p}b"
-        self._symbols = _Symbols(encoder.q)
+        self._q = encoder.q
         self._rows: Dict[Tuple[int, ...], dict] = {}
         first = (encoder.start_state,)
         self.start = (first, self._rows.setdefault(first, {}))
@@ -348,8 +319,8 @@ class _SubsetTable:
         Tokens of the block are checked and converted as
         :func:`parse_stream` does.
         """
-        symbols = tuple(self._symbols[s] if isinstance(s, str) else s
-                        for s in block)
+        token = _Symbols(self._q).__getitem__
+        symbols = tuple(token(s) if isinstance(s, str) else s for s in block)
         moves: Dict[int, tuple] = {}
         for j, state in enumerate(states):
             for tag, nxt in self._by_codeword[state].get(symbols, ()):
@@ -363,7 +334,8 @@ class _SubsetTable:
         after = tuple(sorted(moves))
         step = (after, self._rows.setdefault(after, {}),
                 tuple(moves[s] for s in after))
-        row[block] = step
+        if block == symbols or block == tuple(format_stream(symbols).split()):
+            row[block] = step
         return step
 
 
@@ -582,49 +554,34 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
 
     Whole chunks of up to 8 bits (``8 // p`` blocks) cost one lookup
     each in the encoder's chunk table; the blocks after the last whole
-    chunk are looked up one at a time.
-    """
-    words, header = _encode_chunks(encoder, bits, encoder._chunk_table,
-                                   encoder.transitions)
-    return tuple(chain.from_iterable(words)), header
-
-
-def _encode_text(encoder: Encoder, bits) -> Tuple[str, FrameHeader]:
-    """``format_stream`` of the stream :func:`encode` returns, and its header.
-
-    Looks up each chunk's token text instead of its symbols and joins
-    the texts once, so no symbol is converted per occurrence.
-    """
-    texts, header = _encode_chunks(encoder, bits, *encoder._text_tables)
-    return " ".join(texts), header
-
-
-def _encode_chunks(encoder, bits, chunks, blocks):
-    """The entries of the message's chunks, then of its tail blocks.
-
-    ``chunks[state][v]`` and ``blocks[state][v]`` are ``(entry, state
-    after)`` for the chunk or block of value ``v``, as in
-    ``_chunk_table`` and ``transitions``.
+    chunk are looked up one at a time. When p divides 8 a chunk is a
+    byte, and the chunk values are the bytes of the bits read as one
+    number.
     """
     text = _normalize_bits(bits)
     length = len(text)
     if length == 0:
-        return [], FrameHeader(0, 0)
+        return (), FrameHeader(0, 0)
     p = encoder.p
     pad = (-length) % p
     text += "0" * (pad + p * encoder.anticipation)
     width = encoder._chunk_blocks * p
     whole = len(text) - len(text) % width
+    if width == 8:
+        values = int(text[:whole] or "0", 2).to_bytes(whole // 8, "big")
+    else:
+        values = [int(text[i:i + width], 2) for i in range(0, whole, width)]
+    table = encoder._chunk_table
+    transitions = encoder.transitions
     out: List = []
-    append = out.append
     state = encoder.start_state
-    for i in range(0, whole, width):
-        entry, state = chunks[state][int(text[i:i + width], 2)]
-        append(entry)
+    for value in values:
+        word, state = table[state][value]
+        out.extend(word)
     for i in range(whole, len(text), p):
-        entry, state = blocks[state][int(text[i:i + p], 2)]
-        append(entry)
-    return out, FrameHeader(length, pad)
+        word, state = transitions[state][int(text[i:i + p], 2)]
+        out.extend(word)
+    return tuple(out), FrameHeader(length, pad)
 
 
 def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
@@ -644,7 +601,8 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     ``word`` holds symbols or stream tokens (``"0"``, ``"N"``, ...), such
     as ``text.split()``; a token block is checked and converted as
     :func:`parse_stream` does when the table first sees it, and then
-    costs one lookup like any block. Stray streams that match no
+    costs one lookup like any block (a block spelled otherwise, as
+    ``00`` for ``0``, is converted at every sight). Stray streams that match no
     transition raise :class:`UnknownCodewordError` at the offending
     block, and a bad token :class:`StreamFormatError` at its block.
     Framing is checked first, so unlike ``parse_stream`` then

@@ -23,7 +23,7 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
 import relaycast.encoder as encoder_module
 from relaycast.constraint import matrix_vector
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
-                               _encode_text, _synthesize)
+                               _synthesize)
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
                      approximate_eigenvector_oracle, decode_oracle,
                      deep_encoder_text, encode_oracle, outcome, random_bits)
@@ -406,7 +406,8 @@ def test_token_blocks_are_converted_once_per_row(enc_q1):
     """A second decode of the same tokens converts nothing."""
     machine = parse_encoder(serialize_encoder(enc_q1))
     bits = random_bits(random.Random(3), 1000)
-    text, header = _encode_text(machine, bits)
+    stream, header = encode(machine, bits)
+    text = format_stream(stream)
     counting = mock.Mock(wraps=machine._subset_table.advance)
     with mock.patch.object(machine._subset_table, "advance", counting):
         assert decode(machine, text.split(), header) == bits
@@ -622,30 +623,28 @@ def test_deep_certificate_parses_without_recursion():
     assert decode(machine, stream, header) == "0110"
 
 
-def _reached(machine, bits):
-    """The (state, value) pairs of the chunks and of the tail blocks that
-    encoding ``bits`` looks up, walked one block at a time."""
-    chunks, blocks = set(), set()
-    if not bits:
-        return chunks, blocks
-    p = machine.p
-    text = bits + "0" * ((-len(bits)) % p + p * machine.anticipation)
-    width = machine._chunk_blocks * p
-    whole = len(text) - len(text) % width
-    state = machine.start_state
-    for i in range(0, len(text), p):
-        if i >= whole:
-            blocks.add((state, int(text[i:i + p], 2)))
-        elif i % width == 0:
-            chunks.add((state, int(text[i:i + width], 2)))
-        state = machine.transitions[state][int(text[i:i + p], 2)][1]
-    return chunks, blocks
+def test_respelled_tokens_leave_the_subset_table_as_it_was(enc_q1):
+    """Blocks of ``00``-style tokens decode but are never stored, so a
+    caller sent new spellings does not grow the machine's table."""
+    machine = parse_encoder(serialize_encoder(enc_q1))
+    bits = random_bits(random.Random(5), 300)
+    stream, header = encode(machine, bits)
+    tokens = format_stream(stream).split()
+    assert decode(machine, tokens, header) == bits
+    assert decode(machine, stream, header) == bits
+    rows = machine._subset_table._rows
 
+    def keys():
+        return {(after, block) for after, row in rows.items() for block in row}
 
-def _made(machine):
-    """The (state, value) pairs that each of the text tables holds."""
-    return [{(state, value) for state, row in table.items() for value in row}
-            for table in machine._text_tables]
+    stored = keys()
+    token_blocks = [" ".join(b) for _, b in stored if isinstance(b[0], str)]
+    assert token_blocks
+    assert all(format_stream(parse_stream(b)) == b for b in token_blocks)
+    for zeros in ("0", "00", "0" * 639):
+        respelled = [t if t == "N" else zeros + t for t in tokens]
+        assert decode(machine, respelled, header) == bits
+    assert keys() == stored
 
 
 @pytest.fixture(scope="module")
@@ -658,28 +657,12 @@ def deep_machine():
 @example(bits="")
 @example(bits="1")
 @example(bits="0110101")
-def test_text_codec_on_a_deep_certificate(deep_machine, bits):
-    """8 one-bit blocks per chunk and 2,001 flush blocks; a fresh copy
-    of the machine has empty text tables."""
-    machine = dataclasses.replace(deep_machine)
-    stream, header = encode(machine, bits)
-    text, text_header = _encode_text(machine, bits)
-    assert text == format_stream(stream) and text_header == header
-    tokens = text.split()
-    assert decode(machine, tokens, header) == bits
-    assert decode(machine, parse_stream(text, q=3), header) == bits
-    assert _made(machine) == list(_reached(machine, bits))
-
-
-@settings(max_examples=20, deadline=None)
-@given(bits=st.text("01", max_size=60))
-def test_text_entries_follow_the_message_at_p_11(bits):
-    """One block per chunk, so no tail blocks. A row could hold 2**11
-    entries; only those the message reaches are made."""
-    machine = dataclasses.replace(build_encoder(1, 11, 16))
-    text, _ = _encode_text(machine, bits)
-    assert text == format_stream(encode(machine, bits)[0])
-    assert _made(machine) == list(_reached(machine, bits))
+def test_token_decode_on_a_deep_certificate(deep_machine, bits):
+    """8 one-bit blocks per chunk and 2,001 flush blocks."""
+    stream, header = encode(deep_machine, bits)
+    text = format_stream(stream)
+    assert decode(deep_machine, text.split(), header) == bits
+    assert decode(deep_machine, parse_stream(text, q=3), header) == bits
 
 
 @st.composite
