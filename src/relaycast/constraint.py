@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
@@ -150,6 +150,17 @@ def _power_rows(rows: _Rows, n: int) -> _Rows:
     return _Rows(rows.q, rows.states, list(rank), out)
 
 
+def _power_adjacency(q: int, n: int) -> List[List[int]]:
+    """``[[1, q], [1, 0]]`` to the n-th power: per row, n steps of
+    ``(x, y) -> (x + y, q x)``, a row times the matrix."""
+    rows = []
+    for x, y in ((1, 0), (0, 1)):
+        for _ in range(n):
+            x, y = x + y, q * x
+        rows.append([x, y])
+    return rows
+
+
 def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
     """Presentation whose edges are the length-n paths of ``g``.
 
@@ -229,31 +240,17 @@ def validate_matrix(matrix: Matrix) -> List[List[int]]:
     return rows
 
 
-def _perron(m: Matrix) -> Tuple[float, Optional[List[float]]]:
-    """Perron root of a validated matrix, with its eigenvector if irreducible.
-
-    Closed form: the root of ``[[a, b], [c, d]]`` is
-    ``((a+d) + sqrt((a-d)**2 + 4bc)) / 2`` with eigenvector
-    ``(b, root - a)``, scaled to minimum entry 1. The vector is ``None``
-    when ``b`` or ``c`` is 0, where the matrix is reducible.
-    """
-    if len(m) == 1:
-        return float(m[0][0]), [1.0]
-    (a, b), (c, d) = m
-    root = ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
-    if not (b and c):
-        return root, None
-    direction = [b, root - a]
-    bottom = min(direction)
-    return root, [v / bottom for v in direction]
-
-
 def spectral_radius(matrix: Matrix) -> float:
     """Largest absolute eigenvalue of a 1x1 or 2x2 nonnegative integer matrix.
 
-    Closed form; any other input raises :class:`InvalidMatrixError`.
+    Closed form, ``((a+d) + sqrt((a-d)**2 + 4bc)) / 2`` for
+    ``[[a, b], [c, d]]``; any other input raises :class:`InvalidMatrixError`.
     """
-    return _perron(validate_matrix(matrix))[0]
+    m = validate_matrix(matrix)
+    if len(m) == 1:
+        return float(m[0][0])
+    (a, b), (c, d) = m
+    return ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
 
 
 def characteristic_roots(q: int) -> Tuple[float, float]:

@@ -4,8 +4,9 @@ A rate p:n encoder maps p input bits per step to an n-symbol block while
 keeping the concatenated output admissible. Construction:
 
 1. take the n-th power of the two-state presentation,
-2. find a small integer weight vector x with ``A x >= 2**p x`` per
-   component (a certificate that 2**p choices per state are sustainable),
+2. find the integer weight vector x of least sum with ``A x >= 2**p x``
+   (2**p choices per state are sustainable), on the closed-form 2x2
+   adjacency ``A`` and before step 1 builds any path,
 3. out-split heavy states until every weight is 1, at which point every
    surviving state has at least 2**p outgoing edges,
 4. delete surplus edges down to exactly 2**p per state and assign input
@@ -28,29 +29,27 @@ message bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _constraint_rows,
-                         _graph_rows, _label_order, _perron, _power_rows,
-                         _Rows, _rows_graph, capacity, matrix_vector,
-                         validate_matrix)
+                         _graph_rows, _label_order, _power_adjacency,
+                         _power_rows, _Rows, _rows_graph, capacity,
+                         matrix_vector, validate_matrix)
 # The graph-level stages stay reachable here, where relaybench's tracer
 # wraps them, though the build chains their row stages directly.
 from .constraint import power_graph  # noqa: F401
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
-                     FramingError, InfeasibleRateError,
+                     EnumerationCapError, FramingError, InfeasibleRateError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
 from .symbols import (Word, _check_int, _Symbols, format_stream, is_bits,
                       is_decimal, parse_stream)
 
-_PERRON_SCALE_LIMIT = 4096
-_FEASIBILITY_CEILING = 1 << 20
+_PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 
 Transition = Tuple[Word, int]
 
@@ -66,54 +65,49 @@ class ApproxEigenvector:
     p: int
 
 
-def _franaszek_fixpoint(matrix, seed, target):
-    """Largest fixpoint of ``x -> min(x, floor(A x / target))`` below seed.
+def _simplest_fraction(low_num, low_den, high_num, high_den):
+    """Least ``(num, den)`` with ``num/den`` in ``[low, high]``, ``low > 0``.
 
-    The map is monotone and decreasing, so iteration from any seed
-    terminates; nonzero fixpoints are exactly the valid weight vectors.
+    A Stern-Brocot descent: every other fraction in the interval has a
+    larger numerator and a larger denominator.
     """
-    x = list(seed)
+    # the answer is (p0*y + p1) / (q0*y + q1) for the y still sought
+    p0, q0, p1, q1 = 1, 0, 0, 1
     while True:
-        ax = matrix_vector(matrix, x)
-        y = [min(xi, axi // target) for xi, axi in zip(x, ax)]
-        if y == x:
-            return x
-        x = y
-
-
-def _reduced(vector):
-    g = math.gcd(*vector)
-    return tuple(v // g for v in vector)
+        k, r = divmod(low_num, low_den)
+        if r == 0 or (k + 1) * high_den <= high_num:
+            k += r != 0  # the least integer in the interval
+            return p0 * k + p1, q0 * k + q1
+        # both ends lie in (k, k+1): y = 1 / (answer - k)
+        p0, q0, p1, q1 = p0 * k + p1, q0 * k + q1, p0, q0
+        low_num, low_den, high_num, high_den = (
+            high_den, high_num - k * high_den, low_den, r)
 
 
 def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector:
-    """Small nonzero integer vector with ``adjacency @ x >= 2**p * x``.
+    """The nonzero integer x of least sum with ``adjacency @ x >= 2**p x``.
 
-    Seeds the Franaszek fixpoint iteration with integer roundings of the
-    Perron direction at increasing scales and returns the first nonzero
-    fixpoint, gcd-reduced. A reducible matrix has no Perron direction;
-    it gets the gcd-reduced fixpoint below a uniform ceiling, as does a
-    matrix on which no scale succeeds. Raises :class:`InfeasibleRateError`
-    when only the zero fixpoint exists, i.e. p bits per block are not
-    sustainable. ``adjacency`` is 1x1 or 2x2.
+    The sum is the state count splitting gives. With ``t = 2**p`` and
+    ``[[a, b], [c, d]]``: (1, 0) if ``a >= t``, else (0, 1) if ``d >= t``,
+    else ``x1/x2`` is the simplest fraction in ``[(t-d)/c, b/(t-a)]``,
+    nonempty exactly when ``b*c >= (t-a)*(t-d)``; all in integers.
+    Raises :class:`InfeasibleRateError` when no x exists, i.e. p bits
+    per block are not sustainable. ``adjacency`` is 1x1 or 2x2.
     """
     matrix = validate_matrix(adjacency)
     _check_int(p, "p")
-    target = 1 << p
-    size = len(matrix)
-    ceiling = _franaszek_fixpoint(matrix, [_FEASIBILITY_CEILING] * size, target)
-    if not any(ceiling):
-        raise InfeasibleRateError(
-            f"no nonzero weight vector supports {p} bits per block "
-            f"for this adjacency")
-    _, direction = _perron(matrix)
-    if direction is not None:
-        for scale in range(1, _PERRON_SCALE_LIMIT + 1):
-            seed = [max(1, round(scale * v)) for v in direction]
-            x = _franaszek_fixpoint(matrix, seed, target)
-            if any(x):
-                return ApproxEigenvector(_reduced(x), p)
-    return ApproxEigenvector(_reduced(ceiling), p)
+    t = 1 << p
+    if matrix[0][0] >= t:
+        return ApproxEigenvector((1, 0)[:len(matrix)], p)  # (1,) if 1x1
+    if len(matrix) == 2:
+        (a, b), (c, d) = matrix
+        if d >= t:
+            return ApproxEigenvector((0, 1), p)
+        if b * c >= (t - a) * (t - d):
+            return ApproxEigenvector(_simplest_fraction(t - d, c, b, t - a), p)
+    raise InfeasibleRateError(
+        f"no nonzero weight vector supports {p} bits per block "
+        f"for this adjacency")
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +492,8 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
     :class:`Encoder`, shared by all callers, and its decode table stays
     warm between calls. The machines of the 8 most recently used rates
     are kept. Raises :class:`InfeasibleRateError` when p/n exceeds the
-    capacity; a rate that fails raises again on every call.
+    capacity, :class:`EnumerationCapError` when the power graph has more
+    than ``2**18`` paths; a rate that fails raises again on every call.
     """
     # checked in the order the stages check them, before the lookup, so
     # that True, 2.0 or [2] never reach the cache
@@ -513,8 +508,15 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
 @lru_cache(maxsize=8)
 def _synthesize(q: int, p: int, n: int) -> Encoder:
     """The stage chain of :func:`build_encoder`, on checked arguments."""
+    # an infeasible or over-budget rate fails before any path is built
+    adjacency = _power_adjacency(q, n)
+    x = find_approximate_eigenvector(adjacency, p)
+    paths = sum(map(sum, adjacency))
+    if paths > _PATH_BUDGET:
+        raise EnumerationCapError(
+            f"rate {p}:{n} for q={q} needs {paths} power-graph paths, "
+            f"over the synthesis budget of {_PATH_BUDGET}")
     powered = _power_rows(_constraint_rows(q), n)
-    x = find_approximate_eigenvector(powered.adjacency, p)
     return _prune_rows(_split_rows(powered, x), p, n)
 
 

@@ -15,7 +15,7 @@ class InvalidMatrixError(RelaycastError, ValueError):
 
 
 class EnumerationCapError(RelaycastError):
-    """Brute-force enumeration would exceed the configured cap."""
+    """Enumerating words, or synthesis's power-graph paths, exceeds a cap."""
 
 
 class StreamFormatError(RelaycastError, ValueError):

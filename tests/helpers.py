@@ -4,12 +4,11 @@ The oracles here are deliberately independent of the library internals:
 admissibility is re-derived by a direct adjacent-pair scan, word counts
 by filtering the full cartesian product and by their closed (Binet)
 form, expected relay behavior by shifting sequences, the simulator by
-the node-by-node slot loop and by the scan per depth that it replaced
-in turn (neither derives deeper rows from depth 1's), the relay's run
-scan by the per-slot loop it replaced, the three
-synthesis stages by the edge-list rebuilds they replaced, the weight
-vector by the eigenvector search with a power iteration for the Perron
-direction in place of the closed form, and ``decode`` by the path-tracking
+the node-by-node slot loop and by the scan per depth that it replaced in
+turn (neither derives deeper rows from depth 1's), the relay's run scan
+by the per-slot loop it replaced, the three synthesis stages by the
+edge-list rebuilds they replaced, the weight vector by a search over
+every vector in order of sum, and ``decode`` by the path-tracking
 decoder that carries every candidate's bit string forward, the
 anticipation certificate by the memoised depth-first search that the
 pair-graph walk replaced, ``encode`` by the loop that looks up one block
@@ -521,60 +520,28 @@ def prune_to_encoder_oracle(g, q, p, n):
 
 
 # ---------------------------------------------------------------------------
-# weight-vector oracle: the eigenvector search with the Perron direction
-# taken from a power iteration, independent of the library's 2x2 closed
-# form.
-
-def _oracle_franaszek_fixpoint(matrix, seed, target):
-    x = list(seed)
-    while True:
-        ax = matrix_vector(matrix, x)
-        y = [min(xi, axi // target) for xi, axi in zip(x, ax)]
-        if y == x:
-            return x
-        x = y
-
-
-def perron_direction_oracle(matrix):
-    """Dominant eigenvector direction, normalized to minimum entry 1."""
-    size = len(matrix)
-    x = [1.0] * size
-    for _ in range(100_000):
-        y = [sum(row[j] * x[j] for j in range(size)) + x[i]
-             for i, row in enumerate(matrix)]
-        top = max(y)
-        y = [v / top for v in y]
-        if max(abs(a - b) for a, b in zip(x, y)) < 1e-14:
-            x = y
-            break
-        x = y
-    bottom = min(x)
-    return [v / bottom for v in x]
-
-
-def _oracle_reduced(vector):
-    g = math.gcd(*vector) if len(vector) > 1 else vector[0]
-    return tuple(v // g for v in vector)
-
+# weight-vector oracle: every nonzero vector in order of sum, then of
+# last entry, the first that satisfies the weight inequality.
 
 def approximate_eigenvector_oracle(adjacency, p):
-    """The weight vector ``find_approximate_eigenvector`` must return."""
+    """The weight vector ``find_approximate_eigenvector`` must return.
+
+    A 2x2 search stops past sum ``t + c``: if a vector exists, one of
+    (1, 0), (0, 1) and (t - d, c) satisfies ``A x >= t x``.
+    """
     matrix = validate_matrix(adjacency)
     _oracle_check_positive(p, "p")
     target = 1 << p
     size = len(matrix)
-    ceiling = _oracle_franaszek_fixpoint(matrix, [1 << 20] * size, target)
-    if not any(ceiling):
-        raise InfeasibleRateError(
-            f"no nonzero weight vector supports {p} bits per block "
-            f"for this adjacency")
-    direction = perron_direction_oracle(matrix)
-    for scale in range(1, 4096 + 1):
-        seed = [max(1, round(scale * v)) for v in direction]
-        x = _oracle_franaszek_fixpoint(matrix, seed, target)
-        if any(x):
-            return _oracle_reduced(x)
-    return _oracle_reduced(ceiling)
+    for total in range(1, target + matrix[-1][0] + 1):
+        for last in range(total + 1 if size == 2 else 1):
+            x = (total - last, last)[:size]
+            if all(got >= target * want for got, want
+                   in zip(matrix_vector(matrix, x), x)):
+                return x
+    raise InfeasibleRateError(
+        f"no nonzero weight vector supports {p} bits per block "
+        f"for this adjacency")
 
 
 def decode_oracle(encoder, word, header):

@@ -241,6 +241,19 @@ def test_build_encoder_infeasible_exit(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p, n", [(30, 30), (20, 40)])
+def test_build_encoder_rejects_before_building_paths(monkeypatch, capsys, p, n):
+    """Infeasible (1,30,30) and over-budget (1,20,40): one error line."""
+    def refuse(*args):
+        raise AssertionError("synthesis built the power-graph paths")
+
+    monkeypatch.setattr("relaycast.encoder._power_rows", refuse)
+    assert run(["build-encoder", "--q", "1", "--p", str(p), "--n", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_simulate_cli(tmp_path, capsys):
     tree = tmp_path / "chain.txt"
     tree.write_text(chain_text(2))

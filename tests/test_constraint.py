@@ -12,6 +12,8 @@ from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
                        find_approximate_eigenvector, format_stream,
                        is_admissible, make_constraint, parse_stream,
                        power_graph, spectral_radius)
+from relaycast.constraint import (_constraint_rows, _power_adjacency,
+                                  _power_rows)
 from relaycast.symbols import is_data
 from helpers import (brute_force_words, count_leading_coefficient,
                      format_stream_oracle, matrix_power, outcome,
@@ -188,6 +190,16 @@ def test_count_is_exact_at_large_n():
     value = count_words(6, 200)
     assert value > 3**199
     assert value == count_words(6, 199) + 6 * count_words(6, 198)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6])
+def test_power_adjacency_is_matrix_power(q):
+    # synthesis checks feasibility and the path budget on this closed form
+    for n in range(1, 12):
+        assert _power_adjacency(q, n) == matrix_power([[1, q], [1, 0]], n)
+        if n < 8:
+            assert _power_adjacency(q, n) == \
+                _power_rows(_constraint_rows(q), n).adjacency
 
 
 def test_enumerate_examples():

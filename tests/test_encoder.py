@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
-                       ConstraintGraph, Edge, EncoderFormatError, FrameHeader,
+                       ConstraintGraph, Edge, EncoderFormatError,
+                       EnumerationCapError, FrameHeader,
                        FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError, N,
                        NonUniformLabelError, RelaycastError,
@@ -52,8 +54,8 @@ def test_eigenvector_q6_example():
     adjacency = power_graph(make_constraint(6), 2).adjacency
     found = find_approximate_eigenvector(adjacency, 3)
     assert _satisfies_inequality(adjacency, found.vector, 3)
-    assert matrix_vector(adjacency, found.vector) == [27, 9]
-    assert found.vector == (3, 1)
+    assert matrix_vector(adjacency, found.vector) == [20, 8]
+    assert found.vector == (2, 1)
 
 
 def test_eigenvector_infeasible():
@@ -76,29 +78,31 @@ def test_eigenvector_feasibility_sweep():
 
 
 @settings(max_examples=200, deadline=None)
-@given(size=st.integers(1, 2), entries=st.lists(st.integers(0, 6), min_size=4,
+@given(size=st.integers(1, 2), entries=st.lists(st.integers(0, 12), min_size=4,
                                                 max_size=4),
-       p=st.integers(1, 4))
-@example(size=2, entries=[2, 1, 0, 2], p=1)  # defective: no Perron direction
-@example(size=2, entries=[1, 2, 6, 0], p=2)  # exact direction (1, 1.5)
-def test_eigenvector_of_any_small_matrix(size, entries, p):
-    # valid, or infeasible exactly when the power-iteration oracle says so;
-    # the vectors may differ off the sweep, where the oracle's inexact
-    # direction can round a half-integer seed the other way
+       p=st.integers(1, 5), expected=st.none())
+@example(size=2, entries=[2, 1, 0, 2], p=1, expected=None)  # reducible
+@example(size=2, entries=[1, 2, 6, 0], p=2, expected=None)  # direction (1, 1.5)
+@example(size=2, entries=[4, 0, 0, 4], p=2, expected=None)  # (1, 0) ties (0, 1)
+@example(size=2, entries=[0, 1, 2**60, 0], p=30,
+         expected=(1, 2**30))  # past the brute-force oracle's reach
+def test_eigenvector_of_any_small_matrix(size, entries, p, expected):
+    # the least-sum vector of the brute-force oracle, or its error
     adjacency = [entries[i * size:(i + 1) * size] for i in range(size)]
-    if outcome(approximate_eigenvector_oracle, adjacency, p)[0] is InfeasibleRateError:
-        with pytest.raises(InfeasibleRateError):
-            find_approximate_eigenvector(adjacency, p)
-        return
-    found = find_approximate_eigenvector(adjacency, p)
-    assert any(found.vector) and math.gcd(*found.vector) == 1
-    assert _satisfies_inequality(adjacency, found.vector, p)
+    if expected is None:
+        expected = outcome(approximate_eigenvector_oracle, adjacency, p)
+    found = outcome(find_approximate_eigenvector, adjacency, p)
+    if isinstance(found, ApproxEigenvector):
+        assert found.p == p
+        assert _satisfies_inequality(adjacency, found.vector, p)
+        found = found.vector
+    assert found == expected
 
 
 def test_eigenvector_of_reducible_matrices():
-    # no Perron direction: the gcd-reduced fixpoint below a uniform ceiling
-    assert find_approximate_eigenvector([[2, 1], [0, 2]], 1).vector == (1, 1)
-    assert find_approximate_eigenvector([[4, 0], [1, 1]], 1).vector == (1, 1)
+    # no Perron direction: one state alone carries 2**p choices
+    assert find_approximate_eigenvector([[2, 1], [0, 2]], 1).vector == (1, 0)
+    assert find_approximate_eigenvector([[4, 0], [1, 1]], 1).vector == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def test_build_q6(enc_q6):
     assert report.rate == pytest.approx(1.5)
     assert report.efficiency > 0.94
     assert report.efficiency == pytest.approx(0.9464, abs=5e-5)
-    assert enc_q6.num_states == 4
+    assert enc_q6.num_states == 3
     assert all(len(outs) == 8 for outs in enc_q6.transitions)
 
 
@@ -241,6 +245,49 @@ def test_build_raises_on_every_call(rate, error):
     for _ in range(2):
         with pytest.raises(error):
             build_encoder(*rate)
+
+
+def test_greedy_cut_still_rejects_3_6_5():
+    # the least-sum vector is (7, 3), the vector of the earlier search
+    adjacency = power_graph(make_constraint(3), 5).adjacency
+    assert find_approximate_eigenvector(adjacency, 6).vector == (7, 3)
+    with pytest.raises(StateSplitError) as info:
+        build_encoder(3, 6, 5)
+    assert str(info.value) == \
+        "state 'OFF.1' admits no weight-consistent partition"
+
+
+def test_no_path_before_the_verdict(monkeypatch):
+    """Infeasible and over-budget rates are rejected from the closed-form
+    adjacency: no power-graph path is built, at any block length."""
+    def refuse(*args):
+        raise AssertionError("synthesis built the power-graph paths")
+
+    monkeypatch.setattr(encoder_module, "_power_rows", refuse)
+    with pytest.raises(InfeasibleRateError):
+        build_encoder(1, 30, 30)
+    with pytest.raises(EnumerationCapError) as info:
+        build_encoder(1, 20, 40)
+    assert str(info.value) == (
+        "rate 20:40 for q=1 needs 433494437 power-graph paths, "
+        "over the synthesis budget of 262144")
+    for n in (100, 1000):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleRateError):
+            build_encoder(1, n, n)
+        with pytest.raises(EnumerationCapError):
+            build_encoder(1, n // 2, n)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_path_budget_boundary():
+    # 196,418 paths fit the budget of 2**18; 317,811 do not
+    assert encoder_module._PATH_BUDGET == 1 << 18
+    assert sum(map(sum, power_graph(make_constraint(1), 24).adjacency)) \
+        == 196418
+    with pytest.raises(EnumerationCapError) as info:
+        build_encoder(1, 1, 25)
+    assert "needs 317811 power-graph paths" in str(info.value)
 
 
 def test_memoised_machines_match_a_fresh_synthesis():
@@ -315,9 +362,9 @@ def test_encode_matches_per_block_oracle(rate, data):
 
 
 def test_anticipation_is_small_and_fixed(enc_q1, enc_q6):
-    # shared codewords are resolved after one (q=1) / two (q=6) blocks
+    # shared codewords are resolved after one block (q=1 and q=6)
     assert enc_q1.anticipation == 1
-    assert enc_q6.anticipation == 2
+    assert enc_q6.anticipation == 1
 
 
 def test_cross_block_admissibility(enc_q1, enc_q6):

@@ -6,7 +6,7 @@ convert back; ``build_encoder`` chains the row stages and builds no
 graph. Their output must stay byte-for-byte that of the straightforward
 versions kept in ``helpers``: the same edges in the same order, the same
 state names, the same serialized machine, or the same exception. The
-weight vectors between the stages must equal those of the eigenvector
+weight vectors between the stages must equal those of the least-sum
 search kept there. The machines of the sweep also round-trip through
 the text formats and through encode and decode, and ``decode`` of
 stream tokens, as the CLI calls it, matches ``decode`` of the parsed
@@ -167,15 +167,39 @@ def sweep_machines():
     return {rate: build_encoder(*rate) for rate in ROUND_TRIP_RATES}
 
 
-# SHA-256 of the serialized machines of ROUND_TRIP_RATES, joined in order
+def _digest(machines):
+    """SHA-256 of the serialized machines, joined in order."""
+    text = "".join(map(serialize_encoder, machines))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 SWEEP_DIGEST = \
-    "6bb7367e8d973c42ece338f4d068a5ea24b083c6b856ec7a3ff058e773669c79"
+    "f2393d9d89f6ba27fd8698afa7f18edd1c52f199161cc2edbca5a7bfb8104b78"
 
 
 def test_sweep_machines_are_pinned(sweep_machines):
-    text = "".join(serialize_encoder(sweep_machines[rate])
-                   for rate in ROUND_TRIP_RATES)
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
+    assert _digest(sweep_machines[rate] for rate in ROUND_TRIP_RATES) == \
+        SWEEP_DIGEST
+
+
+def test_sweep_machines_have_the_fewest_states(sweep_machines):
+    """Least-sum weight vectors: 270 states and 31 flush blocks over the
+    sweep, and 184 one-state machines that need no flush."""
+    machines = [sweep_machines[rate] for rate in ROUND_TRIP_RATES]
+    assert sum(m.num_states for m in machines) == 270
+    assert sum(m.anticipation for m in machines) == 31
+    assert sum(m.num_states == 1 and m.anticipation == 0
+               for m in machines) == 184
+
+
+def test_benchmark_and_ladder_machines_keep_their_text():
+    """The benchmark and ladder rates: their least-sum vectors are the
+    vectors of the earlier Perron-seeded search, so their machines stay
+    byte for byte what they were."""
+    rates = [(1, 2, 3), (1, 9, 13), (1, 11, 16), (1, 13, 19), (2, 14, 14),
+             (6, 11, 7)]
+    assert _digest(build_encoder(*rate) for rate in rates) == \
+        "4292f8f6e483e7f78aab0219d2bc32b69786c6fa7b2af0fa3fc84d870dd1f54c"
 
 
 @pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
