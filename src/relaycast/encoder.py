@@ -47,7 +47,7 @@ from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
 from .symbols import (Word, _check_int, _Symbols, format_stream, is_bits,
-                      is_decimal, parse_stream)
+                      is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 
@@ -196,8 +196,9 @@ def _split_rows(rows: _Rows, x: ApproxEigenvector) -> _Rows:
         names[u:u + 1] = [names[u] + ".0", names[u] + ".1"]
         weights[u:u + 1] = [first_weight, heaviest - first_weight]
 
-    if any(sum(map(len, heads.values())) < target for heads in out):
-        raise StateSplitError("splitting left a state short of out-degree 2**p")
+    # Every state has 2**p out-edges or more: the entry check, each cut
+    # and the copies of edges into u all keep every out-weight at least
+    # 2**p times its state's weight, and unit weights make it the degree.
     return _Rows(rows.q, tuple(names), rows.words, out)
 
 
@@ -712,6 +713,7 @@ def parse_encoder(text: str) -> Encoder:
         raise EncoderFormatError(
             f"expected {num_states * fanout} transition lines, got {given}")
     table: Dict[Tuple[int, int], Transition] = {}
+    token = _Symbols(q).__getitem__  # one token table for the whole file
     for line in lines[1:]:
         parts = line.split()
         if (len(parts) != 3 + n
@@ -719,7 +721,7 @@ def parse_encoder(text: str) -> Encoder:
             raise EncoderFormatError(f"bad transition line {line!r}")
         state, tag, nxt = int(parts[0]), int(parts[1]), int(parts[-1])
         try:
-            word = parse_stream(" ".join(parts[2:-1]), q=q)
+            word = tuple(map(token, parts[2:-1]))
         except StreamFormatError as exc:
             raise EncoderFormatError(f"bad transition line {line!r}") from exc
         if not 0 <= state < num_states or not 0 <= tag < fanout:

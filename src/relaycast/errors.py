@@ -10,8 +10,8 @@ class InvalidParameterError(RelaycastError, ValueError):
 
 
 class InvalidMatrixError(RelaycastError, ValueError):
-    """A matrix argument is not square, has an entry that is not a
-    nonnegative ``int``, or is reducible where that is not allowed."""
+    """A matrix argument is not a square 1x1 or 2x2 matrix, or has an
+    entry that is not a nonnegative ``int``."""
 
 
 class EnumerationCapError(RelaycastError):

@@ -16,7 +16,8 @@ The simulator scans depth 1 once and keeps two rows, the source's and
 depth 1's, deriving deeper rows on read: simulation, delivery checks
 and decoding in the pipeline cost O(slots), whatever the tree's shape.
 A node's delivery or recovery record is fixed by its depth's verdict,
-so the per-node records are built once per verdict pattern and shared.
+so the per-node records are built once and shared while the verdicts
+repeat.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from .symbols import ERASED, N, Symbol, Word, _check_int, is_decimal
 # ---------------------------------------------------------------------------
 # topology
 
-# verdict patterns whose per-node records a topology keeps, per record type
-_SHARED_PATTERNS = 8
-
-
 @dataclass(frozen=True, eq=False)
 class TreeTopology:
     """Rooted directed tree of node ids; node 0 is the source."""
@@ -49,8 +46,8 @@ class TreeTopology:
     nodes: Tuple[int, ...]
     parent: Dict[int, int]
     depth: Dict[int, int]
-    # record type -> {(source verdict, first passing relay depth): records}
-    _shared: Dict[type, Dict[Tuple[bool, int], tuple]] = field(
+    # record type -> ((source verdict, first passing relay depth), records)
+    _shared: Dict[type, Tuple[Tuple[bool, int], tuple]] = field(
         default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -62,34 +59,28 @@ class TreeTopology:
         """The number of depth-1 nodes."""
         return sum(d == 1 for d in self.depth.values())
 
-    def _records(self, record: type, source_ok: bool, first_ok: int) -> tuple:
-        """``record(node, depth, verdict)`` for every node, in node order.
+    def _records(self, record: type, source_ok: bool,
+                 first_ok: int) -> Tuple[tuple, bool]:
+        """``record(node, depth, verdict)`` for every node, in node order,
+        and whether every verdict passes.
 
         The source's verdict is ``source_ok`` and depth d >= 1's is
         ``d >= first_ok``: a relay's verdict can only turn from failing
         to passing with depth, since depth d sends depth 1's row d-1
         slots late and the horizon cuts off more of it. Records are
-        frozen, so the tuple for one pattern is built once and shared by
-        every report that has it. Each record type keeps the last
-        ``_SHARED_PATTERNS`` patterns it built.
+        frozen, so each record type keeps the tuple of its last pattern
+        and shares it with every report that has that pattern; another
+        pattern rebuilds it.
         """
-        first_ok = min(first_ok, self.max_depth + 1)
-        patterns = self._shared.setdefault(record, {})
-        entries = patterns.get((source_ok, first_ok))
-        if entries is None:
-            verdicts = [source_ok] + [d >= first_ok
+        pattern = (source_ok, min(first_ok, self.max_depth + 1))
+        kept = self._shared.get(record)
+        if kept is None or kept[0] != pattern:
+            verdicts = [source_ok] + [d >= pattern[1]
                                       for d in range(1, self.max_depth + 1)]
             depth = self.depth
-            entries = tuple(record(v, depth[v], verdicts[depth[v]])
-                            for v in self.nodes)
-            if len(patterns) >= _SHARED_PATTERNS:
-                patterns.pop(next(iter(patterns)), None)
-            patterns[source_ok, first_ok] = entries
-        return entries
-
-    def _all_pass(self, source_ok: bool, first_ok: int) -> bool:
-        """Whether every record of the pattern :meth:`_records` builds passes."""
-        return source_ok and min(first_ok, self.max_depth + 1) <= 1
+            kept = self._shared[record] = (pattern, tuple(
+                record(v, depth[v], verdicts[depth[v]]) for v in self.nodes))
+        return kept[1], source_ok and pattern[1] <= 1
 
 
 def parse_tree(text: str) -> TreeTopology:
@@ -171,8 +162,9 @@ class SimTrace:
     what depth 1 sends, with ``lost``, the slots of depth 1's violations.
     Depth d >= 1 sends ``((N,)*(d-1) + relayed)[:num_slots]`` and hears
     :data:`ERASED` where it sends data, otherwise what depth d-1 sends;
-    no deeper node has violations. The per-node views ``transmitted``,
-    ``received`` and ``violations`` are derived when first read.
+    no deeper node has violations. :meth:`transmit_stream` gives one
+    node's row; the per-node views ``received`` and ``violations`` are
+    derived when first read.
 
     ``received`` holds :data:`ERASED` where the half-duplex rule lost a
     symbol and ``None`` for the source, which has no parent to hear.
@@ -199,18 +191,14 @@ class SimTrace:
         return tuple(u if s is N else ERASED
                      for s, u in zip(self._sent(d), self._sent(d - 1)))
 
-    def _per_node(self, row) -> tuple:
-        """Slot-major rows over all nodes from ``row(depth)``."""
-        rows = [row(d) for d in range(max(self.depth.values()) + 1)]
-        return tuple(zip(*(rows[self.depth[v]] for v in self.nodes)))
-
-    @cached_property
-    def transmitted(self) -> Tuple[Tuple[Symbol, ...], ...]:
-        return self._per_node(self._sent)
+    def _by_depth(self, row) -> list:
+        """``row(d)`` for every depth d of the tree."""
+        return [row(d) for d in range(max(self.depth.values()) + 1)]
 
     @cached_property
     def received(self) -> Tuple[Tuple[object, ...], ...]:
-        return self._per_node(self._heard)
+        rows = self._by_depth(self._heard)
+        return tuple(zip(*(rows[self.depth[v]] for v in self.nodes)))
 
     @cached_property
     def violations(self) -> Tuple[Tuple[int, int], ...]:
@@ -226,7 +214,7 @@ class SimTrace:
 
     def export(self) -> str:
         """One line per slot: ``t | v:sym ...``, ``*`` marking erased reception."""
-        rows = [self._sent(d) for d in range(max(self.depth.values()) + 1)]
+        rows = self._by_depth(self._sent)
         lines = []
         for t in range(self.num_slots):
             # a relay's reception is erased exactly when it sends data
@@ -337,12 +325,12 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
                            enumerate(zip(trace.relayed, expected))
                            if got != want), horizon)
     source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
-    first_ok = horizon - first_miss + 1
-    report = DeliveryReport(
-        nodes=topo._records(NodeDelivery, source_ok, first_ok),
-        violations=len(trace.lost) * topo._relays)
+    nodes, all_passed = topo._records(NodeDelivery, source_ok,
+                                      horizon - first_miss + 1)
+    report = DeliveryReport(nodes=nodes,
+                            violations=len(trace.lost) * topo._relays)
     # the verdict pattern decides the cached property without a walk
-    vars(report)["all_passed"] = topo._all_pass(source_ok, first_ok)
+    vars(report)["all_passed"] = all_passed
     return report
 
 
@@ -397,8 +385,8 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     Every depth >= 1 forwards ``relayed[1:1 + len(stream)]``, which
     equals the source stream whenever the source is admissible; depth
     1's window is decoded only when it differs, since decoding is
-    deterministic. Per-node records are shared per tree, for a bounded
-    number of verdict patterns (see ``TreeTopology._records``), and the
+    deterministic. Per-node records are shared per tree while the
+    verdict pattern repeats (see ``TreeTopology._records``), and the
     pattern decides ``all_recovered``, so neither the call nor reading
     the verdict does Python work per node.
     """
@@ -417,11 +405,11 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     window = trace.relayed[1:1 + len(stream)]
     relay_ok = (source_ok if window == stream or not topo.max_depth
                 else recovers(window))
-    first_ok = 1 if relay_ok else topo.max_depth + 1
+    nodes, all_recovered = topo._records(
+        NodeRecovery, source_ok, 1 if relay_ok else topo.max_depth + 1)
     report = EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
                             baseline=baseline_rate(q), message_bits=len(bits),
-                            nodes=topo._records(NodeRecovery, source_ok,
-                                                first_ok))
+                            nodes=nodes)
     # the verdict pattern decides the cached property without a walk
-    vars(report)["all_recovered"] = topo._all_pass(source_ok, first_ok)
+    vars(report)["all_recovered"] = all_recovered
     return report

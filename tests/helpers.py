@@ -237,6 +237,12 @@ class NodeTrace:
         return tuple(row[i] for row in self.transmitted)
 
 
+def transmitted(trace):
+    """Slot-major rows of what every node of ``trace`` sent, in node order:
+    the layout of ``NodeTrace.transmitted``."""
+    return tuple(zip(*(trace.transmit_stream(v) for v in trace.nodes)))
+
+
 def simulate_per_node(topo, source_stream, extra_slots=None):
     """Oracle for ``simulate``: every node, every slot, in node-id order.
 

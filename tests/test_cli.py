@@ -1,8 +1,11 @@
 import contextlib
 import decimal
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -252,6 +255,23 @@ def test_build_encoder_rejects_before_building_paths(monkeypatch, capsys, p, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _python_m_relaycast(*args):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "relaycast", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_m_relaycast_runs_the_cli():
+    done = _python_m_relaycast("capacity", "--q", "1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.694242\n", "")
+    done = _python_m_relaycast("build-encoder", "--q", "1", "--p", "30",
+                               "--n", "30")
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
 
 
 def test_simulate_cli(tmp_path, capsys):

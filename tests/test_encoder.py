@@ -16,7 +16,8 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError, N,
                        NonUniformLabelError, RelaycastError,
-                       StateSplitError, UnknownCodewordError, build_encoder,
+                       StateSplitError, StreamFormatError,
+                       UnknownCodewordError, build_encoder,
                        capacity, count_words, decode, encode, encoder_report,
                        find_approximate_eigenvector, format_stream,
                        is_admissible, make_constraint, parse_encoder,
@@ -660,6 +661,20 @@ def test_parse_encoder_rejects_out_of_range_states(text, message):
     with pytest.raises(EncoderFormatError) as excinfo:
         parse_encoder(text)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("token", ["x", "1", "N0"])
+def test_parse_encoder_reports_a_bad_token_on_the_last_line(token):
+    """The whole file shares one token table: the 6,144 lines before the
+    last fill it with every good token, and the bad one is still
+    reported with its line."""
+    *lines, last = serialize_encoder(build_encoder(1, 11, 16)).splitlines()
+    parts = last.split()
+    bad = " ".join(parts[:2] + [token] + parts[3:])
+    with pytest.raises(EncoderFormatError) as excinfo:
+        parse_encoder("\n".join(lines + [bad]) + "\n")
+    assert str(excinfo.value) == f"bad transition line {bad!r}"
+    assert isinstance(excinfo.value.__cause__, StreamFormatError)
 
 
 def test_deep_certificate_parses_without_recursion():

@@ -17,7 +17,8 @@ from relaycast import (ERASED, DeliveryReport, EndToEndReport,
 from relaycast.symbols import is_data
 from helpers import (chain_text, decode_oracle, fig1_text,
                      random_admissible_stream, random_bits, random_stream,
-                     relay_oracle, simulate_per_depth, simulate_per_node)
+                     relay_oracle, simulate_per_depth, simulate_per_node,
+                     transmitted)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +81,7 @@ def test_hand_traced_chain():
 def test_all_silence_stays_silent():
     topo = parse_tree(fig1_text())
     trace = simulate(topo, (N,) * 6)
-    assert all(not is_data(s) for row in trace.transmitted for s in row)
+    assert all(not is_data(s) for row in transmitted(trace) for s in row)
     assert trace.violations == ()
 
 
@@ -138,7 +139,7 @@ def test_violations_iff_inadmissible_random(q):
         trace = simulate(topo, stream)
         assert (len(trace.violations) == 0) == is_admissible(stream)
         # a non-root reception is erased exactly when that node is ON
-        for sent, heard in zip(trace.transmitted, trace.received):
+        for sent, heard in zip(transmitted(trace), trace.received):
             for i in range(1, len(trace.nodes)):
                 assert (heard[i] is ERASED) == is_data(sent[i])
 
@@ -167,11 +168,12 @@ def test_erasures_only_hide_silence_under_admissible_source():
     rng = random.Random(4)
     stream = random_admissible_stream(rng, 2, 300)
     trace = simulate(topo, stream)
+    sent_rows = transmitted(trace)
     for t, row in enumerate(trace.received):
         for i, value in enumerate(row):
             if value is ERASED:
                 parent = topo.parent[trace.nodes[i]]
-                sent = trace.transmitted[t][trace.nodes.index(parent)]
+                sent = sent_rows[t][trace.nodes.index(parent)]
                 assert not is_data(sent)
 
 
@@ -317,7 +319,7 @@ def _assert_matches(oracle, topo, stream, extra_slots):
     trace = simulate(topo, stream, extra_slots)
     assert trace.nodes == oracle.nodes
     assert trace.num_slots == len(oracle.transmitted)
-    assert trace.transmitted == oracle.transmitted
+    assert transmitted(trace) == oracle.transmitted
     assert trace.received == oracle.received
     assert trace.violations == oracle.violations
     assert trace.export() == oracle.export()
@@ -371,7 +373,7 @@ def test_relay_matches_per_slot_oracle(stream):
 
 def test_verify_delivery_shares_bounded_records_on_deep_chain():
     """Claims that differ ever earlier in the drain fail at ever more
-    depths: 50 verdict patterns, of which the tree keeps a few."""
+    depths: 50 verdict patterns, of which the tree keeps the last."""
     topo = parse_tree(chain_text(2000))
     stream = random_admissible_stream(random.Random(10), 1, 100)
     trace = simulate(topo, stream)
@@ -385,8 +387,9 @@ def test_verify_delivery_shares_bounded_records_on_deep_chain():
         assert sum(entry.passed for entry in report.nodes) == 2000 - 40 * j
         assert report.nodes[0].passed is False
         assert report.nodes[-1].passed is True
-        assert all(len(patterns) <= relaycast.simulator._SHARED_PATTERNS
-                   for patterns in topo._shared.values())
+        # one kept pattern per record type: the report's own
+        assert list(topo._shared) == [NodeDelivery]
+        assert topo._shared[NodeDelivery][1] is report.nodes
     again = verify_delivery(trace, topo, stream)
     assert again.all_passed
     assert again.nodes is verify_delivery(trace, topo, stream).nodes
@@ -539,6 +542,31 @@ def test_report_verdicts_follow_each_pattern(text, change):
         passed = all(entry.passed for entry in delivery.nodes)
         assert vars(delivery)["all_passed"] is passed
         assert delivery.all_passed is passed
+
+
+def test_alternating_patterns_rebuild_the_kept_records():
+    """A topology keeps one pattern's records per record type; a call
+    with another pattern rebuilds them, and its verdict still equals the
+    walk over the records it returns."""
+    topo = parse_tree(fig1_text())
+    bits = random_bits(random.Random(13), 90)
+    stream, header = encode(build_encoder(1, 2, 3), bits)
+    reports = []
+    for change in (None, "insert", None, "insert"):
+        changed = _changed(stream, change)
+        with mock.patch.object(relaycast.simulator, "encode",
+                               lambda *_: (changed, header)):
+            report = end_to_end(1, 2, 3, topo, bits)
+        recovered = [entry.recovered for entry in report.nodes]
+        assert [(e.node, e.depth) for e in report.nodes] == \
+            [(v, topo.depth[v]) for v in topo.nodes]
+        assert recovered == [change is None or d > 0
+                             for d in (e.depth for e in report.nodes)]
+        assert report.all_recovered is all(recovered)
+        reports.append(report)
+    assert reports[0].all_recovered and not reports[1].all_recovered
+    assert reports[0].nodes == reports[2].nodes != reports[1].nodes
+    assert reports[1].nodes == reports[3].nodes
 
 
 def test_hand_built_reports_walk_their_records():

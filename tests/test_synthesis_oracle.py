@@ -155,6 +155,9 @@ def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
     graph, x, length = case
     assert _same_graph(power_graph(graph, power), power_graph_oracle(graph, power))
     split = outcome(split_states, graph, x)
+    if not isinstance(split, tuple):
+        # every state of a returned split has at least 2**p out-edges
+        assert all(sum(row) >= 1 << x.p for row in split.adjacency)
     if _same_graph(split, outcome(split_states_oracle, graph, x)):
         _same_machine(outcome(prune_to_encoder, split, graph.q, x.p, length),
                       outcome(prune_to_encoder_oracle, split, graph.q, x.p, length))
