@@ -10,7 +10,7 @@ streams, synthesizes finite-state encoders that approach the capacity,
 and verifies the whole story with a slot-synchronous tree simulator.
 """
 
-from .constraint import (ConstraintGraph, Edge, capacity, characteristic_roots,
+from .constraint import (ConstraintGraph, capacity, characteristic_roots,
                          count_words, enumerate_words, make_constraint,
                          power_graph, spectral_radius)
 from .encoder import (ApproxEigenvector, Encoder, EncoderReport, FrameHeader,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousEncoderError", "ApproxEigenvector", "ConstraintGraph",
-    "DeliveryReport", "ERASED", "Edge", "Encoder", "EncoderBuildError",
+    "DeliveryReport", "ERASED", "Encoder", "EncoderBuildError",
     "EncoderFormatError", "EncoderReport", "EndToEndReport",
     "EnumerationCapError", "FrameHeader", "FramingError",
     "InfeasibleRateError", "InsufficientDegreeError", "InvalidMatrixError",

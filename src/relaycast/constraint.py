@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
@@ -33,43 +32,16 @@ DEFAULT_ENUMERATION_CAP = 10**7
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A labeled edge; ``word`` is the label (one symbol per slot)."""
-
-    src: int
-    dst: int
-    word: Word
-
-
 @dataclass(frozen=True)
 class ConstraintGraph:
     """Labeled directed graph presenting the constraint or a power of it.
 
-    Immutable; every bi-infinite edge-label sequence is admissible and
-    every admissible stream is the label sequence of some path.
-    """
-
-    q: int
-    states: Tuple[str, ...]
-    edges: Tuple[Edge, ...]
-
-    @cached_property
-    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        """Entry [i][j] counts the edges from state i to state j."""
-        size = len(self.states)
-        counts = [[0] * size for _ in range(size)]
-        for e in self.edges:
-            counts[e.src][e.dst] += 1
-        return tuple(tuple(row) for row in counts)
-
-
-class _Rows(NamedTuple):
-    """A graph as one out-edge row per state, the form synthesis works on.
-
-    ``out[s]`` maps a head to the label ranks of the edges s -> head,
-    and ``words[r]`` is the label of rank r, in :func:`word_key` order.
-    Rows are never mutated once built; stages build new ones.
+    One out-edge row per state: ``out[s]`` maps a head to the label
+    ranks of the edges s -> head, and ``words[r]`` is the label of rank
+    r, in :func:`word_key` order. Every bi-infinite edge-label sequence
+    is admissible and every admissible stream is the label sequence of
+    some path. Rows are never mutated once built; stages build new
+    graphs.
     """
 
     q: int
@@ -78,10 +50,11 @@ class _Rows(NamedTuple):
     out: List[Dict[int, List[int]]]
 
     @property
-    def adjacency(self) -> List[List[int]]:
+    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
         """Entry [i][j] counts the edges from state i to state j."""
         size = len(self.out)
-        return [[len(heads.get(d, ())) for d in range(size)] for heads in self.out]
+        return tuple(tuple(len(heads.get(d, ())) for d in range(size))
+                     for heads in self.out)
 
 
 def _label_order(heads: Dict[int, List[int]]) -> List[Tuple[int, int]]:
@@ -89,37 +62,21 @@ def _label_order(heads: Dict[int, List[int]]) -> List[Tuple[int, int]]:
     return sorted((r, d) for d, ranks in heads.items() for r in ranks)
 
 
-def _graph_rows(g: ConstraintGraph) -> _Rows:
-    """The rows of ``g``, its distinct labels ranked once."""
-    rank = word_ranks(e.word for e in g.edges)
-    out: List[Dict[int, List[int]]] = [{} for _ in g.states]
-    for e in g.edges:
-        out[e.src].setdefault(e.dst, []).append(rank[e.word])
-    return _Rows(g.q, g.states, list(rank), out)
-
-
-def _rows_graph(rows: _Rows) -> ConstraintGraph:
-    """The graph of ``rows``, edges sorted by source, label, head."""
-    words = rows.words
-    edges = [Edge(src, dst, words[r]) for src, heads in enumerate(rows.out)
-             for r, dst in _label_order(heads)]
-    return ConstraintGraph(q=rows.q, states=rows.states, edges=tuple(edges))
-
-
-def _constraint_rows(q: int) -> _Rows:
-    """Rows of the two-state presentation: data symbols rank 0..q-1, N rank q."""
-    return _Rows(q, ("OFF", "ON"), [(k,) for k in range(q)] + [(N,)],
-                 [{1: list(range(q)), 0: [q]}, {0: [q]}])
-
-
 def make_constraint(q: int) -> ConstraintGraph:
-    """Two-state presentation with adjacency ``[[1, q], [1, 0]]``."""
+    """Two-state presentation with adjacency ``[[1, q], [1, 0]]``.
+
+    Data symbols rank 0..q-1 and silence ``N`` ranks q.
+    """
     _check_int(q, "q")
-    return _rows_graph(_constraint_rows(q))
+    return ConstraintGraph(q, ("OFF", "ON"), [(k,) for k in range(q)] + [(N,)],
+                           [{1: list(range(q)), 0: [q]}, {0: [q]}])
 
 
-def _power_rows(rows: _Rows, n: int) -> _Rows:
-    """Rows of the n-th power: every length-n path, its labels concatenated.
+def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
+    """Presentation whose edges are the length-n paths of ``g``.
+
+    Labels concatenate along the path; the adjacency matrix is the n-th
+    power of ``g``'s. ``n=1`` returns ``g`` itself.
 
     ``paths[s][h]`` holds the labels of the paths s -> h. A path one
     edge longer is an edge s -> d in front of a path d -> h, and edges
@@ -127,12 +84,13 @@ def _power_rows(rows: _Rows, n: int) -> _Rows:
     presentation with labels of one length, such as the constraint's,
     stay in label order per head and ranking them is a linear merge.
     """
+    _check_int(n, "power")
     if n == 1:
-        return rows
-    words = rows.words
-    steps = [_label_order(heads) for heads in rows.out]
+        return g
+    words = g.words
+    steps = [_label_order(heads) for heads in g.out]
     paths = [{d: [words[r] for r in sorted(ranks)] for d, ranks in heads.items()}
-             for heads in rows.out]
+             for heads in g.out]
     for _ in range(n - 1):
         longer = []
         for step in steps:
@@ -147,30 +105,31 @@ def _power_rows(rows: _Rows, n: int) -> _Rows:
         tails for heads in paths for tails in heads.values()))
     out = [{h: list(map(rank.__getitem__, tails)) for h, tails in heads.items()}
            for heads in paths]
-    return _Rows(rows.q, rows.states, list(rank), out)
+    return ConstraintGraph(g.q, g.states, list(rank), out)
 
 
-def _power_adjacency(q: int, n: int) -> List[List[int]]:
+# Past this many paths from one state synthesis stops counting them:
+# the rate is far over any path budget, and the exact count would only
+# lengthen its error message.
+_COUNTED_PATHS = 1 << 64
+
+
+def _power_adjacency(q: int, n: int) -> Optional[List[List[int]]]:
     """``[[1, q], [1, 0]]`` to the n-th power: per row, n steps of
-    ``(x, y) -> (x + y, q x)``, a row times the matrix."""
+    ``(x, y) -> (x + y, q x)``, a row times the matrix.
+
+    None once a row sum passes ``_COUNTED_PATHS``. Row sums grow at
+    least as fast as the Fibonacci numbers, so that takes at most 93
+    steps per row whatever n is.
+    """
     rows = []
     for x, y in ((1, 0), (0, 1)):
         for _ in range(n):
             x, y = x + y, q * x
+            if x + y > _COUNTED_PATHS:
+                return None
         rows.append([x, y])
     return rows
-
-
-def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
-    """Presentation whose edges are the length-n paths of ``g``.
-
-    Labels concatenate along the path; the adjacency matrix is the n-th
-    power of ``g``'s. ``n=1`` returns ``g`` itself.
-    """
-    _check_int(n, "power")
-    if n == 1:
-        return g
-    return _rows_graph(_power_rows(_graph_rows(g), n))
 
 
 def count_words(q: int, n: int) -> int:
@@ -200,6 +159,7 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
     """
     _check_int(q, "q")
     _check_int(n, "length", 0)
+    _check_int(cap, "cap", 0)
     if (q + 1) ** n > cap:
         raise EnumerationCapError(
             f"(q+1)**n = {(q + 1) ** n} exceeds enumeration cap {cap}")
@@ -240,27 +200,51 @@ def validate_matrix(matrix: Matrix) -> List[List[int]]:
     return rows
 
 
+# Integers below this convert to floats, and their square roots add to
+# floats, without overflow; the closed forms below take larger ones
+# through one integer square root and one rounded division.
+_FLOAT_SAFE = 1 << 1000
+
+
 def spectral_radius(matrix: Matrix) -> float:
     """Largest absolute eigenvalue of a 1x1 or 2x2 nonnegative integer matrix.
 
     Closed form, ``((a+d) + sqrt((a-d)**2 + 4bc)) / 2`` for
-    ``[[a, b], [c, d]]``; any other input raises :class:`InvalidMatrixError`.
+    ``[[a, b], [c, d]]``; any other input, or a radius past the largest
+    float (about 1.8e308), raises :class:`InvalidMatrixError`.
     """
     m = validate_matrix(matrix)
-    if len(m) == 1:
-        return float(m[0][0])
-    (a, b), (c, d) = m
-    return ((a + d) + math.sqrt((a - d) ** 2 + 4 * b * c)) / 2.0
+    try:
+        if len(m) == 1:
+            return float(m[0][0])
+        (a, b), (c, d) = m
+        disc = (a - d) ** 2 + 4 * b * c
+        if max(a + d, disc) < _FLOAT_SAFE:
+            return ((a + d) + math.sqrt(disc)) / 2.0
+        return (a + d + math.isqrt(disc)) / 2
+    except OverflowError:
+        raise InvalidMatrixError(
+            "spectral radius exceeds the largest float, about 1.8e308") from None
 
 
 def characteristic_roots(q: int) -> Tuple[float, float]:
     """Both eigenvalues of ``[[1, q], [1, 0]]``: ``(1 +- sqrt(1+4q)) / 2``.
 
-    Their sum is 1 and their product is -q.
+    Their sum is 1 and their product is -q. Past q of about 3.2e616 the
+    roots exceed the largest float, about 1.8e308, and
+    :class:`InvalidParameterError` is raised.
     """
     _check_int(q, "q")
-    root = math.sqrt(1.0 + 4.0 * q)
-    return ((1.0 + root) / 2.0, (1.0 - root) / 2.0)
+    if q < _FLOAT_SAFE:
+        root = math.sqrt(1.0 + 4.0 * q)
+        return ((1.0 + root) / 2.0, (1.0 - root) / 2.0)
+    root = math.isqrt(1 + 4 * q)
+    try:
+        return ((1 + root) / 2, (1 - root) / 2)
+    except OverflowError:
+        raise InvalidParameterError(
+            "the roots exceed the largest float, about 1.8e308, "
+            "for q past about 3.2e616") from None
 
 
 def capacity(q: int) -> float:
@@ -268,6 +252,31 @@ def capacity(q: int) -> float:
 
     Equals ``log2((1 + sqrt(4q+1)) / 2)``, the base-2 log of the dominant
     eigenvalue. For q=1 this is log2 of the golden ratio, 0.694242...;
-    for q=6 it is log2(3).
+    for q=6 it is log2(3). Finite for every positive integer q.
     """
-    return math.log2(characteristic_roots(q)[0])
+    _check_int(q, "q")
+    if q < _FLOAT_SAFE:
+        return math.log2(characteristic_roots(q)[0])
+    # the root is sqrt(q + 1/4) + 1/2, and log2 of it is log2(q) / 2 to
+    # well within float precision
+    return math.log2(q) / 2
+
+
+def _past_capacity(q: int, p: int, n: int) -> bool:
+    """True when ``p/n`` surely exceeds ``capacity(q)``.
+
+    That is ``lam**n < 2**p`` for the Perron root ``lam`` of
+    ``[[1, q], [1, 0]]``, and exactly then no nonzero weight vector
+    supports ``2**p`` on the n-th power (Perron-Frobenius). Taken from
+    the sign of ``n ln(lam) - p ln(2)`` at 60 significant digits, in
+    microseconds for q, p and n of any size. A rate within a relative
+    1e-50 of capacity, which that precision cannot resolve, counts as
+    not past it.
+    """
+    import decimal  # only rates past 2**64 power-graph paths come here
+
+    with decimal.localcontext() as context:
+        context.prec = 60
+        gain = n * ((1 + decimal.Decimal(1 + 4 * q).sqrt()) / 2).ln()
+        cost = p * decimal.Decimal(2).ln()
+        return cost - gain > (cost + gain).scaleb(-50)

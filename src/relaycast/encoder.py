@@ -34,13 +34,10 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .constraint import (ConstraintGraph, Matrix, _constraint_rows,
-                         _graph_rows, _label_order, _power_adjacency,
-                         _power_rows, _Rows, _rows_graph, capacity,
-                         matrix_vector, validate_matrix)
-# The graph-level stages stay reachable here, where relaybench's tracer
-# wraps them, though the build chains their row stages directly.
-from .constraint import power_graph  # noqa: F401
+from .constraint import (ConstraintGraph, Matrix, _label_order,
+                         _past_capacity, _power_adjacency, capacity,
+                         make_constraint, matrix_vector, power_graph,
+                         validate_matrix)
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      InsufficientDegreeError, InvalidParameterError,
@@ -96,16 +93,24 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector
     """
     matrix = validate_matrix(adjacency)
     _check_int(p, "p")
-    t = 1 << p
-    if matrix[0][0] >= t:
-        return ApproxEigenvector((1, 0)[:len(matrix)], p)  # (1,) if 1x1
-    if len(matrix) == 2:
-        (a, b), (c, d) = matrix
-        if d >= t:
-            return ApproxEigenvector((0, 1), p)
-        if b * c >= (t - a) * (t - d):
-            return ApproxEigenvector(_simplest_fraction(t - d, c, b, t - a), p)
-    raise InfeasibleRateError(
+    # No x exists once 2**p passes every row sum: x's largest entry
+    # would need more than its row gives. This also keeps 1 << p small.
+    if p < max(map(sum, matrix)).bit_length():
+        t = 1 << p
+        if matrix[0][0] >= t:
+            return ApproxEigenvector((1, 0)[:len(matrix)], p)  # (1,) if 1x1
+        if len(matrix) == 2:
+            (a, b), (c, d) = matrix
+            if d >= t:
+                return ApproxEigenvector((0, 1), p)
+            if b * c >= (t - a) * (t - d):
+                return ApproxEigenvector(
+                    _simplest_fraction(t - d, c, b, t - a), p)
+    raise _infeasible(p)
+
+
+def _infeasible(p: int) -> InfeasibleRateError:
+    return InfeasibleRateError(
         f"no nonzero weight vector supports {p} bits per block "
         f"for this adjacency")
 
@@ -127,35 +132,28 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     edges; the number of rounds performed is ``sum(x.vector)`` minus the
     number of nonzero weights. A vector of all ones returns ``g`` itself.
     """
-    rows = _graph_rows(g)
-    split = _split_rows(rows, x)
-    return g if split is rows else _rows_graph(split)
-
-
-def _split_rows(rows: _Rows, x: ApproxEigenvector) -> _Rows:
-    """:func:`split_states` on rows; returns ``rows`` itself for all-one weights."""
-    if len(x.vector) != len(rows.states):
+    if len(x.vector) != len(g.states):
         raise InvalidParameterError(
             f"weight vector has {len(x.vector)} entries for "
-            f"{len(rows.states)} states")
+            f"{len(g.states)} states")
     if any(w < 0 for w in x.vector) or not any(x.vector):
         raise StateSplitError("weights must be nonnegative and not all zero")
     target = 1 << x.p
-    checked = matrix_vector(rows.adjacency, x.vector)
+    checked = matrix_vector(g.adjacency, x.vector)
     if any(got < target * want for got, want in zip(checked, x.vector)):
         raise StateSplitError(
             "vector fails the weight inequality; not an approximate eigenvector")
 
     if all(w == 1 for w in x.vector):
-        return rows
+        return g
 
     keep = [i for i, w in enumerate(x.vector) if w]
     at = {old: new for new, old in enumerate(keep)}
-    names = [rows.states[i] for i in keep]
+    names = [g.states[i] for i in keep]
     weights = [x.vector[i] for i in keep]
     # A state is its position. out[s] maps a head position to the label
     # ranks of the edges s -> head.
-    out = [{at[d]: ranks for d, ranks in rows.out[i].items() if d in at}
+    out = [{at[d]: ranks for d, ranks in g.out[i].items() if d in at}
            for i in keep]
 
     while True:
@@ -199,7 +197,7 @@ def _split_rows(rows: _Rows, x: ApproxEigenvector) -> _Rows:
     # Every state has 2**p out-edges or more: the entry check, each cut
     # and the copies of edges into u all keep every out-weight at least
     # 2**p times its state's weight, and unit weights make it the degree.
-    return _Rows(rows.q, tuple(names), rows.words, out)
+    return ConstraintGraph(g.q, tuple(names), g.words, out)
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +439,23 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     _check_int(n, "n")
     if g.q != q:
         raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
-    for e in g.edges:
-        if len(e.word) != n:
-            raise NonUniformLabelError(
-                f"edge label {format_stream(e.word)!r} is not {n} symbols")
-    return _prune_rows(_graph_rows(g), p, n)
-
-
-def _prune_rows(rows: _Rows, p: int, n: int) -> Encoder:
-    """:func:`prune_to_encoder` on rows whose labels all have n symbols."""
+    words = g.words
+    if set(map(len, words)) != {n}:  # else every edge label has n symbols
+        for heads in g.out:
+            for r, _ in _label_order(heads):
+                if len(words[r]) != n:
+                    label = format_stream(words[r])
+                    raise NonUniformLabelError(
+                        f"edge label {label!r} is not {n} symbols")
     fanout = 1 << p
     kept: List[List[Tuple[int, int]]] = []
-    for state, heads in enumerate(rows.out):
+    for state, heads in enumerate(g.out):
         # equal ranks are equal words, so a duplicate codeword follows
         # its first copy directly
         outgoing = _label_order(heads)
         if len(outgoing) < fanout:
             raise InsufficientDegreeError(
-                f"state {rows.states[state]!r} has out-degree {len(outgoing)}, "
+                f"state {g.states[state]!r} has out-degree {len(outgoing)}, "
                 f"needs {fanout}")
         primaries, duplicates = [], []
         last = None
@@ -478,11 +475,10 @@ def _prune_rows(rows: _Rows, p: int, n: int) -> Encoder:
                 frontier.append(d)
     order = sorted(reachable)
     renumber = {old: new for new, old in enumerate(order)}
-    words = rows.words
     transitions = tuple(
         tuple((words[r], renumber[d]) for r, d in kept[old])
         for old in order)
-    return _assemble(rows.q, p, n, renumber[start], transitions)
+    return _assemble(q, p, n, renumber[start], transitions)
 
 
 def build_encoder(q: int, p: int, n: int) -> Encoder:
@@ -509,16 +505,33 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
 @lru_cache(maxsize=8)
 def _synthesize(q: int, p: int, n: int) -> Encoder:
     """The stage chain of :func:`build_encoder`, on checked arguments."""
-    # an infeasible or over-budget rate fails before any path is built
+    x = _weights(q, p, n)
+    return prune_to_encoder(split_states(power_graph(make_constraint(q), n), x),
+                            q, p, n)
+
+
+def _weights(q: int, p: int, n: int) -> ApproxEigenvector:
+    """The weight vector of rate p:n, from the 2x2 counts alone.
+
+    An infeasible or over-budget rate fails here, before any path is
+    built, and within milliseconds for every q, p and n: counting stops
+    past ``2**64`` paths per state, and such a rate is over budget
+    unless p/n is past capacity.
+    """
     adjacency = _power_adjacency(q, n)
+    if adjacency is None:
+        if _past_capacity(q, p, n):
+            raise _infeasible(p)
+        raise EnumerationCapError(
+            f"rate {p}:{n} for q={q} needs over 2**64 power-graph paths, "
+            f"over the synthesis budget of {_PATH_BUDGET}")
     x = find_approximate_eigenvector(adjacency, p)
     paths = sum(map(sum, adjacency))
     if paths > _PATH_BUDGET:
         raise EnumerationCapError(
             f"rate {p}:{n} for q={q} needs {paths} power-graph paths, "
             f"over the synthesis budget of {_PATH_BUDGET}")
-    powered = _power_rows(_constraint_rows(q), n)
-    return _prune_rows(_split_rows(powered, x), p, n)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,16 @@ repeat.
 from __future__ import annotations
 
 import math
-import operator
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
 from .encoder import _normalize_bits, build_encoder, decode, encode
-from .errors import InvalidParameterError, RelaycastError, TopologyError
-from .symbols import ERASED, N, Symbol, Word, _check_int, is_decimal
+from .errors import (InvalidParameterError, RelaycastError, StreamFormatError,
+                     TopologyError)
+from .symbols import (_DATA_RUN, ERASED, N, Symbol, Word, _check_int,
+                      _data_mask, is_decimal)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +224,6 @@ class SimTrace:
         return "\n".join(lines)
 
 
-# two or more data symbols in a row, in a mask with one byte per slot
-_DATA_RUN = re.compile(rb"\x01\x01+")
-
-
 def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     """A depth-1 relay's transmissions and violation slots.
 
@@ -244,8 +239,7 @@ def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     expression over a byte mask of the data slots, so Python runs once
     per lost symbol, not once per slot.
     """
-    mask = bytes(map(operator.is_not, parent_stream, repeat(N)))
-    lost = [t for run in _DATA_RUN.finditer(mask)
+    lost = [t for run in _DATA_RUN.finditer(_data_mask(parent_stream))
             for t in range(run.start() + 1, run.end(), 2)]
     # one slot longer than the stream, so a symbol lost in the last slot
     # has a slot to silence
@@ -253,6 +247,15 @@ def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     for t in lost:
         sent[t + 1] = N
     return tuple(sent[:-1]), tuple(lost)
+
+
+def _source(source_stream: Sequence[Symbol], caller: str) -> Word:
+    """The source stream as a tuple; a ``str`` is text, not symbols."""
+    if isinstance(source_stream, str):
+        raise StreamFormatError(
+            f"{caller} takes a sequence of symbols, not a str; "
+            f"parse the stream text first")
+    return tuple(source_stream)
 
 
 def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
@@ -268,7 +271,7 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
     Only depth 1 is scanned (see :class:`SimTrace`): time and memory
     are O(slots), whatever the depth and the number of nodes.
     """
-    stream = tuple(source_stream)
+    stream = _source(source_stream, "simulate")
     if extra_slots is None:
         extra_slots = topo.max_depth
     _check_int(extra_slots, "extra_slots", 0)
@@ -316,7 +319,7 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     """
     if topo.depth is not trace.depth and topo.depth != trace.depth:
         raise InvalidParameterError("topology is not the one the trace ran on")
-    stream = tuple(source_stream)
+    stream = _source(source_stream, "verify_delivery")
     horizon = trace.num_slots
     expected = ((N,) + stream + (N,) * horizon)[:horizon]
     first_miss = horizon

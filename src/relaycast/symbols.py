@@ -13,6 +13,9 @@ data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
 from __future__ import annotations
 
 import math
+import operator
+import re
+from itertools import repeat
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, StreamFormatError
@@ -62,9 +65,22 @@ def is_data(symbol: Symbol) -> bool:
     return symbol is not N
 
 
+def _data_mask(word: Iterable[Symbol]) -> bytes:
+    """One byte per symbol: 1 for a data symbol, 0 for silence ``N``."""
+    return bytes(map(operator.is_not, word, repeat(N)))
+
+
+# two or more data symbols in a row, in a :func:`_data_mask`
+_DATA_RUN = re.compile(rb"\x01\x01+")
+
+
 def is_admissible(word: Sequence[Symbol]) -> bool:
-    """True iff no two consecutive symbols are both data symbols."""
-    return all(not (is_data(a) and is_data(b)) for a, b in zip(word, word[1:]))
+    """True iff no two consecutive symbols are both data symbols.
+
+    The mask is built and searched in C, so Python does no work per
+    symbol.
+    """
+    return _DATA_RUN.search(_data_mask(word)) is None
 
 
 # Python refuses to convert longer digit strings when its int string
@@ -119,6 +135,8 @@ def parse_stream(text: str, q: int | None = None) -> Word:
     distinct token is checked once, on its first occurrence, so the
     first bad token of the stream is the one reported.
     """
+    if q is not None:
+        _check_int(q, "q")
     return tuple(map(_Symbols(q).__getitem__, text.split()))
 
 

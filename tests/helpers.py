@@ -7,7 +7,9 @@ form, expected relay behavior by shifting sequences, the simulator by
 the node-by-node slot loop and by the scan per depth that it replaced in
 turn (neither derives deeper rows from depth 1's), the relay's run scan
 by the per-slot loop it replaced, the three synthesis stages by the
-edge-list rebuilds they replaced, the weight vector by a search over
+edge-list rebuilds they replaced (on the edge-list graph form kept
+here, with converters to and from the library's rows), the constraint
+presentation by its edge list, the weight vector by a search over
 every vector in order of sum, and ``decode`` by the path-tracking
 decoder that carries every candidate's bit string forward, the
 anticipation certificate by the memoised depth-first search that the
@@ -19,10 +21,11 @@ token or symbol at a time.
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
-                       Edge, FrameHeader, FramingError, InfeasibleRateError,
+                       FrameHeader, FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError,
                        NonUniformLabelError, RelaycastError,
                        StateSplitError, StreamFormatError,
@@ -363,8 +366,64 @@ def _oracle_check_positive(value, name):
         raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _oracle_canonical(edges):
+def canonical_edges(edges):
+    """``edges`` sorted by source, label, head."""
     return tuple(sorted(edges, key=lambda e: (e.src, oracle_word_key(e.word), e.dst)))
+
+
+@dataclass(frozen=True, slots=True)
+class Edge:
+    """A labeled edge; ``word`` is the label (one symbol per slot)."""
+
+    src: int
+    dst: int
+    word: tuple
+
+
+@dataclass(frozen=True)
+class EdgeListGraph:
+    """A labeled directed graph as a tuple of edges, the oracles' form."""
+
+    q: int
+    states: tuple
+    edges: tuple
+
+    @cached_property
+    def adjacency(self):
+        """Entry [i][j] counts the edges from state i to state j."""
+        size = len(self.states)
+        counts = [[0] * size for _ in range(size)]
+        for e in self.edges:
+            counts[e.src][e.dst] += 1
+        return tuple(tuple(row) for row in counts)
+
+
+def graph_rows(g):
+    """The library's ``ConstraintGraph`` of edge list ``g``: its
+    distinct labels ranked once, in ``oracle_word_key`` order."""
+    words = sorted({e.word for e in g.edges}, key=oracle_word_key)
+    rank = {w: i for i, w in enumerate(words)}
+    out = [{} for _ in g.states]
+    for e in g.edges:
+        out[e.src].setdefault(e.dst, []).append(rank[e.word])
+    return ConstraintGraph(g.q, g.states, words, out)
+
+
+def rows_graph(rows):
+    """The edge list of a ``ConstraintGraph``, sorted by source, label, head."""
+    edges = [Edge(src, dst, rows.words[r])
+             for src, heads in enumerate(rows.out)
+             for r, dst in sorted((r, d) for d, ranks in heads.items()
+                                  for r in ranks)]
+    return EdgeListGraph(rows.q, rows.states, tuple(edges))
+
+
+def constraint_oracle(q):
+    """The two-state presentation as an edge list: ``0 -k-> 1`` for each
+    data symbol k, ``0 -N-> 0`` and ``1 -N-> 0``."""
+    edges = [Edge(0, 1, (k,)) for k in range(q)]
+    edges += [Edge(0, 0, (N,)), Edge(1, 0, (N,))]
+    return EdgeListGraph(q, ("OFF", "ON"), canonical_edges(edges))
 
 
 def power_graph_oracle(g, n):
@@ -384,7 +443,7 @@ def power_graph_oracle(g, n):
     for _ in range(n - 1):
         paths = [Edge(e.src, f.dst, e.word + f.word)
                  for e in paths for f in by_src[e.dst]]
-    return ConstraintGraph(q=g.q, states=g.states, edges=_oracle_canonical(paths))
+    return EdgeListGraph(q=g.q, states=g.states, edges=canonical_edges(paths))
 
 
 def _oracle_restrict_to_support(g, weights):
@@ -395,9 +454,9 @@ def _oracle_restrict_to_support(g, weights):
     remap = {old: new for new, old in enumerate(keep)}
     edges = tuple(Edge(remap[e.src], remap[e.dst], e.word)
                   for e in g.edges if e.src in remap and e.dst in remap)
-    graph = ConstraintGraph(q=g.q,
-                            states=tuple(g.states[i] for i in keep),
-                            edges=edges)
+    graph = EdgeListGraph(q=g.q,
+                          states=tuple(g.states[i] for i in keep),
+                          edges=edges)
     return graph, [weights[i] for i in keep]
 
 
@@ -467,8 +526,8 @@ def split_states_oracle(g, x):
         weights[u:u + 1] = [first_weight, heaviest - first_weight]
         edges = rebuilt
 
-    result = ConstraintGraph(q=g.q, states=tuple(names),
-                             edges=tuple(sorted(edges, key=lambda e: (e.src, oracle_word_key(e.word), e.dst))))
+    result = EdgeListGraph(q=g.q, states=tuple(names),
+                           edges=tuple(sorted(edges, key=lambda e: (e.src, oracle_word_key(e.word), e.dst))))
     degrees = [0] * len(result.states)
     for e in result.edges:
         degrees[e.src] += 1

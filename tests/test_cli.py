@@ -250,11 +250,25 @@ def test_build_encoder_rejects_before_building_paths(monkeypatch, capsys, p, n):
     def refuse(*args):
         raise AssertionError("synthesis built the power-graph paths")
 
-    monkeypatch.setattr("relaycast.encoder._power_rows", refuse)
+    monkeypatch.setattr("relaycast.encoder.power_graph", refuse)
     assert run(["build-encoder", "--q", "1", "--p", str(p), "--n", str(n)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_640_digit_fields_end_in_one_line(capsys):
+    """Every rate gets a verdict, and every q a capacity, up to the
+    longest integer a flag takes."""
+    digits = "9" * 640
+    for p, n in [("1", digits), (digits, "5"), (digits, digits)]:
+        assert run(["build-encoder", "--q", "1", "--p", p, "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert run(["capacity", "--q", digits]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out == "1063.016990\n"  # 320 log2(10)
 
 
 def _python_m_relaycast(*args):

@@ -1,9 +1,10 @@
 import copy
+import decimal
 import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
@@ -12,12 +13,11 @@ from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
                        find_approximate_eigenvector, format_stream,
                        is_admissible, make_constraint, parse_stream,
                        power_graph, spectral_radius)
-from relaycast.constraint import (_constraint_rows, _power_adjacency,
-                                  _power_rows)
+from relaycast.constraint import _power_adjacency
 from relaycast.symbols import is_data
 from helpers import (brute_force_words, count_leading_coefficient,
                      format_stream_oracle, matrix_power, outcome,
-                     parse_stream_oracle, scan_admissible)
+                     parse_stream_oracle, rows_graph, scan_admissible)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -88,6 +88,13 @@ def test_parse_stream_matches_per_token_oracle(tokens, q, sep):
     assert outcome(parse_stream, text, q) == outcome(parse_stream_oracle, text, q)
 
 
+@pytest.mark.parametrize("q", ["2", 2.0, 0, True])
+def test_parse_stream_checks_q(q):
+    # a str q used to end in a TypeError at the first data token
+    with pytest.raises(InvalidParameterError):
+        parse_stream("0 N", q=q)
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 
@@ -106,6 +113,19 @@ def test_admissible_matches_scan_oracle(q, n):
         assert is_admissible(word) == scan_admissible(word)
 
 
+@settings(max_examples=300, deadline=None)
+@given(head=st.lists(st.sampled_from([N, N, N, 0, 1, ERASED, None]),
+                     max_size=400),
+       tail=st.lists(st.sampled_from([0, 5, ERASED, None]), max_size=2))
+@example(head=[N, 0] * 50_000, tail=[])
+@example(head=[N, 0] * 50_000, tail=[1])  # the only run ends the word
+@example(head=[], tail=[ERASED, None])
+def test_admissible_matches_scan_oracle_property(head, tail):
+    """Every symbol but ``N`` is data, ``ERASED`` and ``None`` too."""
+    word = tuple(head + tail)
+    assert is_admissible(word) == scan_admissible(word)
+
+
 # ---------------------------------------------------------------------------
 # graph presentation
 
@@ -117,7 +137,7 @@ def test_make_constraint_adjacency():
 def test_make_constraint_structure():
     g = make_constraint(2)
     assert g.states == ("OFF", "ON")
-    labels = {(e.src, e.dst, e.word) for e in g.edges}
+    labels = {(e.src, e.dst, e.word) for e in rows_graph(g).edges}
     assert labels == {(0, 0, (N,)), (0, 1, (0,)), (0, 1, (1,)), (1, 0, (N,))}
 
 
@@ -149,7 +169,7 @@ def _path_words(g, length):
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_presentation_lossless_at_finite_scale(q):
-    g = make_constraint(q)
+    g = rows_graph(make_constraint(q))
     for n in range(1, 11):
         path_words = _path_words(g, n)
         assert all(is_admissible(w) for w in path_words)
@@ -198,8 +218,8 @@ def test_power_adjacency_is_matrix_power(q):
     for n in range(1, 12):
         assert _power_adjacency(q, n) == matrix_power([[1, q], [1, 0]], n)
         if n < 8:
-            assert _power_adjacency(q, n) == \
-                _power_rows(_constraint_rows(q), n).adjacency
+            powered = power_graph(make_constraint(q), n)
+            assert _power_adjacency(q, n) == [list(r) for r in powered.adjacency]
 
 
 def test_enumerate_examples():
@@ -210,6 +230,13 @@ def test_enumerate_examples():
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_words(2, 15, cap=10**6)  # 3**15 > 10**6
+
+
+@pytest.mark.parametrize("cap", ["5", 5.0, -1, None])
+def test_enumerate_checks_cap(cap):
+    # a str cap used to end in a TypeError from the comparison
+    with pytest.raises(InvalidParameterError):
+        enumerate_words(1, 2, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +290,42 @@ def test_capacity_values():
     assert capacity(1) == pytest.approx(math.log2(GOLDEN_RATIO), abs=1e-12)
     assert capacity(6) == pytest.approx(math.log2(3), abs=1e-12)
     assert abs(capacity(2) - 1.0) <= 1e-12
+
+
+def test_capacity_keeps_its_closed_form_up_to_a_million():
+    """Bit for bit the float expression capacity has always used."""
+    for q in [*range(1, 3000), *range(10**6 - 100, 10**6 + 1)]:
+        assert capacity(q) == math.log2((1.0 + math.sqrt(1.0 + 4.0 * q)) / 2.0)
+
+
+def _decimal_capacity(q):
+    with decimal.localcontext() as context:
+        context.prec = 50
+        root = (1 + decimal.Decimal(1 + 4 * q).sqrt()) / 2
+        return float(root.ln() / decimal.Decimal(2).ln())
+
+
+@pytest.mark.parametrize("q", [2**1000 - 1, 2**1000, 10**308, 2 * 10**308,
+                               10**400, 10**639, 10**640 - 1])
+def test_capacity_is_finite_for_every_q(q):
+    # 4.0 * q used to overflow: inf from about 4.5e307, OverflowError
+    # from about 1.8e308
+    assert capacity(q) == pytest.approx(_decimal_capacity(q), rel=1e-14)
+
+
+def test_roots_past_the_float_range_raise():
+    assert characteristic_roots(10**400) == pytest.approx((1e200, -1e200),
+                                                          rel=1e-14)
+    assert characteristic_roots(10**616)[0] == pytest.approx(1e308, rel=1e-14)
+    with pytest.raises(InvalidParameterError, match="1.8e308"):
+        characteristic_roots(10**617)
+    assert spectral_radius([[10**200, 0], [0, 1]]) == 1e200
+    assert spectral_radius([[10**300, 10**300], [10**300, 10**300]]) == \
+        pytest.approx(2e300, rel=1e-14)
+    for matrix in ([[10**309]], [[10**308, 10**308], [10**308, 10**308]],
+                   [[0, 10**400], [10**400, 0]]):
+        with pytest.raises(InvalidMatrixError, match="1.8e308"):
+            spectral_radius(matrix)
 
 
 def test_capacity_rejects_q0():
@@ -320,9 +383,10 @@ def test_power_graph_adjacency_is_matrix_power(q):
     for n in range(2, 6):
         powered = power_graph(g, n)
         assert [list(row) for row in powered.adjacency] == matrix_power(base, n)
-        assert all(len(e.word) == n for e in powered.edges)
-        assert all(is_admissible(e.word) for e in powered.edges)
+        edges = rows_graph(powered).edges
+        assert all(len(e.word) == n for e in edges)
+        assert all(is_admissible(e.word) for e in edges)
         # deterministic base presentation: a path is fixed by (src, label)
-        keys = [(e.src, e.word) for e in powered.edges]
+        keys = [(e.src, e.word) for e in edges]
         assert len(keys) == len(set(keys))
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
-                       ConstraintGraph, Edge, EncoderFormatError,
+                       EncoderFormatError,
                        EnumerationCapError, FrameHeader,
                        FramingError, InfeasibleRateError,
                        InsufficientDegreeError, InvalidParameterError, N,
@@ -24,12 +24,14 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        parse_stream, power_graph, prune_to_encoder,
                        serialize_encoder, split_states)
 import relaycast.encoder as encoder_module
-from relaycast.constraint import matrix_vector
+from relaycast.constraint import (_past_capacity, _power_adjacency,
+                                  matrix_vector)
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
                                _synthesize)
-from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
-                     approximate_eigenvector_oracle, decode_oracle,
-                     deep_encoder_text, encode_oracle, outcome, random_bits)
+from helpers import (ROUND_TRIP_RATES, Edge, EdgeListGraph,
+                     anticipation_oracle, approximate_eigenvector_oracle,
+                     decode_oracle, deep_encoder_text, encode_oracle,
+                     graph_rows, outcome, random_bits, rows_graph)
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -113,18 +115,20 @@ def test_split_q6_walkthrough():
     g = power_graph(make_constraint(6), 2)
     split = split_states(g, ApproxEigenvector((3, 1), p=3))
     assert len(split.states) == 4  # sum of the weights
-    degrees = [sum(e.src == s for e in split.edges) for s in range(4)]
+    edges = rows_graph(split).edges
+    degrees = [sum(e.src == s for e in edges) for s in range(4)]
     assert all(d >= 8 for d in degrees)
     # two rounds: each round adds exactly one state
     assert len(split.states) - len(g.states) == 2
-    assert all(is_admissible(e.word) for e in split.edges)
+    assert all(is_admissible(e.word) for e in edges)
 
 
 def test_split_q1():
     g = power_graph(make_constraint(1), 3)
     split = split_states(g, ApproxEigenvector((2, 1), p=2))
     assert len(split.states) == 3
-    assert all(sum(e.src == s for e in split.edges) >= 4 for s in range(3))
+    edges = rows_graph(split).edges
+    assert all(sum(e.src == s for e in edges) >= 4 for s in range(3))
 
 
 def test_split_all_ones_is_identity():
@@ -156,8 +160,8 @@ def test_prune_insufficient_degree():
 
 
 def test_prune_nonuniform_labels():
-    g = ConstraintGraph(q=1, states=("A",),
-                        edges=(Edge(0, 0, (N,)), Edge(0, 0, (N, N))))
+    g = graph_rows(EdgeListGraph(q=1, states=("A",),
+                                 edges=(Edge(0, 0, (N,)), Edge(0, 0, (N, N)))))
     with pytest.raises(NonUniformLabelError):
         prune_to_encoder(g, 1, 1, 1)
 
@@ -264,7 +268,7 @@ def test_no_path_before_the_verdict(monkeypatch):
     def refuse(*args):
         raise AssertionError("synthesis built the power-graph paths")
 
-    monkeypatch.setattr(encoder_module, "_power_rows", refuse)
+    monkeypatch.setattr(encoder_module, "power_graph", refuse)
     with pytest.raises(InfeasibleRateError):
         build_encoder(1, 30, 30)
     with pytest.raises(EnumerationCapError) as info:
@@ -279,6 +283,45 @@ def test_no_path_before_the_verdict(monkeypatch):
         with pytest.raises(EnumerationCapError):
             build_encoder(1, n // 2, n)
         assert time.perf_counter() - start < 0.5
+
+
+BIG = 10**639  # 640 digits, the longest integer flag the CLI takes
+
+
+@pytest.mark.parametrize("q, p, n, error", [
+    (1, 1, 100_000, EnumerationCapError),  # the count had 20,899 digits
+    (1, 150_000, 300_000, EnumerationCapError),  # 300,000 steps: 6 s
+    (1, 10**399, 10**399, InfeasibleRateError),  # 400-digit n
+    (1, 1, 10**399, EnumerationCapError),
+    (1, 10**30, 16, InfeasibleRateError),  # 1 << p overflowed
+    (1, BIG, 1, InfeasibleRateError),
+    (1, BIG, BIG, InfeasibleRateError),
+    (1, BIG // 2, BIG, EnumerationCapError),
+    (1, 694242 * 10**633, BIG, InfeasibleRateError),  # 0.694242 > capacity
+    (1, 694241 * 10**633, BIG, EnumerationCapError),
+    (BIG, 1, 1, EnumerationCapError),
+    (BIG, BIG, 1, InfeasibleRateError),
+    (BIG, BIG, BIG, EnumerationCapError),
+])
+def test_every_rate_gets_a_verdict_in_bounded_time(q, p, n, error):
+    start = time.perf_counter()
+    with pytest.raises(error):
+        build_encoder(q, p, n)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6, 12])
+def test_past_capacity_agrees_with_the_weight_vector(q):
+    """The test of rates too large to count, against the exact one on
+    rates that can be counted. q=2 and q=12 have the integer roots 2 and
+    4, where p/n can equal capacity."""
+    for n in range(1, 25):
+        adjacency = _power_adjacency(q, n)
+        for p in range(1, math.floor(capacity(q) * n + 1e-9) + 3):
+            verdict = outcome(find_approximate_eigenvector, adjacency, p)
+            assert _past_capacity(q, p, n) == isinstance(verdict, tuple)
+    with pytest.raises(InfeasibleRateError):
+        find_approximate_eigenvector([[3, 2], [2, 1]], 10**30)
 
 
 def test_path_budget_boundary():

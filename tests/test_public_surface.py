@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
     "AmbiguousEncoderError", "ApproxEigenvector", "ConstraintGraph",
-    "DeliveryReport", "ERASED", "Edge", "Encoder", "EncoderBuildError",
+    "DeliveryReport", "ERASED", "Encoder", "EncoderBuildError",
     "EncoderFormatError", "EncoderReport", "EndToEndReport",
     "EnumerationCapError", "FrameHeader", "FramingError",
     "InfeasibleRateError", "InsufficientDegreeError", "InvalidMatrixError",

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import relaycast.simulator
 from relaycast import (ERASED, DeliveryReport, EndToEndReport,
                        InvalidParameterError, N, NodeDelivery, NodeRecovery,
-                       RelaycastError, TopologyError, baseline_rate,
+                       RelaycastError, StreamFormatError, TopologyError,
+                       baseline_rate,
                        build_encoder, capacity, encode, end_to_end,
                        is_admissible, parse_stream, parse_tree, simulate,
                        verify_delivery)
@@ -184,6 +185,16 @@ def test_delivery_fails_on_inadmissible_stream():
     report = verify_delivery(trace, topo, stream)
     assert report.violations >= 1
     assert not report.all_passed
+
+
+def test_simulate_and_verify_reject_stream_text():
+    # a str used to be read as one symbol per character
+    topo = parse_tree(chain_text(2))
+    with pytest.raises(StreamFormatError):
+        simulate(topo, "0 N")
+    trace = simulate(topo, parse_stream("0 N"))
+    with pytest.raises(StreamFormatError):
+        verify_delivery(trace, topo, "0 N")
 
 
 def test_empty_stream_delivery():

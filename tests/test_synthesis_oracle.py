@@ -1,16 +1,15 @@
 """Encoder synthesis against the edge-list oracles in ``helpers``.
 
-``power_graph``, ``split_states`` and ``prune_to_encoder`` convert a
-graph to rows of codeword ranks per head, run their row stage and
-convert back; ``build_encoder`` chains the row stages and builds no
-graph. Their output must stay byte-for-byte that of the straightforward
-versions kept in ``helpers``: the same edges in the same order, the same
-state names, the same serialized machine, or the same exception. The
-weight vectors between the stages must equal those of the least-sum
-search kept there. The machines of the sweep also round-trip through
-the text formats and through encode and decode, and ``decode`` of
-stream tokens, as the CLI calls it, matches ``decode`` of the parsed
-stream on every one.
+``power_graph``, ``split_states`` and ``prune_to_encoder`` work on rows
+of codeword ranks per head, and ``build_encoder`` chains them. Their
+output must stay that of the straightforward edge-list versions kept in
+``helpers``: the same state names and, through ``helpers.rows_graph``,
+the same edges in the same order, the same serialized machine, or the
+same exception. The weight vectors between the stages must equal those
+of the least-sum search kept there. The machines of the sweep also
+round-trip through the text formats and through encode and decode, and
+``decode`` of stream tokens, as the CLI calls it, matches ``decode`` of
+the parsed stream on every one.
 """
 
 import hashlib
@@ -20,26 +19,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaycast import (ApproxEigenvector, ConstraintGraph, Edge,
-                       FrameHeader, N, RelaycastError, StreamFormatError,
-                       build_encoder, capacity, decode, encode,
-                       enumerate_words, find_approximate_eigenvector,
+import relaycast.encoder as encoder_module
+from relaycast import (ApproxEigenvector, FrameHeader, N, RelaycastError,
+                       StreamFormatError, build_encoder, capacity, decode,
+                       encode, enumerate_words, find_approximate_eigenvector,
                        format_stream, make_constraint, parse_encoder,
                        parse_stream, power_graph, prune_to_encoder,
                        serialize_encoder, split_states)
-from relaycast.constraint import _constraint_rows, _power_rows
 from relaycast.encoder import _synthesize
-from helpers import (ROUND_TRIP_RATES, SWEEP, approximate_eigenvector_oracle,
-                     outcome, power_graph_oracle, prune_to_encoder_oracle,
+from helpers import (ROUND_TRIP_RATES, SWEEP, Edge, EdgeListGraph,
+                     approximate_eigenvector_oracle, canonical_edges,
+                     constraint_oracle, graph_rows, outcome,
+                     power_graph_oracle, prune_to_encoder_oracle, rows_graph,
                      split_states_oracle)
 
 
 def _same_graph(fast, slow):
+    """A library graph and an oracle edge list, or the same error."""
     if isinstance(slow, tuple):
         assert fast == slow
         return False
     assert fast.states == slow.states
-    assert fast.edges == slow.edges
+    assert rows_graph(fast).edges == canonical_edges(slow.edges)
     return True
 
 
@@ -52,28 +53,32 @@ def _same_machine(fast, slow):
 
 @pytest.mark.parametrize("q", sorted(SWEEP))
 def test_synthesis_matches_oracle_sweep(q):
-    base = make_constraint(q)
+    base, oracle_base = make_constraint(q), constraint_oracle(q)
+    assert _same_graph(base, oracle_base)
     for n in range(1, SWEEP[q] + 1):
         powered = power_graph(base, n)
-        oracle_powered = power_graph_oracle(base, n)
+        oracle_powered = power_graph_oracle(oracle_base, n)
         assert _same_graph(powered, oracle_powered)
         for p in range(1, math.floor(capacity(q) * n + 1e-9) + 1):
             x = find_approximate_eigenvector(powered.adjacency, p)
             assert x.vector == approximate_eigenvector_oracle(
                 oracle_powered.adjacency, p)
             split = outcome(split_states, powered, x)
-            if not _same_graph(split, outcome(split_states_oracle,
-                                               oracle_powered, x)):
+            oracle_split = outcome(split_states_oracle, oracle_powered, x)
+            if not _same_graph(split, oracle_split):
                 continue
             _same_machine(outcome(prune_to_encoder, split, q, p, n),
-                          outcome(prune_to_encoder_oracle, split, q, p, n))
+                          outcome(prune_to_encoder_oracle, oracle_split,
+                                  q, p, n))
 
 
-def _stage_chain(q, p, n):
-    """The public stages, graph to graph, in ``build_encoder``'s order."""
-    powered = power_graph(make_constraint(q), n)
-    x = find_approximate_eigenvector(powered.adjacency, p)
-    return prune_to_encoder(split_states(powered, x), q, p, n)
+def _oracle_chain(q, p, n):
+    """The oracle stages, edge list to edge list, in ``build_encoder``'s
+    order."""
+    powered = power_graph_oracle(constraint_oracle(q), n)
+    x = approximate_eigenvector_oracle(powered.adjacency, p)
+    split = split_states_oracle(powered, ApproxEigenvector(x, p))
+    return prune_to_encoder_oracle(split, q, p, n)
 
 
 def _text_or_error(fn, *args):
@@ -83,30 +88,43 @@ def _text_or_error(fn, *args):
 
 @pytest.mark.parametrize("q", sorted(SWEEP))
 def test_row_chain_equals_public_stage_chain(q):
-    """Every sweep rate, and the first infeasible p of each n: the same
-    machine text or the same error, (3,6,5)'s ``StateSplitError`` too."""
+    """The synthesis chain against the oracle chain. Every sweep rate,
+    and the first infeasible p of each n: the same machine text or the
+    same error, (3,6,5)'s ``StateSplitError`` too."""
     for n in range(1, SWEEP[q] + 1):
         for p in range(1, math.floor(capacity(q) * n + 1e-9) + 2):
             assert _text_or_error(_synthesize.__wrapped__, q, p, n) == \
-                _text_or_error(_stage_chain, q, p, n), (q, p, n)
+                _text_or_error(_oracle_chain, q, p, n), (q, p, n)
 
 
-def test_build_makes_no_graph_or_edge(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("synthesis built a graph object")
+def test_synthesis_runs_the_public_stage_chain(monkeypatch):
+    """``build_encoder`` calls the four public stages by the names
+    ``relaycast.encoder`` holds, so a wrapper installed there sees
+    every stage of a synthesis."""
+    calls = []
 
-    monkeypatch.setattr(ConstraintGraph, "__init__", refuse)
-    monkeypatch.setattr(Edge, "__init__", refuse)
+    def recording(name):
+        stage = getattr(encoder_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return stage(*args)
+        monkeypatch.setattr(encoder_module, name, wrapper)
+
+    stages = ["make_constraint", "power_graph", "split_states",
+              "prune_to_encoder"]
+    for name in stages:
+        recording(name)
     # a rate no other test builds, so the memo cannot answer it
     machine = build_encoder(4, 5, 4)
     assert machine.p == 5 and machine.n == 4
-    assert serialize_encoder(_synthesize.__wrapped__(1, 11, 16))
+    assert calls == stages
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_power_rows_rank_words_in_enumeration_order(q):
     for n in range(1, 7):
-        assert _power_rows(_constraint_rows(q), n).words == enumerate_words(q, n)
+        assert power_graph(make_constraint(q), n).words == enumerate_words(q, n)
 
 
 @st.composite
@@ -144,8 +162,8 @@ def split_cases(draw):
     else:
         weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
     edges = tuple(Edge(*t) for t in draw(st.permutations(triples)))
-    graph = ConstraintGraph(q=q, states=tuple(f"S{i}" for i in range(size)),
-                            edges=edges)
+    graph = EdgeListGraph(q=q, states=tuple(f"S{i}" for i in range(size)),
+                          edges=edges)
     return graph, ApproxEigenvector(tuple(weights), p), length
 
 
@@ -153,15 +171,18 @@ def split_cases(draw):
 @given(case=split_cases(), power=st.integers(1, 3))
 def test_synthesis_matches_oracle_on_hand_built_graphs(case, power):
     graph, x, length = case
-    assert _same_graph(power_graph(graph, power), power_graph_oracle(graph, power))
-    split = outcome(split_states, graph, x)
+    rows = graph_rows(graph)
+    assert _same_graph(power_graph(rows, power), power_graph_oracle(graph, power))
+    split = outcome(split_states, rows, x)
     if not isinstance(split, tuple):
         # every state of a returned split has at least 2**p out-edges
         assert all(sum(row) >= 1 << x.p for row in split.adjacency)
-    if _same_graph(split, outcome(split_states_oracle, graph, x)):
+    oracle_split = outcome(split_states_oracle, graph, x)
+    if _same_graph(split, oracle_split):
         _same_machine(outcome(prune_to_encoder, split, graph.q, x.p, length),
-                      outcome(prune_to_encoder_oracle, split, graph.q, x.p, length))
-    _same_machine(outcome(prune_to_encoder, graph, graph.q, x.p, length),
+                      outcome(prune_to_encoder_oracle, oracle_split,
+                              graph.q, x.p, length))
+    _same_machine(outcome(prune_to_encoder, rows, graph.q, x.p, length),
                   outcome(prune_to_encoder_oracle, graph, graph.q, x.p, length))
 
 
