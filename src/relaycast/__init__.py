@@ -8,7 +8,13 @@ to ``capacity(q) = log2((1 + sqrt(4q+1)) / 2)`` bits per symbol. This
 package computes those capacities, counts and enumerates the admissible
 streams, synthesizes finite-state encoders that approach the capacity,
 and verifies the whole story with a slot-synchronous tree simulator.
+
+The command line (``relaycast.cli``, with ``run`` and ``table_report``)
+loads on first use, so importing the package loads neither it nor
+argparse.
 """
+
+import importlib
 
 from .constraint import (ConstraintGraph, capacity, characteristic_roots,
                          count_words, enumerate_words, make_constraint,
@@ -28,7 +34,6 @@ from .simulator import (DeliveryReport, ERASED, EndToEndReport, NodeDelivery,
                         NodeRecovery, SimTrace, TreeTopology, baseline_rate,
                         end_to_end, parse_tree, simulate, verify_delivery)
 from .symbols import N, format_stream, is_admissible, parse_stream
-from .cli import run, table_report
 
 __version__ = "0.1.0"
 
@@ -50,3 +55,15 @@ __all__ = [
     "simulate", "spectral_radius", "split_states", "table_report",
     "verify_delivery",
 ]
+
+
+def __getattr__(name):
+    """Load the command line on first use of ``run``, ``table_report``
+    or ``cli``, and keep all three as module globals from then on."""
+    if name not in ("run", "table_report", "cli"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import cli``: that statement looks the
+    # name up on this module first and would come back here
+    cli = importlib.import_module(".cli", __name__)
+    globals().update(run=cli.run, table_report=cli.table_report, cli=cli)
+    return globals()[name]

@@ -21,15 +21,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
-from .symbols import N, Word, _check_int, is_data, word_ranks
+from .symbols import N, Symbol, Word, _check_int, is_data
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
 Matrix = Sequence[Sequence[int]]
+
+
+def _symbol_width(q: int) -> int:
+    """Bytes per symbol in a graph's words, big-endian: data symbol k is
+    k and silence ``N`` is q, so byte order is word order."""
+    return (q.bit_length() + 7) // 8
+
+
+def _label_symbols(q: int, labels: Iterable[bytes]) -> Iterator[Symbol]:
+    """The symbols of labels of q's graphs, one label after another.
+
+    One pass over the labels joined, with no Python code per label or,
+    for one-byte symbols, per symbol.
+    """
+    width = _symbol_width(q)
+    joined = b"".join(labels)
+    values = joined if width == 1 else [
+        int.from_bytes(joined[i:i + width], "big")
+        for i in range(0, len(joined), width)]
+    return map([*range(q), N].__getitem__, values)
 
 
 @dataclass(frozen=True)
@@ -38,15 +58,18 @@ class ConstraintGraph:
 
     One out-edge row per state: ``out[s]`` maps a head to the label
     ranks of the edges s -> head, and ``words[r]`` is the label of rank
-    r, in :func:`word_key` order. Every bi-infinite edge-label sequence
-    is admissible and every admissible stream is the label sequence of
-    some path. Rows are never mutated once built; stages build new
-    graphs.
+    r. A label is a byte string of ``(q.bit_length() + 7) // 8`` bytes
+    per symbol, big-endian, with data symbol k written as k and silence
+    ``N`` as q. Byte order is then word order (N after every data
+    symbol), and no label is tracked by the cyclic garbage collector.
+    Every bi-infinite edge-label sequence is admissible and every
+    admissible stream is the label sequence of some path. Rows are
+    never mutated once built; stages build new graphs.
     """
 
     q: int
     states: Tuple[str, ...]
-    words: List[Word]
+    words: List[bytes]
     out: List[Dict[int, List[int]]]
 
     @property
@@ -68,7 +91,9 @@ def make_constraint(q: int) -> ConstraintGraph:
     Data symbols rank 0..q-1 and silence ``N`` ranks q.
     """
     _check_int(q, "q")
-    return ConstraintGraph(q, ("OFF", "ON"), [(k,) for k in range(q)] + [(N,)],
+    width = _symbol_width(q)
+    return ConstraintGraph(q, ("OFF", "ON"),
+                           [k.to_bytes(width, "big") for k in range(q + 1)],
                            [{1: list(range(q)), 0: [q]}, {0: [q]}])
 
 
@@ -94,18 +119,19 @@ def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
     for _ in range(n - 1):
         longer = []
         for step in steps:
-            heads: Dict[int, List[Word]] = {}
+            heads: Dict[int, List[bytes]] = {}
             for r, d in step:
                 prepend = words[r].__add__
                 for h, tails in paths[d].items():
                     heads.setdefault(h, []).extend(map(prepend, tails))
             longer.append(heads)
         paths = longer
-    rank = word_ranks(chain.from_iterable(
-        tails for heads in paths for tails in heads.values()))
+    labels = sorted(dict.fromkeys(chain.from_iterable(
+        tails for heads in paths for tails in heads.values())))
+    rank = {w: i for i, w in enumerate(labels)}
     out = [{h: list(map(rank.__getitem__, tails)) for h, tails in heads.items()}
            for heads in paths]
-    return ConstraintGraph(g.q, g.states, list(rank), out)
+    return ConstraintGraph(g.q, g.states, labels, out)
 
 
 # Past this many paths from one state synthesis stops counting them:
@@ -132,16 +158,28 @@ def _power_adjacency(q: int, n: int) -> Optional[List[List[int]]]:
     return rows
 
 
+# count_words refuses a count past about this many bits. The recurrence
+# costs time quadratic in it: about a second for q=1 at the budget.
+_COUNT_BITS = 1 << 17
+
+
 def count_words(q: int, n: int) -> int:
     """Number of admissible length-n words, as an exact integer.
 
     Satisfies the recurrence ``N(n) = N(n-1) + q*N(n-2)`` with seeds
     ``N(0) = 1`` (the empty word) and ``N(1) = q+1``: a word ending in
     silence extends any admissible word, while a word ending in one of
-    the q data symbols extends only words ending in silence.
+    the q data symbols extends only words ending in silence. Raises
+    :class:`EnumerationCapError`, before the first step, when the count
+    has about ``n * capacity(q)`` bits and that passes ``2**17``.
     """
     _check_int(q, "q")
     _check_int(n, "length", 0)
+    # capacity(q) > 1/2, so past 2 * _COUNT_BITS no float is needed
+    if n > 2 * _COUNT_BITS or n * capacity(q) > _COUNT_BITS:
+        raise EnumerationCapError(
+            f"the count of length-{n} words for q={q} would pass "
+            f"the budget of {_COUNT_BITS} bits")
     a, b = 1, q + 1
     if n == 0:
         return a
@@ -160,9 +198,11 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
     _check_int(q, "q")
     _check_int(n, "length", 0)
     _check_int(cap, "cap", 0)
-    if (q + 1) ** n > cap:
+    # past n = cap.bit_length(), (q+1)**n >= 2**n > cap already: refuse
+    # without building the power
+    if n >= cap.bit_length() + 1 or (q + 1) ** n > cap:
         raise EnumerationCapError(
-            f"(q+1)**n = {(q + 1) ** n} exceeds enumeration cap {cap}")
+            f"(q+1)**n exceeds enumeration cap {cap} for q={q}, n={n}")
     words: List[Word] = [()]
     for _ in range(n):
         extended: List[Word] = []

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
-                         _past_capacity, _power_adjacency, capacity,
-                         make_constraint, matrix_vector, power_graph,
-                         validate_matrix)
+                         _label_symbols, _past_capacity, _power_adjacency,
+                         _symbol_width, capacity, make_constraint,
+                         matrix_vector, power_graph, validate_matrix)
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      InsufficientDegreeError, InvalidParameterError,
@@ -272,7 +272,11 @@ class _ChunkTable(dict):
 
 
 def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
-    """Per state: codeword -> ((tag, next), ...), in tag order."""
+    """Per state: codeword -> ((tag, next), ...), in tag order.
+
+    Each state's row is iterated once, as ``(codeword, next)`` pairs in
+    tag order; any hashable key may stand for a codeword.
+    """
     index = []
     for outs in transitions:
         lookup: Dict[Word, tuple] = {}
@@ -332,31 +336,34 @@ class _SubsetTable:
         return step
 
 
-def _pair_successors(index, pair) -> set:
+def _pair_successors(index, pair, spell) -> set:
     """Pairs ``pair`` reaches by emitting a common codeword from both members.
 
-    A pair that collapses onto a single state raises
-    :class:`AmbiguousEncoderError`.
+    Walks only the codewords both members emit. A pair that collapses
+    onto a single state raises :class:`AmbiguousEncoderError`, naming the
+    first such codeword in the first member's tag order.
     """
     a, b = pair
-    b_index = index[b]
+    a_index, b_index = index[a], index[b]
     following = set()
-    for word, a_moves in index[a].items():
-        b_moves = b_index.get(word)
-        if not b_moves:
-            continue
-        for _, ta in a_moves:
-            for _, tb in b_moves:
-                if ta == tb:
-                    raise AmbiguousEncoderError(
-                        f"states {a} and {b} merge on {format_stream(word)!r}")
+    for word in a_index.keys() & b_index.keys():
+        for _, ta in a_index[word]:
+            for _, tb in b_index[word]:
                 following.add((min(ta, tb), max(ta, tb)))
+    if any(ta == tb for ta, tb in following):
+        word = next(w for w in a_index if w in b_index
+                    and {t for _, t in a_index[w]} & {t for _, t in b_index[w]})
+        raise AmbiguousEncoderError(
+            f"states {a} and {b} merge on {format_stream(spell(word))!r}")
     return following
 
 
-def _anticipation(index) -> int:
+def _anticipation(index, spell=lambda word: word) -> int:
     """Lookahead blocks needed to resolve shared codewords, or raise.
 
+    ``index`` is per state: codeword -> ((tag, next), ...), in tag order,
+    where a codeword may be stood for by any key, such as its label
+    rank, that ``spell`` turns back into its symbols for a message.
     Walks the graph over unordered state pairs reachable by emitting a
     common codeword from both members, from the pairs a state forks
     into, expanding each pair once. A pair that collapses onto a single
@@ -370,15 +377,15 @@ def _anticipation(index) -> int:
             for (_, a), (_, b) in combinations(moves, 2):
                 if a == b:
                     raise AmbiguousEncoderError(
-                        f"state {state} emits {format_stream(word)!r} to "
-                        f"state {a} under two different tags")
+                        f"state {state} emits {format_stream(spell(word))!r} "
+                        f"to state {a} under two different tags")
                 forks.add((min(a, b), max(a, b)))
     successors: Dict[Tuple[int, int], set] = {}
     stack = sorted(forks)
     while stack:
         pair = stack.pop()
         if pair not in successors:
-            successors[pair] = _pair_successors(index, pair)
+            successors[pair] = _pair_successors(index, pair, spell)
             stack.extend(successors[pair])
     # Peel pairs whose successors are all peeled, sinks first: a pair's
     # height is the number of pairs on its longest path. Pairs that can
@@ -406,25 +413,6 @@ def _anticipation(index) -> int:
     return max((height[f] for f in forks), default=0)
 
 
-def _assemble(q, p, n, start_state, transitions,
-              keep_index=False) -> Encoder:
-    """The machine, its anticipation certified from its codeword index.
-
-    With ``keep_index`` the machine decodes with that index, as a parsed
-    machine, decoded at once, should. A synthesized machine drops it and
-    builds it again on its first decode: the memo keeps machines whether
-    or not they are decoded, and the index is about half of a fresh
-    machine's memory (0.85 of 1.65 MB for (1,11,16)).
-    """
-    index = _codeword_index(transitions)
-    encoder = Encoder(q=q, p=p, n=n, start_state=start_state,
-                      transitions=transitions,
-                      anticipation=_anticipation(index))
-    if keep_index:
-        vars(encoder)["_by_codeword"] = index  # fills the cached property
-    return encoder
-
-
 def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     """Delete surplus edges down to 2**p per state and assign tags.
 
@@ -433,6 +421,12 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     the state does not offer 2**p distinct ones. Tags follow codeword
     order. States that become unreachable from the start state (the
     first descendant of OFF, index 0) are dropped.
+
+    The anticipation certificate works on label ranks, and each kept
+    codeword is spelled as symbols once. The machine builds its codeword
+    index on its first decode: the memo keeps machines whether or not
+    they are decoded, and the index is about half of a fresh machine's
+    memory (0.85 of 1.65 MB for (1,11,16)).
     """
     _check_int(q, "q")
     _check_int(p, "p")
@@ -440,19 +434,22 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     if g.q != q:
         raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
     words = g.words
-    if set(map(len, words)) != {n}:  # else every edge label has n symbols
+    size = n * _symbol_width(q)
+    if set(map(len, words)) != {size}:  # else every edge label has n symbols
         for heads in g.out:
             for r, _ in _label_order(heads):
-                if len(words[r]) != n:
-                    label = format_stream(words[r])
+                if len(words[r]) != size:
+                    label = format_stream(tuple(_label_symbols(q, [words[r]])))
                     raise NonUniformLabelError(
                         f"edge label {label!r} is not {n} symbols")
     fanout = 1 << p
-    kept: List[List[Tuple[int, int]]] = []
-    for state, heads in enumerate(g.out):
+    # per state, the kept label ranks and, tag by tag, their heads
+    ranks: List[List[int]] = []
+    heads: List[List[int]] = []
+    for state, row in enumerate(g.out):
         # equal ranks are equal words, so a duplicate codeword follows
         # its first copy directly
-        outgoing = _label_order(heads)
+        outgoing = _label_order(row)
         if len(outgoing) < fanout:
             raise InsufficientDegreeError(
                 f"state {g.states[state]!r} has out-degree {len(outgoing)}, "
@@ -462,23 +459,32 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
         for edge in outgoing:
             (duplicates if edge[0] == last else primaries).append(edge)
             last = edge[0]
-        kept.append(sorted((primaries + duplicates)[:fanout]))
+        kept = sorted((primaries + duplicates)[:fanout])
+        ranks.append([r for r, _ in kept])
+        heads.append([d for _, d in kept])
 
     start = 0
     reachable = {start}
     frontier = [start]
     while frontier:
         state = frontier.pop()
-        for _, d in kept[state]:
+        for d in heads[state]:
             if d not in reachable:
                 reachable.add(d)
                 frontier.append(d)
     order = sorted(reachable)
     renumber = {old: new for new, old in enumerate(order)}
-    transitions = tuple(
-        tuple((words[r], renumber[d]) for r, d in kept[old])
-        for old in order)
-    return _assemble(q, p, n, renumber[start], transitions)
+    ranks = [ranks[old] for old in order]
+    heads = [[renumber[d] for d in heads[old]] for old in order]
+    distinct = list(set(chain.from_iterable(ranks)))
+    symbols = _label_symbols(q, map(words.__getitem__, distinct))
+    codewords = dict(zip(distinct, zip(*[symbols] * n)))
+    transitions = tuple(tuple(zip(map(codewords.__getitem__, r), h))
+                        for r, h in zip(ranks, heads))
+    index = _codeword_index([zip(r, h) for r, h in zip(ranks, heads)])
+    return Encoder(q=q, p=p, n=n, start_state=renumber[start],
+                   transitions=transitions,
+                   anticipation=_anticipation(index, codewords.__getitem__))
 
 
 def build_encoder(q: int, p: int, n: int) -> Encoder:
@@ -752,4 +758,11 @@ def parse_encoder(text: str) -> Encoder:
                 raise EncoderFormatError(f"transition target {nxt} out of range")
     if start >= num_states:
         raise EncoderFormatError(f"start state {start} out of range")
-    return _assemble(q, p, n, start, transitions, keep_index=True)
+    index = _codeword_index(transitions)
+    encoder = Encoder(q=q, p=p, n=n, start_state=start,
+                      transitions=transitions,
+                      anticipation=_anticipation(index))
+    # a parsed machine is decoded at once, so it keeps the index its
+    # certificate was built from; this fills the cached property
+    vars(encoder)["_by_codeword"] = index
+    return encoder

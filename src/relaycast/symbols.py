@@ -12,11 +12,10 @@ data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from itertools import repeat
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, StreamFormatError
 
@@ -155,24 +154,3 @@ def format_stream(word: Sequence[Symbol]) -> str:
     such as ``True`` and ``1``, share the token of the first one.
     """
     return " ".join(map(_Tokens().__getitem__, word))
-
-
-# Silence sorts after every data symbol; data symbols map to themselves.
-_ORDER = {N: math.inf}
-
-
-def word_key(word: Sequence[Symbol]) -> tuple:
-    """Lexicographic sort key for words; N orders after all data symbols."""
-    return tuple(map(_ORDER.get, word, word))
-
-
-def word_ranks(words: Iterable[Word]) -> Dict[Word, int]:
-    """Position of each distinct word in :func:`word_key` order.
-
-    Sorting edges on ``rank[word]`` gives the order of ``word_key(word)``
-    while deriving each key only once per distinct word. Duplicates are
-    dropped in input order (``dict.fromkeys``), so words that arrive
-    already in order, as the paths of a power graph do, sort in one
-    linear pass.
-    """
-    return {w: i for i, w in enumerate(sorted(dict.fromkeys(words), key=word_key))}

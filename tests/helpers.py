@@ -8,14 +8,14 @@ the node-by-node slot loop and by the scan per depth that it replaced in
 turn (neither derives deeper rows from depth 1's), the relay's run scan
 by the per-slot loop it replaced, the three synthesis stages by the
 edge-list rebuilds they replaced (on the edge-list graph form kept
-here, with converters to and from the library's rows), the constraint
-presentation by its edge list, the weight vector by a search over
-every vector in order of sum, and ``decode`` by the path-tracking
-decoder that carries every candidate's bit string forward, the
-anticipation certificate by the memoised depth-first search that the
-pair-graph walk replaced, ``encode`` by the loop that looks up one block
-at a time, and the stream text formats by the loops that convert one
-token or symbol at a time.
+here, with converters to and from the library's rows and their byte
+labels), the constraint presentation by its edge list, the weight
+vector by a search over every vector in order of sum, and ``decode``
+by the path-tracking decoder that carries every candidate's bit string
+forward, the anticipation certificate by the memoised depth-first
+search that the pair-graph walk replaced, ``encode`` by the loop that
+looks up one block at a time, and the stream text formats by the loops
+that convert one token or symbol at a time.
 """
 
 import math
@@ -31,7 +31,7 @@ from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
                        StateSplitError, StreamFormatError,
                        UnknownCodewordError, capacity, format_stream)
 from relaycast.constraint import matrix_vector, validate_matrix
-from relaycast.encoder import _assemble
+from relaycast.encoder import Encoder, _anticipation, _codeword_index
 from relaycast.symbols import is_data, is_decimal
 
 
@@ -398,20 +398,46 @@ class EdgeListGraph:
         return tuple(tuple(row) for row in counts)
 
 
+def _symbol_bytes(q):
+    """Bytes per symbol in a library label: the fewest that hold q."""
+    width = 1
+    while 256 ** width <= q:
+        width += 1
+    return width
+
+
+def label_bytes(q, word):
+    """A word of symbols as a library label: each symbol big-endian in
+    ``_symbol_bytes(q)`` bytes, data symbol k as k and silence as q."""
+    width = _symbol_bytes(q)
+    return b"".join((q if s is N else s).to_bytes(width, "big") for s in word)
+
+
+def label_symbols(q, label):
+    """Inverse of :func:`label_bytes`."""
+    width = _symbol_bytes(q)
+    values = [int.from_bytes(label[i:i + width], "big")
+              for i in range(0, len(label), width)]
+    return tuple(N if v == q else v for v in values)
+
+
 def graph_rows(g):
     """The library's ``ConstraintGraph`` of edge list ``g``: its
-    distinct labels ranked once, in ``oracle_word_key`` order."""
+    distinct labels ranked once, in ``oracle_word_key`` order, and
+    written as bytes by :func:`label_bytes`."""
     words = sorted({e.word for e in g.edges}, key=oracle_word_key)
     rank = {w: i for i, w in enumerate(words)}
     out = [{} for _ in g.states]
     for e in g.edges:
         out[e.src].setdefault(e.dst, []).append(rank[e.word])
-    return ConstraintGraph(g.q, g.states, words, out)
+    return ConstraintGraph(g.q, g.states,
+                           [label_bytes(g.q, w) for w in words], out)
 
 
 def rows_graph(rows):
-    """The edge list of a ``ConstraintGraph``, sorted by source, label, head."""
-    edges = [Edge(src, dst, rows.words[r])
+    """The edge list of a ``ConstraintGraph``, sorted by source, label,
+    head, with labels spelled as symbols by :func:`label_symbols`."""
+    edges = [Edge(src, dst, label_symbols(rows.q, rows.words[r]))
              for src, heads in enumerate(rows.out)
              for r, dst in sorted((r, d) for d, ranks in heads.items()
                                   for r in ranks)]
@@ -581,7 +607,9 @@ def prune_to_encoder_oracle(g, q, p, n):
     transitions = tuple(
         tuple((e.word, renumber[e.dst]) for e in kept[old])
         for old in order)
-    return _assemble(q, p, n, renumber[start], transitions)
+    return Encoder(q=q, p=p, n=n, start_state=renumber[start],
+                   transitions=transitions,
+                   anticipation=_anticipation(_codeword_index(transitions)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import contextlib
 import decimal
+import hashlib
 import io
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,39 @@ def test_count_prints_every_digit(capsys):
     assert err == "" and len(out.strip()) > 4300
     assert decimal.Decimal(out) == count_words(1, 25000)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_output_is_unchanged(capsys):
+    # SHA-256 of what `count --q 1 --n 20000` printed before the size
+    # budget was checked
+    assert run(["count", "--q", "1", "--n", "20000"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "eb73945f615d56337ad0c762aaead57e691ba7bd92a60795e8350612b1e860aa"
+
+
+@pytest.mark.parametrize("n", ["9" * 20, "9" * 640, "190000"])
+def test_count_past_the_size_budget_is_one_error_line(capsys, n):
+    start = time.perf_counter()
+    assert run(["count", "--q", "1", "--n", n]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err == (f"error: the count of length-{n} words for q=1 would "
+                   f"pass the budget of 131072 bits\n")
+
+
+@pytest.mark.parametrize("n, cap", [("100000", None), ("9" * 640, None),
+                                    ("24", "10000000"), ("15", "1000000")])
+def test_enumerate_past_the_cap_is_one_error_line(capsys, n, cap):
+    start = time.perf_counter()
+    flags = ["--cap", cap] if cap else []
+    assert run(["enumerate", "--q", "2", "--n", n, *flags]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: (q+1)**n exceeds enumeration cap {cap or 10**7} "
+        f"for q=2, n={n}\n")
 
 
 def test_enumerate_output(capsys):

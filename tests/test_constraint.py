@@ -222,6 +222,19 @@ def test_power_adjacency_is_matrix_power(q):
             assert _power_adjacency(q, n) == [list(r) for r in powered.adjacency]
 
 
+def test_count_refuses_past_its_size_budget_before_counting():
+    # about n * capacity(q) bits against 2**17; each refusal is immediate
+    for q, n in [(1, 190_000), (6, 83_000), (1, 2**18 + 1), (1, 10**640),
+                 (10**600, 132)]:
+        with pytest.raises(EnumerationCapError) as excinfo:
+            count_words(q, n)
+        assert str(excinfo.value) == (f"the count of length-{n} words for "
+                                      f"q={q} would pass the budget of 131072 bits")
+    # the largest counts within it are still exact
+    assert count_words(10**600, 131) == count_words(10**600, 130) + \
+        10**600 * count_words(10**600, 129)
+
+
 def test_enumerate_examples():
     assert enumerate_words(1, 2) == [(0, N), (N, 0), (N, N)]
     assert enumerate_words(1, 0) == [()]
@@ -230,6 +243,19 @@ def test_enumerate_examples():
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
         enumerate_words(2, 15, cap=10**6)  # 3**15 > 10**6
+    assert len(enumerate_words(2, 12, cap=3**12)) == count_words(2, 12)
+    with pytest.raises(EnumerationCapError):
+        enumerate_words(2, 12, cap=3**12 - 1)
+
+
+@pytest.mark.parametrize("n", [21, 10**5, 10**640])
+def test_enumerate_cap_names_q_n_and_cap_without_the_power(n):
+    # past cap.bit_length() the refusal needs no (q+1)**n, which would
+    # not fit in memory at the larger n
+    with pytest.raises(EnumerationCapError) as excinfo:
+        enumerate_words(1, n, cap=10**6)
+    assert str(excinfo.value) == \
+        f"(q+1)**n exceeds enumeration cap 1000000 for q=1, n={n}"
 
 
 @pytest.mark.parametrize("cap", ["5", 5.0, -1, None])

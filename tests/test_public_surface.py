@@ -1,6 +1,9 @@
 """The names ``relaycast`` exports, and the README tour that uses them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import relaycast
@@ -31,6 +34,39 @@ def test_exports_are_pinned_and_resolve():
     assert sorted(relaycast.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(relaycast, name) is not None
+
+
+# Run in a fresh interpreter, since the suite itself has loaded the CLI.
+LAZY_CLI = """
+import sys
+import relaycast
+assert "relaycast.cli" not in sys.modules, "cli"
+assert "argparse" not in sys.modules, "argparse"
+cli = relaycast.cli
+assert sys.modules["relaycast.cli"] is cli
+assert relaycast.run is cli.run and relaycast.table_report is cli.table_report
+namespace = {}
+exec("from relaycast import *", namespace)
+assert namespace["run"] is cli.run
+assert namespace["table_report"] is cli.table_report
+assert sorted(set(relaycast.__all__) - set(namespace)) == []
+try:
+    relaycast.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("no AttributeError")
+"""
+
+
+def test_import_leaves_the_command_line_unloaded():
+    """``import relaycast`` loads neither ``relaycast.cli`` nor argparse;
+    ``run``, ``table_report``, ``cli`` and ``import *`` load it on
+    first use."""
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", LAZY_CLI], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def _quick_tour():

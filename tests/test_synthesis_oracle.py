@@ -29,7 +29,7 @@ from relaycast import (ApproxEigenvector, FrameHeader, N, RelaycastError,
 from relaycast.encoder import _synthesize
 from helpers import (ROUND_TRIP_RATES, SWEEP, Edge, EdgeListGraph,
                      approximate_eigenvector_oracle, canonical_edges,
-                     constraint_oracle, graph_rows, outcome,
+                     constraint_oracle, graph_rows, label_symbols, outcome,
                      power_graph_oracle, prune_to_encoder_oracle, rows_graph,
                      split_states_oracle)
 
@@ -124,7 +124,34 @@ def test_synthesis_runs_the_public_stage_chain(monkeypatch):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_power_rows_rank_words_in_enumeration_order(q):
     for n in range(1, 7):
-        assert power_graph(make_constraint(q), n).words == enumerate_words(q, n)
+        words = power_graph(make_constraint(q), n).words
+        assert [label_symbols(q, w) for w in words] == enumerate_words(q, n)
+        # one byte per symbol, and byte order is the order of the words
+        assert all(len(w) == n for w in words) and words == sorted(words)
+
+
+def test_two_byte_symbols_rank_in_enumeration_order():
+    """q >= 256 is the one case with two bytes per symbol."""
+    words = power_graph(make_constraint(300), 2).words
+    assert all(len(w) == 4 for w in words)
+    assert [label_symbols(300, w) for w in words] == enumerate_words(300, 2)
+
+
+# serialize_encoder SHA-256 of machines with two-byte symbols, as built
+# before labels were bytes: (256,4,1) has 17 states and anticipation 1
+TWO_BYTE_MACHINES = {
+    (256, 4, 1):
+        "e8c5c086ab967e3baf6d2135fd76d2e498fe627ba8daa7a6814859868e9800b1",
+    (300, 8, 2):
+        "555a210c214f1a375c47137dc5a4b5ee8ad526c8b62277fe3af6c9c3229ad67b",
+}
+
+
+@pytest.mark.parametrize("rate", sorted(TWO_BYTE_MACHINES))
+def test_two_byte_symbol_machines_are_pinned(rate):
+    text = serialize_encoder(_synthesize.__wrapped__(*rate))
+    assert hashlib.sha256(text.encode()).hexdigest() == TWO_BYTE_MACHINES[rate]
+    assert text == _text_or_error(_oracle_chain, *rate)
 
 
 @st.composite
