@@ -22,7 +22,8 @@ emitting identical blocks and verifies the pair dies out within a fixed
 number of blocks, the machine's *anticipation*. ``encode`` appends that
 many fixed flush blocks so the lookahead always has material. ``decode``
 follows the set of label-consistent states with one table lookup per
-block and keeps a back-pointer per state; by the certificate, every path
+chunk of up to 8 message bits (one block when p >= 5), as ``encode``
+does, and keeps a back-pointer per state; by the certificate, every path
 surviving the flush merges within it, and one walk back recovers the
 message bits.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, repeat
 from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
@@ -43,8 +44,8 @@ from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      InsufficientDegreeError, InvalidParameterError,
                      NonUniformLabelError, StateSplitError, StreamFormatError,
                      UnknownCodewordError)
-from .symbols import (Word, _check_int, _Symbols, format_stream, is_bits,
-                      is_decimal)
+from .symbols import (Word, _check_int, _check_iterable, _Symbols,
+                      format_stream, is_bits, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 
@@ -286,38 +287,93 @@ def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
     return tuple(index)
 
 
+class _CanonicalSymbols(_Symbols):
+    """A token table that outlives its calls: a token spelled otherwise
+    than ``str`` spells its symbol (``00`` for ``0``; ``str(N)`` is
+    ``N``) is converted but not kept, so new spellings cannot grow it."""
+
+    def __missing__(self, token):
+        symbol = super().__missing__(token)
+        if token != str(symbol):
+            self.pop(token, None)
+        return symbol
+
+
 class _SubsetTable:
     """Decode steps over candidate-state tuples, built on first sight.
 
-    A row belongs to one sorted tuple of machine states and maps a block
+    A row belongs to one sorted tuple of machine states and maps a key
     to ``(next tuple, next row, back-pointers)``, where the back-pointer
-    of each next state is ``(index in the tuple, p-bit tag string)``.
-    A block is a tuple of symbols or of stream tokens. A block of tokens
-    is stored only in its canonical spelling (``0``, not ``00``), so a
+    of each next state is ``(index in the tuple, tag bits)``. A key is
+    one block (n symbols or stream tokens, p tag bits) or one chunk of
+    ``k = encoder._chunk_blocks`` blocks (k·n of them, k·p tag bits),
+    whose step is composed from its blocks' steps; a row holds at most
+    ``len(tuple) * 2**(k*p)`` chunk keys of symbols and as many of
+    tokens. A block of tokens is stored only in its canonical spelling
+    (``0``, not ``00``), and a chunk only when all its blocks were, so a
     row grows with the codewords seen, not with the spellings sent, and
     a valid stream's tokens are converted once per row, not per sight.
     Only blocks that match a transition are stored, so every error is
-    raised afresh with the index of its own block. Rows are filled by
-    ``dict`` stores of equal values, so concurrent decoders at worst
-    repeat a step.
+    raised afresh with the index of its own block. One token table
+    serves the table's whole life and keeps only canonical tokens, so
+    each is converted once per machine. Rows are filled by ``dict``
+    stores of equal values, so concurrent decoders at worst repeat a
+    step.
     """
 
     def __init__(self, encoder: Encoder):
         self._by_codeword = encoder._by_codeword
         self._tag_format = f"0{encoder.p}b"
-        self._q = encoder.q
+        self._n = encoder.n
+        self._symbols = _CanonicalSymbols(encoder.q)
         self._rows: Dict[Tuple[int, ...], dict] = {}
         first = (encoder.start_state,)
         self.start = (first, self._rows.setdefault(first, {}))
 
-    def advance(self, states, row, block, index):
-        """The step from ``states`` on ``block``, stored in ``row``.
+    def advance(self, states, row, key, index):
+        """The step from ``states`` on ``key``, stored in ``row``.
 
-        Tokens of the block are checked and converted as
+        ``index`` is the number of the key's first block. A chunk is
+        stepped block by block, through the steps ``row`` and the rows
+        after it already hold, so its errors are its blocks' errors.
+        Tokens of a block are checked and converted as
         :func:`parse_stream` does.
         """
-        token = _Symbols(self._q).__getitem__
-        symbols = tuple(token(s) if isinstance(s, str) else s for s in block)
+        n = self._n
+        if len(key) > n:
+            at, stored, path = row, True, []
+            for i in range(0, len(key), n):
+                block = key[i:i + n]
+                step = at.get(block)
+                if step is None:
+                    step = self.advance(states, at, block, index + i // n)
+                    stored = stored and block in at
+                states, at, links = step
+                path.append(links)
+            path.reverse()
+            back = []
+            for j in range(len(states)):
+                tags = []
+                for links in path:
+                    j, tag = links[j]
+                    tags.append(tag)
+                tags.reverse()
+                back.append((j, "".join(tags)))
+            step = (states, at, tuple(back))
+            # a stored block is all symbols or all tokens; so must the chunk be
+            if stored and len({isinstance(s, str) for s in key[::n]}) == 1:
+                row[key] = step
+            return step
+        tokens = list(map(isinstance, key, repeat(str)))
+        if not any(tokens):
+            symbols, canonical = key, True
+        elif all(tokens):
+            symbols = tuple(map(self._symbols.__getitem__, key))
+            canonical = key == tuple(map(str, symbols))
+        else:  # a block mixing symbols and tokens is never stored
+            token = self._symbols.__getitem__
+            symbols = tuple(token(s) if t else s for s, t in zip(key, tokens))
+            canonical = False
         moves: Dict[int, tuple] = {}
         for j, state in enumerate(states):
             for tag, nxt in self._by_codeword[state].get(symbols, ()):
@@ -331,8 +387,8 @@ class _SubsetTable:
         after = tuple(sorted(moves))
         step = (after, self._rows.setdefault(after, {}),
                 tuple(moves[s] for s in after))
-        if block == symbols or block == tuple(format_stream(symbols).split()):
-            row[block] = step
+        if canonical:
+            row[key] = step
         return step
 
 
@@ -371,15 +427,23 @@ def _anticipation(index, spell=lambda word: word) -> int:
     so the machine is rejected. Returns 0 for a machine whose codewords
     are distinct at every state, else 1 + the longest pair path.
     """
+    # a shared codeword forks into the pairs of its heads; many codewords
+    # share one group of heads, so each group is read once (built from a
+    # list: tuple() of an iterator leaves ~0.1 MB of resized tuples free)
+    groups = {tuple([nxt for _, nxt in moves]) for by_word in index
+              for moves in by_word.values() if len(moves) > 1}
     forks = set()
-    for state, by_word in enumerate(index):
-        for word, moves in by_word.items():
-            for (_, a), (_, b) in combinations(moves, 2):
-                if a == b:
-                    raise AmbiguousEncoderError(
-                        f"state {state} emits {format_stream(spell(word))!r} "
-                        f"to state {a} under two different tags")
-                forks.add((min(a, b), max(a, b)))
+    for heads in groups:
+        for a, b in combinations(heads, 2):
+            if a == b:
+                state, word, a = next(
+                    (state, word, a) for state, by_word in enumerate(index)
+                    for word, moves in by_word.items()
+                    for (_, a), (_, b) in combinations(moves, 2) if a == b)
+                raise AmbiguousEncoderError(
+                    f"state {state} emits {format_stream(spell(word))!r} "
+                    f"to state {a} under two different tags")
+            forks.add((min(a, b), max(a, b)))
     successors: Dict[Tuple[int, int], set] = {}
     stack = sorted(forks)
     while stack:
@@ -555,10 +619,11 @@ class FrameHeader:
         _check_int(self.pad, "pad", 0)
 
 
-def _normalize_bits(bits) -> str:
+def _normalize_bits(bits, name: str = "bits") -> str:
     if isinstance(bits, str):
         text = bits
     else:
+        _check_iterable(bits, name, "a str or a sequence of bits")
         text = "".join(str(b) for b in bits)
     if not is_bits(text):
         raise StreamFormatError("bit strings may contain only 0 and 1")
@@ -610,32 +675,43 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     """Recover the original bits; exact inverse of :func:`encode`.
 
     The decoder's state is the tuple of machine states the blocks so far
-    allow (shared codewords keep several alive). Each block costs one
-    lookup in the encoder's subset table, which gives the next tuple and
-    a back-pointer per next state: its index in the previous tuple and
-    its tag. The table is filled on first sight of a (tuple, block) pair
-    and kept on the encoder, so it grows only with the candidate sets
-    and codewords actually seen. After the last block every survivor is
-    walked back through the flush; the certificate merges them there
-    into one path, which is walked back to block 0. Time and memory are
-    O(blocks).
+    allow (shared codewords keep several alive). As in :func:`encode`,
+    the message's whole chunks of ``k = max(1, 8 // p)`` blocks cost one
+    lookup each in the encoder's subset table; the blocks after them,
+    flush included, cost one lookup each. A lookup gives the next tuple
+    and a back-pointer per next state: its index in the previous tuple
+    and its tag bits. The table is filled on first sight of a (tuple,
+    chunk or block) pair, a chunk's step composed from its blocks'
+    steps, and kept on the encoder, so it grows only with the candidate
+    sets and codewords actually seen. After the last block every
+    survivor is walked back through the flush; the certificate merges
+    them there into one path, which is walked back to block 0. Time and
+    memory are O(blocks).
 
     ``word`` holds symbols or stream tokens (``"0"``, ``"N"``, ...), such
     as ``text.split()``; a token block is checked and converted as
-    :func:`parse_stream` does when the table first sees it, and then
-    costs one lookup like any block (a block spelled otherwise, as
-    ``00`` for ``0``, is converted at every sight). Stray streams that match no
-    transition raise :class:`UnknownCodewordError` at the offending
-    block, and a bad token :class:`StreamFormatError` at its block.
+    :func:`parse_stream` does when the table first sees it, each
+    distinct token once per machine, and then costs one lookup like any
+    block (a block spelled otherwise, as ``00`` for ``0``, is converted
+    at every sight). Stray streams that match no transition raise
+    :class:`UnknownCodewordError` at the offending block, and a bad
+    token :class:`StreamFormatError` at its block, inside a chunk too.
     Framing is checked first, so unlike ``parse_stream`` then
     ``decode``, a bad token in a stream of the wrong length reports
-    the length.
+    the length. A ``word`` that is not iterable or holds an unhashable
+    symbol raises :class:`StreamFormatError`, and a ``header`` that is
+    not a :class:`FrameHeader` :class:`InvalidParameterError`.
     """
     if isinstance(word, str):
         raise StreamFormatError(
             "decode takes a sequence of symbols or tokens, not a str; "
             "split the stream text first")
-    stream = tuple(word)
+    if not isinstance(header, FrameHeader):
+        raise InvalidParameterError(
+            f"header must be a FrameHeader, not {type(header).__name__}")
+    _check_iterable(word, "word", "a sequence of symbols or tokens")
+    # a list, such as text.split(), is read in place, not copied
+    stream = word if type(word) is list else tuple(word)
     if len(stream) % encoder.n:
         raise FramingError(
             f"stream length {len(stream)} is not a multiple of n={encoder.n}")
@@ -651,25 +727,41 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     if message_blocks == 0:
         return ""
 
+    n = encoder.n
+    k = encoder._chunk_blocks
+    # blocks in whole chunks; a chunk of one block is read as a block
+    whole = message_blocks - message_blocks % k if k > 1 else 0
     table = encoder._subset_table
     states, row = table.start
-    history = []  # per block, the shared back-pointer tuple
-    for block in zip(*[iter(stream)] * encoder.n):
-        step = row.get(block)
-        if step is None:
-            step = table.advance(states, row, block, len(history))
-        states, row, back = step
-        history.append(back)
+    history = []  # per chunk, then per block: the shared back-pointer tuple
+    symbols = iter(stream)
+    try:
+        # the whole chunks, then the rest block by block; a key's first
+        # block is number len(history) * blocks + offset
+        for keys, blocks, offset in (
+                (islice(zip(*[symbols] * (k * n)), whole // k), k, 0),
+                (zip(*[symbols] * n), 1, whole - whole // k)):
+            for key in keys:
+                step = row.get(key)
+                if step is None:
+                    step = table.advance(states, row, key,
+                                         len(history) * blocks + offset)
+                states, row, back = step
+                history.append(back)
+    except TypeError as exc:  # hashing a key hashes its symbols
+        raise StreamFormatError(
+            f"word holds an unhashable symbol: {exc}") from None
 
     # survivors not merged within the flush differ in some message tag
+    message = len(history) - encoder.anticipation
     live = range(len(states))
-    for back in reversed(history[message_blocks:]):
+    for back in reversed(history[message:]):
         live = {back[j][0] for j in live}
     if len(live) != 1:
         raise AmbiguousEncoderError("flush failed to single out the message")
     (j,) = live
-    tags = [""] * message_blocks
-    for i in range(message_blocks - 1, -1, -1):
+    tags = [""] * message
+    for i in range(message - 1, -1, -1):
         j, tags[i] = history[i][j]
     return "".join(tags)[:length]
 

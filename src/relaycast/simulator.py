@@ -32,7 +32,7 @@ from .encoder import _normalize_bits, build_encoder, decode, encode
 from .errors import (InvalidParameterError, RelaycastError, StreamFormatError,
                      TopologyError)
 from .symbols import (_DATA_RUN, ERASED, N, Symbol, Word, _check_int,
-                      _data_mask, is_decimal)
+                      _check_iterable, _data_mask, is_decimal)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,7 @@ def _source(source_stream: Sequence[Symbol], caller: str) -> Word:
         raise StreamFormatError(
             f"{caller} takes a sequence of symbols, not a str; "
             f"parse the stream text first")
+    _check_iterable(source_stream, "source_stream", "a sequence of symbols")
     return tuple(source_stream)
 
 
@@ -394,7 +395,7 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     the verdict does Python work per node.
     """
     machine = build_encoder(q, p, n)
-    bits = _normalize_bits(message)
+    bits = _normalize_bits(message, "message")
     stream, header = encode(machine, bits)
     trace = simulate(topo, stream)
 

@@ -59,6 +59,16 @@ def _check_int(value, name: str, minimum: int = 1) -> None:
         raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def _check_iterable(value, name: str, kind: str) -> None:
+    """Raise :class:`StreamFormatError` naming the argument ``name``
+    unless ``value`` is iterable; ``kind`` says what it should be."""
+    try:
+        iter(value)
+    except TypeError:
+        raise StreamFormatError(
+            f"{name} must be {kind}, not {type(value).__name__}") from None
+
+
 def is_data(symbol: Symbol) -> bool:
     """True for every symbol but silence ``N``."""
     return symbol is not N

@@ -19,11 +19,13 @@ from relaycast import (AmbiguousEncoderError, ApproxEigenvector,
                        StateSplitError, StreamFormatError,
                        UnknownCodewordError, build_encoder,
                        capacity, count_words, decode, encode, encoder_report,
-                       find_approximate_eigenvector, format_stream,
-                       is_admissible, make_constraint, parse_encoder,
-                       parse_stream, power_graph, prune_to_encoder,
-                       serialize_encoder, split_states)
+                       end_to_end, find_approximate_eigenvector,
+                       format_stream, is_admissible, make_constraint,
+                       parse_encoder, parse_stream, parse_tree, power_graph,
+                       prune_to_encoder, serialize_encoder, simulate,
+                       split_states, verify_delivery)
 import relaycast.encoder as encoder_module
+import relaycast.symbols as symbols_module
 from relaycast.constraint import (_past_capacity, _power_adjacency,
                                   matrix_vector)
 from relaycast.encoder import (Encoder, _anticipation, _codeword_index,
@@ -599,6 +601,97 @@ def test_broken_certificates_reach_both_ambiguity_errors(
         assert str(excinfo.value) == message
 
 
+def _token_outcome(machine, symbols, header, at, token):
+    """What decoding the tokens of ``symbols`` with ``token`` at symbol
+    ``at`` must give: the oracle's outcome on the symbols with a symbol
+    no codeword holds there, and the token's own error where that
+    outcome is the error of ``at``'s block."""
+    expected = outcome(decode_oracle, machine,
+                       symbols[:at] + (object(),) + symbols[at + 1:], header)
+    if expected[:1] == (UnknownCodewordError,) and expected[1].startswith(
+            f"block {at // machine.n} "):
+        return outcome(parse_stream, token, machine.q)
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chunked_decode_matches_oracle(differential_machines, data):
+    """Messages of 2 to 4 whole chunks and 0 to k-1 blocks more, intact
+    or with one symbol or one token changed at a drawn block of a chunk:
+    symbols and tokens decode as the oracle decodes the symbols."""
+    name = data.draw(st.sampled_from(sorted(differential_machines, key=str)))
+    machine = differential_machines[name]
+    k, n, p = machine._chunk_blocks, machine.n, machine.p
+    chunks = data.draw(st.integers(2, 4))
+    blocks = k * chunks + data.draw(st.integers(0, k - 1))
+    length = p * blocks - data.draw(st.integers(0, p - 1))
+    bits = data.draw(st.text("01", min_size=length, max_size=length))
+    stream, header = encode(machine, bits)
+    tokens = format_stream(stream).split()
+    kind = data.draw(st.sampled_from(["none", "symbol", "token"]))
+    # a symbol of block j of chunk c, or of a block after the whole chunks
+    block = k * data.draw(st.integers(0, chunks)) + data.draw(
+        st.integers(0, k - 1))
+    at = n * min(block, blocks - 1) + data.draw(st.integers(0, n - 1))
+    if kind == "symbol":
+        symbol = data.draw(st.sampled_from(
+            [s for s in list(range(machine.q)) + [N] if s is not stream[at]]))
+        stream = stream[:at] + (symbol,) + stream[at + 1:]
+        tokens = format_stream(stream).split()
+    expected = outcome(decode_oracle, machine, stream, header)
+    assert outcome(decode, machine, stream, header) == expected
+    if kind == "token":
+        token = data.draw(st.sampled_from(["x", "0x", str(machine.q), "-1"]))
+        tokens[at] = token
+        expected = _token_outcome(machine, stream, header, at, token)
+    assert outcome(decode, machine, tokens, header) == expected
+    if kind == "none" and name in DIFFERENTIAL_RATES:
+        assert expected == bits
+
+
+def test_cold_token_decode_converts_each_token_once(enc_q6):
+    """A fresh machine's first token decode checks and converts each
+    distinct token once, however many rows and chunks meet it."""
+    machine = parse_encoder(serialize_encoder(enc_q6))
+    bits = random_bits(random.Random(8), 3000)
+    stream, header = encode(machine, bits)
+    tokens = format_stream(stream).split()
+    converting = mock.patch.object(symbols_module._Symbols, "__missing__",
+                                   autospec=True,
+                                   side_effect=symbols_module._Symbols.__missing__)
+    with converting as counting:
+        assert decode(machine, tokens, header) == bits
+    assert 0 < counting.call_count <= len(set(tokens))
+
+
+_TOPOLOGY = parse_tree("0 -\n1 0\n")
+
+
+@pytest.mark.parametrize("call, error, argument", [
+    (lambda m, s, h: decode(m, 5, h), StreamFormatError, "word"),
+    (lambda m, s, h: decode(m, None, h), StreamFormatError, "word"),
+    (lambda m, s, h: decode(m, [[0, 1, 2]] * len(s), h), StreamFormatError,
+     "word"),
+    (lambda m, s, h: decode(m, s, (4, 0)), InvalidParameterError, "header"),
+    (lambda m, s, h: encode(m, 5), StreamFormatError, "bits"),
+    (lambda m, s, h: encode(m, None), StreamFormatError, "bits"),
+    (lambda m, s, h: end_to_end(1, 2, 3, _TOPOLOGY, 5), StreamFormatError,
+     "message"),
+    (lambda m, s, h: simulate(_TOPOLOGY, 5), StreamFormatError,
+     "source_stream"),
+    (lambda m, s, h: verify_delivery(simulate(_TOPOLOGY, s), _TOPOLOGY, 5),
+     StreamFormatError, "source_stream"),
+], ids=["decode int", "decode None", "decode unhashable", "decode tuple header",
+        "encode int", "encode None", "end_to_end int", "simulate int",
+        "verify_delivery int"])
+def test_wrong_types_end_in_a_relaycast_error(enc_q1, call, error, argument):
+    stream, header = encode(enc_q1, "1101001110100101")
+    with pytest.raises(error) as excinfo:
+        call(enc_q1, stream, header)
+    assert argument in str(excinfo.value)
+
+
 @pytest.mark.parametrize("fields", [(True, 0), (4, False), (4.0, 0),
                                     ("4", 0), (None, 0), (-1, 0)])
 def test_frame_header_rejects_bad_fields(fields):
@@ -746,10 +839,19 @@ def test_respelled_tokens_leave_the_subset_table_as_it_was(enc_q1):
     token_blocks = [" ".join(b) for _, b in stored if isinstance(b[0], str)]
     assert token_blocks
     assert all(format_stream(parse_stream(b)) == b for b in token_blocks)
+    # blocks and chunks of blocks, each all symbols or all tokens
+    assert {len(b) for _, b in stored} == {machine.n,
+                                           machine._chunk_blocks * machine.n}
+    assert all(len({isinstance(s, str) for s in b}) == 1 for _, b in stored)
     for zeros in ("0", "00", "0" * 639):
         respelled = [t if t == "N" else zeros + t for t in tokens]
         assert decode(machine, respelled, header) == bits
+    # every other block as symbols: no chunk is all symbols or all tokens
+    n = machine.n
+    mixed = [stream[i] if i // n % 2 else t for i, t in enumerate(tokens)]
+    assert decode(machine, mixed, header) == bits
     assert keys() == stored
+    assert set(machine._subset_table._symbols) == {"0", "N"}
 
 
 @pytest.fixture(scope="module")
@@ -806,6 +908,25 @@ def test_anticipation_matches_recursive_oracle(transitions):
         assert isinstance(got, tuple) and got[0] is expected[0]
     else:
         assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitions=transition_tables())
+# two offending head groups, (1, 1) from state 0 and (0, 0) from state
+# 1: state 0's is named, on N
+@example(transitions=((((N,), 1), ((N,), 1)), (((N,), 0), ((N,), 0))))
+# state 0 offends on its first codeword, 0, and state 1 on N, in a
+# group (0, 0, 1) of three heads
+@example(transitions=((((0,), 1), ((N,), 0), ((0,), 1), ((N,), 1)),
+                      (((N,), 0), ((N,), 0), ((0,), 0), ((N,), 1))))
+def test_fork_errors_name_the_first_codeword(transitions):
+    """Forks are read once per group of heads, and a codeword emitted to
+    one state under two tags is still named as the oracle names the
+    first, in state and codeword order."""
+    index = _codeword_index(transitions)
+    expected = outcome(anticipation_oracle, index)
+    if isinstance(expected, tuple) and expected[1].endswith("different tags"):
+        assert outcome(_anticipation, index) == expected
 
 
 @pytest.mark.parametrize("source, indexes", [("parsed", 1), ("built", 2)])
