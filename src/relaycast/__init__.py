@@ -10,8 +10,9 @@ streams, synthesizes finite-state encoders that approach the capacity,
 and verifies the whole story with a slot-synchronous tree simulator.
 
 The command line (``relaycast.cli``, with ``run`` and ``table_report``)
-loads on first use, so importing the package loads neither it nor
-argparse.
+and the tree simulator (``relaycast.simulator``, with its exports) load
+on first use, so importing the package loads neither them nor argparse,
+and the codec commands never load the simulator.
 """
 
 import importlib
@@ -30,10 +31,7 @@ from .errors import (AmbiguousEncoderError, EncoderBuildError,
                      NonUniformLabelError, RelaycastError, StateSplitError,
                      StreamFormatError, TopologyError, UnknownCodewordError,
                      UnsupportedParameterError)
-from .simulator import (DeliveryReport, ERASED, EndToEndReport, NodeDelivery,
-                        NodeRecovery, SimTrace, TreeTopology, baseline_rate,
-                        end_to_end, parse_tree, simulate, verify_delivery)
-from .symbols import N, format_stream, is_admissible, parse_stream
+from .symbols import ERASED, N, format_stream, is_admissible, parse_stream
 
 __version__ = "0.1.0"
 
@@ -57,13 +55,27 @@ __all__ = [
 ]
 
 
+# name -> the submodule that defines it and loads on its first use; a
+# submodule's own name maps to itself
+_LAZY = {
+    "cli": "cli", "run": "cli", "table_report": "cli",
+    **dict.fromkeys((
+        "simulator", "DeliveryReport", "EndToEndReport", "NodeDelivery",
+        "NodeRecovery", "SimTrace", "TreeTopology", "baseline_rate",
+        "end_to_end", "parse_tree", "simulate", "verify_delivery"),
+        "simulator"),
+}
+
+
 def __getattr__(name):
-    """Load the command line on first use of ``run``, ``table_report``
-    or ``cli``, and keep all three as module globals from then on."""
-    if name not in ("run", "table_report", "cli"):
+    """Load the submodule that ``_LAZY`` names for ``name``, and keep
+    every name that ``_LAZY`` maps to it as a module global from then on."""
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # import_module, not ``from . import cli``: that statement looks the
     # name up on this module first and would come back here
-    cli = importlib.import_module(".cli", __name__)
-    globals().update(run=cli.run, table_report=cli.table_report, cli=cli)
+    home = _LAZY[name]
+    module = importlib.import_module("." + home, __name__)
+    globals().update({key: module if key == home else getattr(module, key)
+                      for key, where in _LAZY.items() if where == home})
     return globals()[name]

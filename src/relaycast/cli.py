@@ -4,6 +4,10 @@ Every subcommand is a thin wrapper over one library call: parse flags,
 call, format. Exit codes: 0 success, 1 domain error (invalid parameter,
 infeasible rate, malformed data, ...), 2 unknown subcommand, 3 malformed
 flags, 4 file not found.
+
+Only ``simulate``, ``end-to-end`` and ``table`` import
+``relaycast.simulator``, inside their bodies, so the codec commands
+never compile or run it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from .encoder import (FrameHeader, build_encoder, decode, encode,
                       encoder_report, parse_encoder, serialize_encoder)
 from .errors import (InvalidParameterError, RelaycastError,
                      UnsupportedParameterError)
-from .simulator import (baseline_rate, end_to_end, parse_tree, simulate,
-                        verify_delivery)
 from .symbols import (_check_int, format_stream, is_bits, is_decimal,
                       parse_stream)
 
@@ -60,6 +62,7 @@ def table_report(q: int) -> List[TableRow]:
     if q != 1:
         raise UnsupportedParameterError(
             f"reference rates are only tabulated for q=1, got q={q}")
+    from .simulator import baseline_rate
     cap = capacity(1)
     fwd = baseline_rate(1)
     return [TableRow(depth=label, reference_rate=ref,
@@ -173,6 +176,7 @@ def _cmd_decode(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .simulator import parse_tree, simulate, verify_delivery
     topo = parse_tree(_read_value(args.tree))
     stream = parse_stream(_read_value(args.stream, "stream"))
     trace = simulate(topo, stream, args.extra_slots)
@@ -185,6 +189,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_end_to_end(args) -> None:
+    from .simulator import end_to_end, parse_tree
     topo = parse_tree(_read_value(args.tree))
     if args.bits is not None:
         bits = _read_value(args.bits, "bits").strip()

@@ -771,6 +771,9 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
 
 @dataclass(frozen=True)
 class EncoderReport:
+    """A machine's rate p/n, the capacity of its q, their ratio and its
+    number of states."""
+
     q: int
     p: int
     n: int

@@ -287,6 +287,8 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
 
 @dataclass(frozen=True, slots=True)
 class NodeDelivery:
+    """Whether one node forwarded the source stream, delayed by its depth."""
+
     node: int
     depth: int
     passed: bool
@@ -294,6 +296,9 @@ class NodeDelivery:
 
 @dataclass(frozen=True)
 class DeliveryReport:
+    """:func:`verify_delivery`'s verdict per node, in node order, and the
+    number of (slot, node) violations in the trace."""
+
     nodes: Tuple[NodeDelivery, ...]
     violations: int
 
@@ -353,6 +358,8 @@ def baseline_rate(q: int) -> float:
 
 @dataclass(frozen=True, slots=True)
 class NodeRecovery:
+    """Whether one node decoded the message bits exactly."""
+
     node: int
     depth: int
     recovered: bool
@@ -360,6 +367,10 @@ class NodeRecovery:
 
 @dataclass(frozen=True)
 class EndToEndReport:
+    """One :func:`end_to_end` run: the code's rate against the capacity
+    and the forwarding baseline, the message length, and each node's
+    recovery, in node order."""
+
     q: int
     p: int
     n: int

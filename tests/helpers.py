@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from relaycast import (ERASED, N, AmbiguousEncoderError, ConstraintGraph,
                        FrameHeader, FramingError, InfeasibleRateError,
@@ -613,28 +613,52 @@ def prune_to_encoder_oracle(g, q, p, n):
 
 
 # ---------------------------------------------------------------------------
-# weight-vector oracle: every nonzero vector in order of sum, then of
-# last entry, the first that satisfies the weight inequality.
+# weight-vector oracle: the lemma's verdict first, then every nonzero
+# vector in order of sum, then of last entry, the first that satisfies
+# the weight inequality.
+
+def _supports(matrix, x, target):
+    """``A x >= target x``, entry by entry."""
+    return all(got >= target * want
+               for got, want in zip(matrix_vector(matrix, x), x))
+
+
+def _lemma_vectors(matrix, target):
+    """The vectors of which one supports ``target`` if any vector does.
+
+    A 1x1 matrix has only (1,). For a 2x2 matrix ((a, b), (c, d)) they
+    are (1, 0), (0, 1) and, when it is nonnegative and nonzero,
+    (t - d, c): when a < t and d < t, (t - d, c) supports t exactly when
+    bc >= (t - a)(t - d), the condition for a spectral radius >= t.
+    """
+    if len(matrix) == 1:
+        return [(1,)]
+    c, d = matrix[1]
+    third = [(target - d, c)] if target > d or (target == d and c) else []
+    return [(1, 0), (0, 1)] + third
+
 
 def approximate_eigenvector_oracle(adjacency, p):
     """The weight vector ``find_approximate_eigenvector`` must return.
 
-    A 2x2 search stops past sum ``t + c``: if a vector exists, one of
-    (1, 0), (0, 1) and (t - d, c) satisfies ``A x >= t x``.
+    Raises when no vector of :func:`_lemma_vectors` supports ``t = 2**p``.
+    Otherwise the least-sum search ends by the sum of the first that
+    does, at most ``t + c``.
     """
     matrix = validate_matrix(adjacency)
     _oracle_check_positive(p, "p")
     target = 1 << p
+    if not any(_supports(matrix, x, target)
+               for x in _lemma_vectors(matrix, target)):
+        raise InfeasibleRateError(
+            f"no nonzero weight vector supports {p} bits per block "
+            f"for this adjacency")
     size = len(matrix)
-    for total in range(1, target + matrix[-1][0] + 1):
+    for total in count(1):
         for last in range(total + 1 if size == 2 else 1):
             x = (total - last, last)[:size]
-            if all(got >= target * want for got, want
-                   in zip(matrix_vector(matrix, x), x)):
+            if _supports(matrix, x, target):
                 return x
-    raise InfeasibleRateError(
-        f"no nonzero weight vector supports {p} bits per block "
-        f"for this adjacency")
 
 
 def decode_oracle(encoder, word, header):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -102,6 +103,29 @@ def test_eigenvector_of_any_small_matrix(size, entries, p, expected):
         assert _satisfies_inequality(adjacency, found.vector, p)
         found = found.vector
     assert found == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 2), entries=st.lists(st.integers(0, 8), min_size=4,
+                                                max_size=4),
+       p=st.integers(1, 4))
+@example(size=2, entries=[0, 1, 16, 0], p=2)   # only (t - d, c) holds
+@example(size=2, entries=[3, 1, 1, 3], p=2)    # spectral radius exactly 4
+@example(size=2, entries=[3, 2, 0, 3], p=2)    # reducible, infeasible
+def test_eigenvector_oracle_lemma_agrees_with_brute_force(size, entries, p):
+    """The oracle's verdict, from its lemma's vectors alone, is that of a
+    search that uses no lemma: every nonzero vector with entries up to
+    2 (t + the largest matrix entry), past twice the lemma's bound t + c."""
+    adjacency = [entries[i * size:(i + 1) * size] for i in range(size)]
+    bound = 2 * ((1 << p) + max(entries))
+    found = any(_satisfies_inequality(adjacency, x, p)
+                for x in itertools.product(range(bound + 1), repeat=size)
+                if any(x))
+    verdict = outcome(approximate_eigenvector_oracle, adjacency, p)
+    feasible = verdict[0] is not InfeasibleRateError
+    assert feasible == found
+    if feasible:
+        assert _satisfies_inequality(adjacency, verdict, p)
 
 
 def test_eigenvector_of_reducible_matrices():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import relaycast
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,11 +47,14 @@ assert "argparse" not in sys.modules, "argparse"
 cli = relaycast.cli
 assert sys.modules["relaycast.cli"] is cli
 assert relaycast.run is cli.run and relaycast.table_report is cli.table_report
+assert "relaycast.simulator" not in sys.modules, "simulator"
 namespace = {}
 exec("from relaycast import *", namespace)
 assert namespace["run"] is cli.run
 assert namespace["table_report"] is cli.table_report
 assert sorted(set(relaycast.__all__) - set(namespace)) == []
+assert all(namespace[name] is getattr(relaycast, name)
+           for name in relaycast.__all__)
 try:
     relaycast.no_such_name
 except AttributeError as exc:
@@ -59,14 +64,75 @@ else:
 """
 
 
+def _fresh(script, *argv):
+    """Run ``script`` in a fresh interpreter on this checkout's package;
+    it must exit 0 with nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_import_leaves_the_command_line_unloaded():
     """``import relaycast`` loads neither ``relaycast.cli`` nor argparse;
     ``run``, ``table_report``, ``cli`` and ``import *`` load it on
-    first use."""
-    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
-    done = subprocess.run([sys.executable, "-c", LAZY_CLI], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
+    first use, and ``import *`` binds every name of ``__all__``."""
+    _fresh(LAZY_CLI)
+
+
+# The codec commands run in process, as codec_cli runs them, and the
+# simulator stays unloaded.
+CODEC_SKIPS_SIMULATOR = """
+import contextlib, io, os, sys
+import relaycast
+assert "relaycast.simulator" not in sys.modules, "import"
+os.chdir(sys.argv[1])
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert relaycast.run(argv) == 0, argv
+    return out.getvalue()
+
+run("build-encoder", "--q", "1", "--p", "2", "--n", "3", "--out", "enc")
+head, stream = run("encode", "--encoder", "enc", "--bits", "110100",
+                   "--format", "raw").splitlines()
+assert head == "6 0"
+assert run("decode", "--encoder", "enc", "--stream", stream,
+           "--length", "6") == "110100\\n"
+assert run("capacity", "--q", "1") == "0.694242\\n"
+assert run("count", "--q", "1", "--n", "5") == "13\\n"
+assert run("enumerate", "--q", "1", "--n", "2") == "0 N\\nN 0\\nN N\\n"
+assert "relaycast.simulator" not in sys.modules, "codec commands"
+"""
+
+
+def test_codec_commands_leave_the_simulator_unloaded(tmp_path):
+    _fresh(CODEC_SKIPS_SIMULATOR, str(tmp_path))
+
+
+SIMULATOR_NAMES = ["simulator"] + [
+    name for name in PUBLIC
+    if getattr(relaycast, name).__module__ == "relaycast.simulator"]
+
+# The first use of one name of SIMULATOR_NAMES loads relaycast.simulator,
+# and every name is then the simulator's own object.
+LAZY_SIMULATOR = """
+import sys
+import relaycast
+name, names = sys.argv[1], sys.argv[2:]
+assert "relaycast.simulator" not in sys.modules, "import"
+getattr(relaycast, name)
+simulator = sys.modules["relaycast.simulator"]
+for other in names:
+    own = simulator if other == "simulator" else getattr(simulator, other)
+    assert getattr(relaycast, other) is own, other
+"""
+
+
+@pytest.mark.parametrize("name", SIMULATOR_NAMES)
+def test_simulator_names_load_the_simulator(name):
+    _fresh(LAZY_SIMULATOR, name, *SIMULATOR_NAMES)
 
 
 def _quick_tour():
