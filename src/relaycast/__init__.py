@@ -17,18 +17,15 @@ and the codec commands never load the simulator.
 
 import importlib
 
-from .constraint import (ConstraintGraph, capacity, characteristic_roots,
-                         count_words, enumerate_words, make_constraint,
-                         power_graph, spectral_radius)
-from .encoder import (ApproxEigenvector, Encoder, EncoderReport, FrameHeader,
-                      build_encoder, decode, encode, encoder_report,
-                      find_approximate_eigenvector, parse_encoder,
-                      prune_to_encoder, serialize_encoder, split_states)
+from .constraint import (capacity, characteristic_roots, count_words,
+                         enumerate_words, spectral_radius)
+from .encoder import (Encoder, EncoderReport, FrameHeader, build_encoder,
+                      decode, encode, encoder_report, parse_encoder,
+                      serialize_encoder)
 from .errors import (AmbiguousEncoderError, EncoderBuildError,
                      EncoderFormatError, EnumerationCapError, FramingError,
-                     InfeasibleRateError, InsufficientDegreeError,
-                     InvalidMatrixError, InvalidParameterError,
-                     NonUniformLabelError, RelaycastError, StateSplitError,
+                     InfeasibleRateError, InvalidMatrixError,
+                     InvalidParameterError, RelaycastError, StateSplitError,
                      StreamFormatError, TopologyError, UnknownCodewordError,
                      UnsupportedParameterError)
 from .symbols import ERASED, N, format_stream, is_admissible, parse_stream
@@ -36,22 +33,18 @@ from .symbols import ERASED, N, format_stream, is_admissible, parse_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousEncoderError", "ApproxEigenvector", "ConstraintGraph",
-    "DeliveryReport", "ERASED", "Encoder", "EncoderBuildError",
-    "EncoderFormatError", "EncoderReport", "EndToEndReport",
-    "EnumerationCapError", "FrameHeader", "FramingError",
-    "InfeasibleRateError", "InsufficientDegreeError", "InvalidMatrixError",
-    "InvalidParameterError", "N", "NodeDelivery", "NodeRecovery",
-    "NonUniformLabelError", "RelaycastError", "SimTrace", "StateSplitError",
-    "StreamFormatError", "TopologyError", "TreeTopology",
+    "AmbiguousEncoderError", "DeliveryReport", "ERASED", "Encoder",
+    "EncoderBuildError", "EncoderFormatError", "EncoderReport",
+    "EndToEndReport", "EnumerationCapError", "FrameHeader", "FramingError",
+    "InfeasibleRateError", "InvalidMatrixError", "InvalidParameterError",
+    "N", "NodeDelivery", "NodeRecovery", "RelaycastError", "SimTrace",
+    "StateSplitError", "StreamFormatError", "TopologyError", "TreeTopology",
     "UnknownCodewordError", "UnsupportedParameterError", "baseline_rate",
     "build_encoder", "capacity", "characteristic_roots", "count_words",
     "decode", "encode", "encoder_report", "end_to_end", "enumerate_words",
-    "find_approximate_eigenvector", "format_stream", "is_admissible",
-    "make_constraint", "parse_encoder", "parse_stream", "parse_tree",
-    "power_graph", "prune_to_encoder", "run", "serialize_encoder",
-    "simulate", "spectral_radius", "split_states", "table_report",
-    "verify_delivery",
+    "format_stream", "is_admissible", "parse_encoder", "parse_stream",
+    "parse_tree", "run", "serialize_encoder", "simulate", "spectral_radius",
+    "table_report", "verify_delivery",
 ]
 
 

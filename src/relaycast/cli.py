@@ -308,8 +308,15 @@ _HELP = "\n".join([
 
 
 def run(argv) -> int:
-    """Dispatch one invocation; returns the exit status."""
-    argv = list(argv)
+    """Dispatch one invocation; returns the exit status. Any ``argv``
+    but a sequence of str (``sys.argv[1:]``) raises InvalidParameterError."""
+    try:
+        argv = None if isinstance(argv, str) else list(argv)
+    except TypeError:
+        argv = None
+    if argv is None or not all(isinstance(arg, str) for arg in argv):
+        raise InvalidParameterError(
+            "argv must be a sequence of str arguments, such as sys.argv[1:]")
     if not argv or argv[0] in ("-h", "--help", "help"):
         print(_HELP, end="")
         return EXIT_OK if argv else EXIT_UNKNOWN_COMMAND

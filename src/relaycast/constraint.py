@@ -72,13 +72,6 @@ class ConstraintGraph:
     words: List[bytes]
     out: List[Dict[int, List[int]]]
 
-    @property
-    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        """Entry [i][j] counts the edges from state i to state j."""
-        size = len(self.out)
-        return tuple(tuple(len(heads.get(d, ())) for d in range(size))
-                     for heads in self.out)
-
 
 def _label_order(heads: Dict[int, List[int]]) -> List[Tuple[int, int]]:
     """One row's edges as (label rank, head) pairs, sorted."""
@@ -90,7 +83,6 @@ def make_constraint(q: int) -> ConstraintGraph:
 
     Data symbols rank 0..q-1 and silence ``N`` ranks q.
     """
-    _check_int(q, "q")
     width = _symbol_width(q)
     return ConstraintGraph(q, ("OFF", "ON"),
                            [k.to_bytes(width, "big") for k in range(q + 1)],
@@ -109,7 +101,6 @@ def power_graph(g: ConstraintGraph, n: int) -> ConstraintGraph:
     presentation with labels of one length, such as the constraint's,
     stay in label order per head and ranking them is a linear merge.
     """
-    _check_int(n, "power")
     if n == 1:
         return g
     words = g.words
@@ -217,29 +208,6 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
 # ---------------------------------------------------------------------------
 # exact integer matrices and their Perron root
 
-def matrix_vector(m: Matrix, x: Sequence[int]) -> List[int]:
-    return [sum(v * xi for v, xi in zip(row, x)) for row in m]
-
-
-def validate_matrix(matrix: Matrix) -> List[List[int]]:
-    """List-of-lists copy of a 1x1 or 2x2 matrix of nonnegative ints.
-
-    Every matrix the package builds is the two-state adjacency or a power
-    of it, so nothing larger is accepted. Raises
-    :class:`InvalidMatrixError` for anything else.
-    """
-    rows = [list(row) for row in matrix]
-    if not 1 <= len(rows) <= 2 or any(len(row) != len(rows) for row in rows):
-        raise InvalidMatrixError("matrix must be square, 1x1 or 2x2")
-    try:
-        for row in rows:
-            for value in row:
-                _check_int(value, "matrix entry", 0)
-    except InvalidParameterError as exc:
-        raise InvalidMatrixError(str(exc)) from None
-    return rows
-
-
 # Integers below this convert to floats, and their square roots add to
 # floats, without overflow; the closed forms below take larger ones
 # through one integer square root and one rounded division.
@@ -251,10 +219,19 @@ def spectral_radius(matrix: Matrix) -> float:
 
     Closed form, ``((a+d) + sqrt((a-d)**2 + 4bc)) / 2`` for
     ``[[a, b], [c, d]]``; any other input, or a radius past the largest
-    float (about 1.8e308), raises :class:`InvalidMatrixError`.
+    float (about 1.8e308), raises :class:`InvalidMatrixError`. Every
+    matrix the package builds is 2x2, so nothing larger is accepted.
     """
-    m = validate_matrix(matrix)
     try:
+        m = [list(row) for row in matrix]
+    except TypeError:
+        raise InvalidMatrixError("matrix must be a sequence of rows") from None
+    if not 1 <= len(m) <= 2 or any(len(row) != len(m) for row in m):
+        raise InvalidMatrixError("matrix must be square, 1x1 or 2x2")
+    try:
+        for row in m:
+            for value in row:
+                _check_int(value, "matrix entry", 0)
         if len(m) == 1:
             return float(m[0][0])
         (a, b), (c, d) = m
@@ -262,6 +239,8 @@ def spectral_radius(matrix: Matrix) -> float:
         if max(a + d, disc) < _FLOAT_SAFE:
             return ((a + d) + math.sqrt(disc)) / 2.0
         return (a + d + math.isqrt(disc)) / 2
+    except InvalidParameterError as exc:
+        raise InvalidMatrixError(str(exc)) from None
     except OverflowError:
         raise InvalidMatrixError(
             "spectral radius exceeds the largest float, about 1.8e308") from None

@@ -37,15 +37,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
                          _label_symbols, _past_capacity, _power_adjacency,
-                         _symbol_width, capacity, make_constraint,
-                         matrix_vector, power_graph, validate_matrix)
+                         capacity, make_constraint, power_graph)
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
-                     InsufficientDegreeError, InvalidParameterError,
-                     NonUniformLabelError, StateSplitError, StreamFormatError,
-                     UnknownCodewordError)
-from .symbols import (Word, _check_int, _check_iterable, _Symbols,
-                      format_stream, is_bits, is_decimal)
+                     StateSplitError, StreamFormatError, UnknownCodewordError)
+from .symbols import (Word, _check_int, _check_iterable, _check_type,
+                      _Symbols, format_stream, is_bits, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 
@@ -90,23 +87,20 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector
     else ``x1/x2`` is the simplest fraction in ``[(t-d)/c, b/(t-a)]``,
     nonempty exactly when ``b*c >= (t-a)*(t-d)``; all in integers.
     Raises :class:`InfeasibleRateError` when no x exists, i.e. p bits
-    per block are not sustainable. ``adjacency`` is 1x1 or 2x2.
+    per block are not sustainable. ``adjacency`` is 2x2, as
+    ``_power_adjacency`` gives; it and ``p`` are not checked.
     """
-    matrix = validate_matrix(adjacency)
-    _check_int(p, "p")
+    (a, b), (c, d) = adjacency
     # No x exists once 2**p passes every row sum: x's largest entry
     # would need more than its row gives. This also keeps 1 << p small.
-    if p < max(map(sum, matrix)).bit_length():
+    if p < max(a + b, c + d).bit_length():
         t = 1 << p
-        if matrix[0][0] >= t:
-            return ApproxEigenvector((1, 0)[:len(matrix)], p)  # (1,) if 1x1
-        if len(matrix) == 2:
-            (a, b), (c, d) = matrix
-            if d >= t:
-                return ApproxEigenvector((0, 1), p)
-            if b * c >= (t - a) * (t - d):
-                return ApproxEigenvector(
-                    _simplest_fraction(t - d, c, b, t - a), p)
+        if a >= t:
+            return ApproxEigenvector((1, 0), p)
+        if d >= t:
+            return ApproxEigenvector((0, 1), p)
+        if b * c >= (t - a) * (t - d):
+            return ApproxEigenvector(_simplest_fraction(t - d, c, b, t - a), p)
     raise _infeasible(p)
 
 
@@ -132,21 +126,13 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     ``sum(x.vector)`` states, every one with at least ``2**p`` outgoing
     edges; the number of rounds performed is ``sum(x.vector)`` minus the
     number of nonzero weights. A vector of all ones returns ``g`` itself.
+    ``x`` satisfies the weight inequality, as synthesis's vectors do; it
+    is not checked. :class:`StateSplitError` is raised when the greedy
+    cut misses a partition, which may exist (``build_encoder(3, 6, 5)``).
     """
-    if len(x.vector) != len(g.states):
-        raise InvalidParameterError(
-            f"weight vector has {len(x.vector)} entries for "
-            f"{len(g.states)} states")
-    if any(w < 0 for w in x.vector) or not any(x.vector):
-        raise StateSplitError("weights must be nonnegative and not all zero")
-    target = 1 << x.p
-    checked = matrix_vector(g.adjacency, x.vector)
-    if any(got < target * want for got, want in zip(checked, x.vector)):
-        raise StateSplitError(
-            "vector fails the weight inequality; not an approximate eigenvector")
-
     if all(w == 1 for w in x.vector):
         return g
+    target = 1 << x.p
 
     keep = [i for i, w in enumerate(x.vector) if w]
     at = {old: new for new, old in enumerate(keep)}
@@ -195,9 +181,9 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
         names[u:u + 1] = [names[u] + ".0", names[u] + ".1"]
         weights[u:u + 1] = [first_weight, heaviest - first_weight]
 
-    # Every state has 2**p out-edges or more: the entry check, each cut
-    # and the copies of edges into u all keep every out-weight at least
-    # 2**p times its state's weight, and unit weights make it the degree.
+    # Every state has 2**p out-edges or more, as prune_to_encoder needs: x
+    # satisfies the weight inequality, each cut and the copies of edges into
+    # u keep it, and unit weights make every out-weight the out-degree.
     return ConstraintGraph(g.q, tuple(names), g.words, out)
 
 
@@ -477,7 +463,7 @@ def _anticipation(index, spell=lambda word: word) -> int:
     return max((height[f] for f in forks), default=0)
 
 
-def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
+def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
     """Delete surplus edges down to 2**p per state and assign tags.
 
     Keeps the lexicographically smallest codewords at each state,
@@ -490,34 +476,19 @@ def prune_to_encoder(g: ConstraintGraph, q: int, p: int, n: int) -> Encoder:
     codeword is spelled as symbols once. The machine builds its codeword
     index on its first decode: the memo keeps machines whether or not
     they are decoded, and the index is about half of a fresh machine's
-    memory (0.85 of 1.65 MB for (1,11,16)).
+    memory (0.85 of 1.65 MB for (1,11,16)). ``g`` is a split graph of
+    n-symbol labels, with ``2**p`` out-edges or more per state, unchecked.
     """
-    _check_int(q, "q")
-    _check_int(p, "p")
-    _check_int(n, "n")
-    if g.q != q:
-        raise InvalidParameterError(f"graph was built for q={g.q}, not q={q}")
+    q = g.q
     words = g.words
-    size = n * _symbol_width(q)
-    if set(map(len, words)) != {size}:  # else every edge label has n symbols
-        for heads in g.out:
-            for r, _ in _label_order(heads):
-                if len(words[r]) != size:
-                    label = format_stream(tuple(_label_symbols(q, [words[r]])))
-                    raise NonUniformLabelError(
-                        f"edge label {label!r} is not {n} symbols")
     fanout = 1 << p
     # per state, the kept label ranks and, tag by tag, their heads
     ranks: List[List[int]] = []
     heads: List[List[int]] = []
-    for state, row in enumerate(g.out):
+    for row in g.out:
         # equal ranks are equal words, so a duplicate codeword follows
         # its first copy directly
         outgoing = _label_order(row)
-        if len(outgoing) < fanout:
-            raise InsufficientDegreeError(
-                f"state {g.states[state]!r} has out-degree {len(outgoing)}, "
-                f"needs {fanout}")
         primaries, duplicates = [], []
         last = None
         for edge in outgoing:
@@ -562,8 +533,9 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
     capacity, :class:`EnumerationCapError` when the power graph has more
     than ``2**18`` paths; a rate that fails raises again on every call.
     """
-    # checked in the order the stages check them, before the lookup, so
-    # that True, 2.0 or [2] never reach the cache
+    # the rate's one check, which the stages rely on: before the lookup, so
+    # that True, 2.0 or [2] never reach the cache; q, then n (as "power"),
+    # then p, the order and names that the error messages pin
     _check_int(q, "q")
     _check_int(n, "power")
     _check_int(p, "p")
@@ -577,7 +549,7 @@ def _synthesize(q: int, p: int, n: int) -> Encoder:
     """The stage chain of :func:`build_encoder`, on checked arguments."""
     x = _weights(q, p, n)
     return prune_to_encoder(split_states(power_graph(make_constraint(q), n), x),
-                            q, p, n)
+                            p, n)
 
 
 def _weights(q: int, p: int, n: int) -> ApproxEigenvector:
@@ -643,8 +615,10 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
     each in the encoder's chunk table; the blocks after the last whole
     chunk are looked up one at a time. When p divides 8 a chunk is a
     byte, and the chunk values are the bytes of the bits read as one
-    number.
+    number. Any ``encoder`` but an :class:`Encoder` raises
+    :class:`InvalidParameterError`.
     """
+    _check_type(encoder, Encoder, "encoder")
     text = _normalize_bits(bits)
     length = len(text)
     if length == 0:
@@ -699,16 +673,16 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     Framing is checked first, so unlike ``parse_stream`` then
     ``decode``, a bad token in a stream of the wrong length reports
     the length. A ``word`` that is not iterable or holds an unhashable
-    symbol raises :class:`StreamFormatError`, and a ``header`` that is
-    not a :class:`FrameHeader` :class:`InvalidParameterError`.
+    symbol raises :class:`StreamFormatError`, and an ``encoder`` that is
+    not an :class:`Encoder` or a ``header`` that is not a
+    :class:`FrameHeader` :class:`InvalidParameterError`.
     """
+    _check_type(encoder, Encoder, "encoder")
     if isinstance(word, str):
         raise StreamFormatError(
             "decode takes a sequence of symbols or tokens, not a str; "
             "split the stream text first")
-    if not isinstance(header, FrameHeader):
-        raise InvalidParameterError(
-            f"header must be a FrameHeader, not {type(header).__name__}")
+    _check_type(header, FrameHeader, "header")
     _check_iterable(word, "word", "a sequence of symbols or tokens")
     # a list, such as text.split(), is read in place, not copied
     stream = word if type(word) is list else tuple(word)
@@ -784,7 +758,9 @@ class EncoderReport:
 
 
 def encoder_report(encoder: Encoder) -> EncoderReport:
-    """Rate, capacity, and their ratio for a built machine."""
+    """Rate, capacity, and their ratio for a built machine (an
+    :class:`Encoder`, else :class:`InvalidParameterError`)."""
+    _check_type(encoder, Encoder, "encoder")
     cap = capacity(encoder.q)
     rate = encoder.p / encoder.n
     return EncoderReport(q=encoder.q, p=encoder.p, n=encoder.n, rate=rate,
@@ -796,8 +772,10 @@ def serialize_encoder(encoder: Encoder) -> str:
     """Line-oriented text form.
 
     Header ``ENC q p n num_states start_state``, then one line per
-    transition: ``<state> <tag> <codeword tokens> <next_state>``.
+    transition: ``<state> <tag> <codeword tokens> <next_state>``. Any
+    ``encoder`` but an :class:`Encoder` raises :class:`InvalidParameterError`.
     """
+    _check_type(encoder, Encoder, "encoder")
     lines = [f"ENC {encoder.q} {encoder.p} {encoder.n} "
              f"{encoder.num_states} {encoder.start_state}"]
     for state, outs in enumerate(encoder.transitions):
@@ -807,7 +785,9 @@ def serialize_encoder(encoder: Encoder) -> str:
 
 
 def parse_encoder(text: str) -> Encoder:
-    """Inverse of :func:`serialize_encoder`; re-verifies decodability."""
+    """Inverse of :func:`serialize_encoder`; re-verifies decodability.
+    Malformed text, or any ``text`` but a str, raises EncoderFormatError."""
+    _check_type(text, str, "text", EncoderFormatError)
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EncoderFormatError("empty encoder text")

@@ -10,8 +10,8 @@ class InvalidParameterError(RelaycastError, ValueError):
 
 
 class InvalidMatrixError(RelaycastError, ValueError):
-    """A matrix argument is not a square 1x1 or 2x2 matrix, or has an
-    entry that is not a nonnegative ``int``."""
+    """``spectral_radius``'s matrix is not a square 1x1 or 2x2 matrix of
+    nonnegative ``int`` entries, or its radius passes the largest float."""
 
 
 class EnumerationCapError(RelaycastError):
@@ -27,25 +27,20 @@ class InfeasibleRateError(RelaycastError):
 
 
 class StateSplitError(RelaycastError):
-    """State splitting could not form a required edge partition.
+    """State splitting's greedy cut found no edge partition for a state.
 
-    Raised for an invalid weight vector, and also for some valid ones:
-    the greedy cut in :func:`split_states` can miss a partition that
-    exists, e.g. ``build_encoder(3, 6, 5)`` with the vector (7, 3) that
-    :func:`find_approximate_eigenvector` returns.
+    The cut in :func:`build_encoder`'s split stage can miss a partition
+    that exists, e.g. ``build_encoder(3, 6, 5)`` with the vector (7, 3)
+    of least sum.
     """
 
 
 class EncoderBuildError(RelaycastError):
-    """Encoder synthesis failed."""
+    """A machine, built or parsed, fails a check of its construction.
 
-
-class InsufficientDegreeError(EncoderBuildError):
-    """A state has fewer outgoing edges than the 2**p required."""
-
-
-class NonUniformLabelError(EncoderBuildError):
-    """Edge labels do not all have the expected block length."""
+    Not raised itself: its one subclass is
+    :class:`AmbiguousEncoderError`.
+    """
 
 
 class AmbiguousEncoderError(EncoderBuildError):

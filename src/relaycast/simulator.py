@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
@@ -32,7 +32,7 @@ from .encoder import _normalize_bits, build_encoder, decode, encode
 from .errors import (InvalidParameterError, RelaycastError, StreamFormatError,
                      TopologyError)
 from .symbols import (_DATA_RUN, ERASED, N, Symbol, Word, _check_int,
-                      _check_iterable, _data_mask, is_decimal)
+                      _check_iterable, _check_type, _data_mask, is_decimal)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +88,10 @@ def parse_tree(text: str) -> TreeTopology:
     The root uses ``-`` as its parent and must have id 0; ``#`` starts a
     comment. Raises :class:`TopologyError` with a distinct reason code
     for empty input, bad lines, duplicate declarations, multiple roots,
-    a non-zero root id, unknown parent ids, and parent cycles.
+    a non-zero root id, unknown parent ids, and parent cycles; a
+    ``text`` that is not a ``str`` is a ``"format"`` error.
     """
+    _check_type(text, str, "text", partial(TopologyError, "format"))
     declared: Dict[int, Optional[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -270,8 +272,10 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
     node is ON under a data-transmitting parent is logged.
 
     Only depth 1 is scanned (see :class:`SimTrace`): time and memory
-    are O(slots), whatever the depth and the number of nodes.
+    are O(slots), whatever the depth and the number of nodes. Any
+    ``topo`` but a :class:`TreeTopology` raises InvalidParameterError.
     """
+    _check_type(topo, TreeTopology, "topo")
     stream = _source(source_stream, "simulate")
     if extra_slots is None:
         extra_slots = topo.max_depth
@@ -322,7 +326,11 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     ``relayed`` matches depth 1's expected row before slot
     ``horizon - d + 1``. ``topo`` must be the tree the trace ran on;
     its per-node records are shared (see ``TreeTopology._records``).
+    A ``trace`` or ``topo`` of another type raises
+    :class:`InvalidParameterError`.
     """
+    _check_type(trace, SimTrace, "trace")
+    _check_type(topo, TreeTopology, "topo")
     if topo.depth is not trace.depth and topo.depth != trace.depth:
         raise InvalidParameterError("topology is not the one the trace ran on")
     stream = _source(source_stream, "verify_delivery")
@@ -403,7 +411,8 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     deterministic. Per-node records are shared per tree while the
     verdict pattern repeats (see ``TreeTopology._records``), and the
     pattern decides ``all_recovered``, so neither the call nor reading
-    the verdict does Python work per node.
+    the verdict does Python work per node. ``topo`` is checked by
+    :func:`simulate`.
     """
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message, "message")

@@ -69,6 +69,16 @@ def _check_iterable(value, name: str, kind: str) -> None:
             f"{name} must be {kind}, not {type(value).__name__}") from None
 
 
+def _check_type(value, kind: type, name: str,
+                error=InvalidParameterError) -> None:
+    """Raise ``error(message)`` naming the argument ``name`` unless
+    ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {kind.__name__}, "
+                    f"not {type(value).__name__}")
+
+
 def is_data(symbol: Symbol) -> bool:
     """True for every symbol but silence ``N``."""
     return symbol is not N
@@ -87,8 +97,10 @@ def is_admissible(word: Sequence[Symbol]) -> bool:
     """True iff no two consecutive symbols are both data symbols.
 
     The mask is built and searched in C, so Python does no work per
-    symbol.
+    symbol. A ``word`` that is not iterable raises
+    :class:`StreamFormatError`.
     """
+    _check_iterable(word, "word", "a sequence of symbols")
     return _DATA_RUN.search(_data_mask(word)) is None
 
 
@@ -142,8 +154,10 @@ def parse_stream(text: str, q: int | None = None) -> Word:
 
     When ``q`` is given, data symbols must lie in ``0..q-1``. Each
     distinct token is checked once, on its first occurrence, so the
-    first bad token of the stream is the one reported.
+    first bad token of the stream is the one reported. A ``text`` that
+    is not a ``str`` raises :class:`StreamFormatError`.
     """
+    _check_type(text, str, "text", StreamFormatError)
     if q is not None:
         _check_int(q, "q")
     return tuple(map(_Symbols(q).__getitem__, text.split()))
@@ -161,6 +175,13 @@ def format_stream(word: Sequence[Symbol]) -> str:
     """Inverse of :func:`parse_stream`.
 
     Each distinct symbol is converted once; values that compare equal,
-    such as ``True`` and ``1``, share the token of the first one.
+    such as ``True`` and ``1``, share the token of the first one. A
+    ``word`` that is not iterable or holds an unhashable symbol raises
+    :class:`StreamFormatError`.
     """
-    return " ".join(map(_Tokens().__getitem__, word))
+    _check_iterable(word, "word", "a sequence of symbols")
+    try:
+        return " ".join(map(_Tokens().__getitem__, word))
+    except TypeError as exc:  # looking a symbol up hashes it
+        raise StreamFormatError(
+            f"word holds an unhashable symbol: {exc}") from None

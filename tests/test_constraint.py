@@ -8,16 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
-                       InvalidParameterError, N, StreamFormatError, capacity,
+                       InvalidParameterError, N, StreamFormatError,
+                       baseline_rate, build_encoder, capacity,
                        characteristic_roots, count_words, enumerate_words,
-                       find_approximate_eigenvector, format_stream,
-                       is_admissible, make_constraint, parse_stream,
-                       power_graph, spectral_radius)
-from relaycast.constraint import _power_adjacency
+                       format_stream, is_admissible, parse_stream,
+                       spectral_radius)
+from relaycast.constraint import (_power_adjacency, make_constraint,
+                                  power_graph)
 from relaycast.symbols import is_data
 from helpers import (brute_force_words, count_leading_coefficient,
                      format_stream_oracle, matrix_power, outcome,
-                     parse_stream_oracle, rows_graph, scan_admissible)
+                     parse_stream_oracle, rows_adjacency, rows_graph,
+                     scan_admissible)
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -130,8 +132,8 @@ def test_admissible_matches_scan_oracle_property(head, tail):
 # graph presentation
 
 def test_make_constraint_adjacency():
-    assert make_constraint(1).adjacency == ((1, 1), (1, 0))
-    assert make_constraint(6).adjacency == ((1, 6), (1, 0))
+    assert rows_adjacency(make_constraint(1)) == ((1, 1), (1, 0))
+    assert rows_adjacency(make_constraint(6)) == ((1, 6), (1, 0))
 
 
 def test_make_constraint_structure():
@@ -143,15 +145,23 @@ def test_make_constraint_structure():
 
 @pytest.mark.parametrize("q", [0, -3])
 def test_make_constraint_rejects_degenerate(q):
-    with pytest.raises(InvalidParameterError):
-        make_constraint(q)
+    """A constraint with no data symbol is refused by every exported
+    function that takes q (``make_constraint`` itself is internal and
+    takes the q that ``build_encoder`` checked)."""
+    for call in [capacity, characteristic_roots, baseline_rate,
+                 lambda q: count_words(q, 3), lambda q: enumerate_words(q, 3),
+                 lambda q: build_encoder(q, 1, 2)]:
+        with pytest.raises(InvalidParameterError):
+            call(q)
 
 
 @pytest.mark.parametrize("q", [0, -1, "2", 1.5])
 def test_alphabet_rejects_bad_q(q):
-    """The data alphabet {0..q-1} needs a positive integer q."""
-    with pytest.raises(InvalidParameterError):
-        make_constraint(q)
+    """The data alphabet {0..q-1} needs a positive integer q: synthesis
+    refuses any other before it builds the presentation."""
+    with pytest.raises(InvalidParameterError) as excinfo:
+        build_encoder(q, 1, 2)
+    assert str(excinfo.value) == f"q must be a positive integer, got {q!r}"
 
 
 def _path_words(g, length):
@@ -219,7 +229,8 @@ def test_power_adjacency_is_matrix_power(q):
         assert _power_adjacency(q, n) == matrix_power([[1, q], [1, 0]], n)
         if n < 8:
             powered = power_graph(make_constraint(q), n)
-            assert _power_adjacency(q, n) == [list(r) for r in powered.adjacency]
+            assert _power_adjacency(q, n) == \
+                [list(r) for r in rows_adjacency(powered)]
 
 
 def test_count_refuses_past_its_size_budget_before_counting():
@@ -293,8 +304,6 @@ def test_matrices_must_hold_nonnegative_ints(matrix):
     # a float entry used to yield a radius (2.0 here), a string a TypeError
     with pytest.raises(InvalidMatrixError):
         spectral_radius(matrix)
-    with pytest.raises(InvalidMatrixError):
-        find_approximate_eigenvector(matrix, 1)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -307,8 +316,6 @@ def test_matrices_must_hold_nonnegative_ints(matrix):
 def test_matrices_larger_than_2x2_are_rejected(matrix):
     with pytest.raises(InvalidMatrixError):
         spectral_radius(matrix)
-    with pytest.raises(InvalidMatrixError):
-        find_approximate_eigenvector(matrix, 1)
 
 
 def test_capacity_values():
@@ -361,7 +368,7 @@ def test_capacity_rejects_q0():
 
 @pytest.mark.parametrize("q", range(1, 9))
 def test_capacity_agrees_with_spectral_radius(q):
-    adjacency = make_constraint(q).adjacency
+    adjacency = rows_adjacency(make_constraint(q))
     assert abs(capacity(q) - math.log2(spectral_radius(adjacency))) <= 1e-9
 
 
@@ -393,8 +400,8 @@ def test_count_growth_approaches_capacity(q):
 # power graphs
 
 def test_power_graph_examples():
-    assert power_graph(make_constraint(1), 3).adjacency == ((3, 2), (2, 1))
-    assert power_graph(make_constraint(6), 2).adjacency == ((7, 6), (1, 6))
+    assert rows_adjacency(power_graph(make_constraint(1), 3)) == ((3, 2), (2, 1))
+    assert rows_adjacency(power_graph(make_constraint(6), 2)) == ((7, 6), (1, 6))
 
 
 def test_power_graph_identity():
@@ -405,10 +412,11 @@ def test_power_graph_identity():
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_power_graph_adjacency_is_matrix_power(q):
     g = make_constraint(q)
-    base = [list(row) for row in g.adjacency]
+    base = [list(row) for row in rows_adjacency(g)]
     for n in range(2, 6):
         powered = power_graph(g, n)
-        assert [list(row) for row in powered.adjacency] == matrix_power(base, n)
+        assert [list(row) for row in rows_adjacency(powered)] == \
+            matrix_power(base, n)
         edges = rows_graph(powered).edges
         assert all(len(e.word) == n for e in edges)
         assert all(is_admissible(e.word) for e in edges)

@@ -1,7 +1,9 @@
 """The names ``relaycast`` exports, and the README tour that uses them."""
 
 import ast
+import inspect
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,22 +15,18 @@ import relaycast
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = [
-    "AmbiguousEncoderError", "ApproxEigenvector", "ConstraintGraph",
-    "DeliveryReport", "ERASED", "Encoder", "EncoderBuildError",
-    "EncoderFormatError", "EncoderReport", "EndToEndReport",
-    "EnumerationCapError", "FrameHeader", "FramingError",
-    "InfeasibleRateError", "InsufficientDegreeError", "InvalidMatrixError",
-    "InvalidParameterError", "N", "NodeDelivery", "NodeRecovery",
-    "NonUniformLabelError", "RelaycastError", "SimTrace", "StateSplitError",
-    "StreamFormatError", "TopologyError", "TreeTopology",
+    "AmbiguousEncoderError", "DeliveryReport", "ERASED", "Encoder",
+    "EncoderBuildError", "EncoderFormatError", "EncoderReport",
+    "EndToEndReport", "EnumerationCapError", "FrameHeader", "FramingError",
+    "InfeasibleRateError", "InvalidMatrixError", "InvalidParameterError",
+    "N", "NodeDelivery", "NodeRecovery", "RelaycastError", "SimTrace",
+    "StateSplitError", "StreamFormatError", "TopologyError", "TreeTopology",
     "UnknownCodewordError", "UnsupportedParameterError", "baseline_rate",
     "build_encoder", "capacity", "characteristic_roots", "count_words",
     "decode", "encode", "encoder_report", "end_to_end", "enumerate_words",
-    "find_approximate_eigenvector", "format_stream", "is_admissible",
-    "make_constraint", "parse_encoder", "parse_stream", "parse_tree",
-    "power_graph", "prune_to_encoder", "run", "serialize_encoder",
-    "simulate", "spectral_radius", "split_states", "table_report",
-    "verify_delivery",
+    "format_stream", "is_admissible", "parse_encoder", "parse_stream",
+    "parse_tree", "run", "serialize_encoder", "simulate", "spectral_radius",
+    "table_report", "verify_delivery",
 ]
 
 
@@ -36,6 +34,79 @@ def test_exports_are_pinned_and_resolve():
     assert sorted(relaycast.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(relaycast, name) is not None
+
+
+def _valid_arguments():
+    """Exported function -> a valid value for each required argument."""
+    machine = relaycast.build_encoder(1, 2, 3)
+    stream, header = relaycast.encode(machine, "110100")
+    topo = relaycast.parse_tree("0 -\n1 0\n")
+    return {
+        "baseline_rate": (1,), "build_encoder": (1, 2, 3), "capacity": (1,),
+        "characteristic_roots": (1,), "count_words": (1, 5),
+        "decode": (machine, stream, header), "encode": (machine, "110100"),
+        "encoder_report": (machine,), "end_to_end": (1, 2, 3, topo, "1101"),
+        "enumerate_words": (1, 3), "format_stream": (stream,),
+        "is_admissible": (stream,),
+        "parse_encoder": (relaycast.serialize_encoder(machine),),
+        "parse_stream": ("0 N N",), "parse_tree": ("0 -\n1 0\n",),
+        "run": (["capacity", "--q", "1"],), "serialize_encoder": (machine,),
+        "simulate": (topo, stream), "spectral_radius": ([[1, 1], [1, 0]],),
+        "table_report": (1,),
+        "verify_delivery": (relaycast.simulate(topo, stream), topo, stream),
+    }
+
+
+JUNK = [7, 10**400, None, "x", b"x", 1.5, [1, 0], [[1], [0]], object()]
+JUNK_SECONDS = 2.0
+
+
+class _Overtime(BaseException):
+    """Raised by the timer; a ``BaseException``, so that no ``except
+    Exception`` in the library can swallow it."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime
+
+
+def test_junk_arguments_end_in_a_result_or_a_relaycast_error():
+    """Every exported function, with one required argument replaced by a
+    junk value and valid values for the others, returns or raises a
+    ``RelaycastError`` within ``JUNK_SECONDS``. Every export that is not
+    a class or a constant must have valid arguments listed here."""
+    valid = _valid_arguments()
+    functions = sorted(name for name in relaycast.__all__
+                       if inspect.isfunction(getattr(relaycast, name)))
+    assert functions == sorted(valid)
+    wrong = []
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    try:
+        for name in functions:
+            function, arguments = getattr(relaycast, name), valid[name]
+            required = [parameter for parameter in
+                        inspect.signature(function).parameters.values()
+                        if parameter.default is inspect.Parameter.empty]
+            assert len(required) == len(arguments), name
+            for at in range(len(arguments)):
+                for junk in JUNK:
+                    call = [*arguments[:at], junk, *arguments[at + 1:]]
+                    signal.setitimer(signal.ITIMER_REAL, JUNK_SECONDS)
+                    try:
+                        function(*call)
+                    except relaycast.RelaycastError:
+                        pass
+                    except _Overtime:
+                        wrong.append(f"{name}: {required[at].name}={junk!r:.40}"
+                                     f" ran past {JUNK_SECONDS} s")
+                    except Exception as exc:
+                        wrong.append(f"{name}: {required[at].name}={junk!r:.40}"
+                                     f" raised {type(exc).__name__}: {exc}")
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert wrong == []
 
 
 # Run in a fresh interpreter, since the suite itself has loaded the CLI.
