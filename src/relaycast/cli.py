@@ -27,8 +27,8 @@ from .encoder import (FrameHeader, build_encoder, decode, encode,
                       encoder_report, parse_encoder, serialize_encoder)
 from .errors import (InvalidParameterError, RelaycastError,
                      UnsupportedParameterError)
-from .symbols import (_check_int, format_stream, is_bits, is_decimal,
-                      parse_stream)
+from .symbols import (_check_int, _spell, format_stream, is_bits,
+                      is_decimal, parse_stream)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -61,7 +61,7 @@ def table_report(q: int) -> List[TableRow]:
     """
     if q != 1:
         raise UnsupportedParameterError(
-            f"reference rates are only tabulated for q=1, got q={q}")
+            f"reference rates are only tabulated for q=1, got q={_spell(q)}")
     from .simulator import baseline_rate
     cap = capacity(1)
     fwd = baseline_rate(1)

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
-from .symbols import N, Symbol, Word, _check_int, is_data
+from .symbols import N, Symbol, Word, _check_int, _spell, is_data
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -169,8 +169,8 @@ def count_words(q: int, n: int) -> int:
     # capacity(q) > 1/2, so past 2 * _COUNT_BITS no float is needed
     if n > 2 * _COUNT_BITS or n * capacity(q) > _COUNT_BITS:
         raise EnumerationCapError(
-            f"the count of length-{n} words for q={q} would pass "
-            f"the budget of {_COUNT_BITS} bits")
+            f"the count of length-{_spell(n)} words for q={_spell(q)} "
+            f"would pass the budget of {_COUNT_BITS} bits")
     a, b = 1, q + 1
     if n == 0:
         return a
@@ -193,7 +193,8 @@ def enumerate_words(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[
     # without building the power
     if n >= cap.bit_length() + 1 or (q + 1) ** n > cap:
         raise EnumerationCapError(
-            f"(q+1)**n exceeds enumeration cap {cap} for q={q}, n={n}")
+            f"(q+1)**n exceeds enumeration cap {_spell(cap)} "
+            f"for q={_spell(q)}, n={_spell(n)}")
     words: List[Word] = [()]
     for _ in range(n):
         extended: List[Word] = []

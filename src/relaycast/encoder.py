@@ -42,9 +42,13 @@ from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      StateSplitError, StreamFormatError, UnknownCodewordError)
 from .symbols import (Word, _check_int, _check_iterable, _check_type,
-                      _Symbols, format_stream, is_bits, is_decimal)
+                      _spell, _Symbols, format_stream, is_bits, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
+# Machines kept by each of the two memos, built by rate and parsed by
+# text. One with a warm decode table holds a few MB ((1,11,16): about
+# 3 MB), so each keeps only a handful.
+_MEMO_SIZE = 8
 
 Transition = Tuple[Word, int]
 
@@ -106,7 +110,7 @@ def find_approximate_eigenvector(adjacency: Matrix, p: int) -> ApproxEigenvector
 
 def _infeasible(p: int) -> InfeasibleRateError:
     return InfeasibleRateError(
-        f"no nonzero weight vector supports {p} bits per block "
+        f"no nonzero weight vector supports {_spell(p)} bits per block "
         f"for this adjacency")
 
 
@@ -542,9 +546,7 @@ def build_encoder(q: int, p: int, n: int) -> Encoder:
     return _synthesize(q, p, n)
 
 
-# A machine with a warm decode table holds a few MB ((1,11,16): about
-# 3 MB), so the memo keeps only a handful of rates.
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _synthesize(q: int, p: int, n: int) -> Encoder:
     """The stage chain of :func:`build_encoder`, on checked arguments."""
     x = _weights(q, p, n)
@@ -564,16 +566,15 @@ def _weights(q: int, p: int, n: int) -> ApproxEigenvector:
     if adjacency is None:
         if _past_capacity(q, p, n):
             raise _infeasible(p)
-        raise EnumerationCapError(
-            f"rate {p}:{n} for q={q} needs over 2**64 power-graph paths, "
-            f"over the synthesis budget of {_PATH_BUDGET}")
-    x = find_approximate_eigenvector(adjacency, p)
-    paths = sum(map(sum, adjacency))
-    if paths > _PATH_BUDGET:
-        raise EnumerationCapError(
-            f"rate {p}:{n} for q={q} needs {paths} power-graph paths, "
-            f"over the synthesis budget of {_PATH_BUDGET}")
-    return x
+        paths = "over 2**64"
+    else:
+        x = find_approximate_eigenvector(adjacency, p)
+        paths = sum(map(sum, adjacency))
+        if paths <= _PATH_BUDGET:
+            return x
+    raise EnumerationCapError(
+        f"rate {_spell(p)}:{_spell(n)} for q={_spell(q)} needs {paths} "
+        f"power-graph paths, over the synthesis budget of {_PATH_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +787,24 @@ def serialize_encoder(encoder: Encoder) -> str:
 
 def parse_encoder(text: str) -> Encoder:
     """Inverse of :func:`serialize_encoder`; re-verifies decodability.
-    Malformed text, or any ``text`` but a str, raises EncoderFormatError."""
+
+    Malformed text, or any ``text`` but a str, raises
+    :class:`EncoderFormatError`, again on every call. The machine is
+    memoised on the text, as :func:`build_encoder`'s is on the rate:
+    every call with the same text in one process returns the same frozen
+    :class:`Encoder`, shared by all callers, and its encode and decode
+    tables stay warm between calls. The machines of the 8 most recently
+    parsed texts are kept.
+    """
     _check_type(text, str, "text", EncoderFormatError)
+    # the memo's key is an exact str: a subclass's own __eq__ and __hash__
+    # could otherwise fetch the machine of another text
+    return _parse(str.__str__(text))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parse(text: str) -> Encoder:
+    """The body of :func:`parse_encoder`, on a checked exact str."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EncoderFormatError("empty encoder text")

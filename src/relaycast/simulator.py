@@ -32,7 +32,8 @@ from .encoder import _normalize_bits, build_encoder, decode, encode
 from .errors import (InvalidParameterError, RelaycastError, StreamFormatError,
                      TopologyError)
 from .symbols import (_DATA_RUN, ERASED, N, Symbol, Word, _check_int,
-                      _check_iterable, _check_type, _data_mask, is_decimal)
+                      _check_iterable, _check_type, _data_mask, _spell,
+                      is_decimal)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,8 @@ class SimTrace:
     def transmit_stream(self, node: int) -> Word:
         """Everything ``node`` sent, slot by slot."""
         if node not in self.depth:
-            raise InvalidParameterError(f"node {node} is not in the trace")
+            raise InvalidParameterError(
+                f"node {_spell(node)} is not in the trace")
         return self._sent(self.depth[node])
 
     def export(self) -> str:

@@ -12,6 +12,7 @@ data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from itertools import repeat
@@ -56,7 +57,22 @@ def _check_int(value, name: str, minimum: int = 1) -> None:
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
-        raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
+        raise InvalidParameterError(
+            f"{name} must be a {kind} integer, got {_spell(value)}")
+
+
+def _spell(value) -> str:
+    """``repr(value)`` for a message, but an int past the interpreter's
+    int-to-str limit (4,300 digits by default) as its sign and its
+    approximate number of digits, where ``repr`` would raise."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    digits = int(abs(value).bit_length() * math.log10(2)) + 1
+    sign = "a negative" if value < 0 else "an"
+    return f"{sign} integer of about {digits} digits"
 
 
 def _check_iterable(value, name: str, kind: str) -> None:

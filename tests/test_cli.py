@@ -3,6 +3,7 @@ import decimal
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from relaycast import (StreamFormatError, build_encoder, capacity,
                        count_words, encode, parse_encoder, serialize_encoder,
                        table_report)
+import relaycast.encoder as encoder_module
 from relaycast.cli import _read_value, run
 from relaycast.symbols import is_bits
-from helpers import chain_text, deep_encoder_text, fig1_text, outcome
+from helpers import (chain_text, deep_encoder_text, fig1_text, outcome,
+                     random_bits)
 
 
 def test_capacity_text_output(capsys):
@@ -194,6 +197,37 @@ def test_encoder_cli_roundtrip(tmp_path, capsys):
     assert run(["decode", "--encoder", str(enc_path),
                 "--stream", stream_line, "--length", "6"]) == 0
     assert capsys.readouterr().out.strip() == "110100"
+
+
+def test_repeated_codec_commands_reuse_one_machine(tmp_path, capsys,
+                                                   monkeypatch):
+    """In one process, a second decode of one encoder file finds its
+    machine's decode table warm: every chunk is a lookup, none a step."""
+    enc_path, stream_path = tmp_path / "enc.txt", tmp_path / "stream.txt"
+    enc_path.write_text(serialize_encoder(build_encoder(1, 2, 3)))
+    bits = random_bits(random.Random(9), 4000)
+    assert run(["encode", "--encoder", str(enc_path), "--bits", bits,
+                "--format", "raw"]) == 0
+    stream_path.write_text(capsys.readouterr().out.splitlines()[1])
+    steps = []
+    advance = encoder_module._SubsetTable.advance
+
+    def counting(table, *args):
+        steps.append(args[-1])
+        return advance(table, *args)
+
+    monkeypatch.setattr(encoder_module._SubsetTable, "advance", counting)
+
+    def decode_steps():
+        steps.clear()
+        assert run(["decode", "--encoder", str(enc_path), "--stream",
+                    str(stream_path), "--length", "4000"]) == 0
+        assert capsys.readouterr() == (bits + "\n", "")
+        return len(steps)
+
+    encoder_module._parse.cache_clear()  # the first decode starts cold
+    assert decode_steps() > 0
+    assert decode_steps() == 0
 
 
 @pytest.mark.parametrize("stream,length,error", [

@@ -27,7 +27,7 @@ import relaycast.symbols as symbols_module
 from relaycast.constraint import (_past_capacity, _power_adjacency,
                                   make_constraint, power_graph)
 from relaycast.encoder import (ApproxEigenvector, Encoder, _anticipation,
-                               _codeword_index, _synthesize,
+                               _codeword_index, _parse, _synthesize,
                                find_approximate_eigenvector, split_states)
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
                      approximate_eigenvector_oracle, decode_oracle,
@@ -358,8 +358,39 @@ def test_threads_share_one_machine_and_its_table():
         except Exception as exc:  # a thread's error would be lost
             wrong.append(exc)
 
-    threads = [threading.Thread(target=work, args=(i,))
-               for i in range(len(messages))]
+    _race(work, len(messages))
+    assert wrong == []
+
+
+def test_threads_parsing_one_text_share_working_machines():
+    """Threads racing to parse one text, from an empty memo, and to fill
+    its machine's tables each get their own bits back; one machine stays
+    in the memo."""
+    text = serialize_encoder(build_encoder(1, 2, 3))
+    rng = random.Random(17)
+    messages = [random_bits(rng, 300) for _ in range(6)]
+    wrong = []
+
+    def work(i):
+        bits = messages[i]
+        try:
+            for _ in range(20):
+                machine = parse_encoder(text)
+                if decode(machine, *encode(machine, bits)) != bits:
+                    wrong.append(i)
+        except Exception as exc:  # a thread's error would be lost
+            wrong.append(exc)
+
+    _parse.cache_clear()
+    _race(work, len(messages))
+    assert wrong == []
+    assert parse_encoder(text) is parse_encoder(text)
+
+
+def _race(work, count):
+    """``work(i)`` for i below ``count``, each in its own thread, with
+    the interpreter switching threads as often as it can."""
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -370,7 +401,6 @@ def test_threads_share_one_machine_and_its_table():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
 
 
 def _encode_rates():
@@ -641,7 +671,7 @@ def test_chunked_decode_matches_oracle(differential_machines, data):
 def test_cold_token_decode_converts_each_token_once(enc_q6):
     """A fresh machine's first token decode checks and converts each
     distinct token once, however many rows and chunks meet it."""
-    machine = parse_encoder(serialize_encoder(enc_q6))
+    machine = _parse.__wrapped__(serialize_encoder(enc_q6))  # not memoised
     bits = random_bits(random.Random(8), 3000)
     stream, header = encode(machine, bits)
     tokens = format_stream(stream).split()
@@ -768,6 +798,58 @@ def test_parse_encoder_errors(enc_q1):
     for text in texts:
         with pytest.raises(EncoderFormatError):
             parse_encoder(text)
+
+
+def test_parse_encoder_returns_one_machine_per_text(enc_q1):
+    text = serialize_encoder(enc_q1)
+    machine = parse_encoder(text)
+    assert machine == enc_q1
+    assert parse_encoder(text) is machine
+    # an equal text in a new object, as a file read again gives
+    assert parse_encoder("".join(list(text))) is machine
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", EncoderFormatError),
+    ("ENC 1 2 3\n", EncoderFormatError),
+    ("ENC 1 1 1 1 0\n0 0 N 0\n", EncoderFormatError),
+    ("ENC 1 1 1 1 0\n0 0 N 0\n0 1 N 0\n", AmbiguousEncoderError),
+])
+def test_parse_encoder_raises_on_every_call(text, error):
+    first, second = (outcome(parse_encoder, text) for _ in range(2))
+    assert first == second and first[0] is error
+
+
+def test_parse_encoder_checks_the_type_before_the_memo():
+    before = _parse.cache_info()
+    for _ in range(2):
+        with pytest.raises(EncoderFormatError,
+                           match="^text must be a str, not bytes$"):
+            parse_encoder(b"ENC")
+    assert _parse.cache_info() == before
+
+
+def test_a_str_subclass_gets_its_own_texts_machine(enc_q1, enc_q6):
+    """The memo's key is the text as an exact str, so a subclass that
+    claims to equal, hash and print as another text gets the machine of
+    the text it holds."""
+    other = serialize_encoder(enc_q1)
+    parse_encoder(other)
+
+    class Liar(str):
+        def __eq__(self, _):
+            return True
+
+        def __hash__(self):
+            return hash(other)
+
+        def __str__(self):
+            return other
+
+    text = serialize_encoder(enc_q6)
+    machine = parse_encoder(Liar(text))
+    assert machine == enc_q6
+    assert machine is parse_encoder(text)
 
 
 def test_parse_encoder_rejects_undecodable_machine():
@@ -951,12 +1033,13 @@ def test_codeword_indexes_per_machine(source, indexes):
     """A parsed machine decodes with the index its certificate was built
     from. A synthesized one, which the memo keeps whether or not it is
     ever decoded, drops that index and builds one more on its first
-    decode. Encoding and later decodes build none."""
+    decode. Encoding and later decodes build none. Both are fresh
+    machines, not the memos' copies."""
     text = serialize_encoder(build_encoder(1, 9, 13))
     counting = mock.Mock(wraps=encoder_module._codeword_index)
     with mock.patch.object(encoder_module, "_codeword_index", counting):
         machine = (_synthesize.__wrapped__(1, 9, 13) if source == "built"
-                   else parse_encoder(text))
+                   else _parse.__wrapped__(text))
         for seed in (14, 15):
             bits = random_bits(random.Random(seed), 200)
             stream, header = encode(machine, bits)

@@ -57,7 +57,10 @@ def _valid_arguments():
     }
 
 
-JUNK = [7, 10**400, None, "x", b"x", 1.5, [1, 0], [[1], [0]], object()]
+# 10**5000 is past the interpreter's int-to-str limit of 4,300 digits,
+# so an error message that prints it as it is fails
+JUNK = [7, 10**400, 10**5000, -10**5000, None, "x", b"x", 1.5, [1, 0],
+        [[1], [0]], object()]
 JUNK_SECONDS = 2.0
 
 
@@ -107,6 +110,45 @@ def test_junk_arguments_end_in_a_result_or_a_relaycast_error():
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert wrong == []
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: relaycast.build_encoder(1, HUGE, 2),
+    lambda: relaycast.build_encoder(1, 1, HUGE),
+    lambda: relaycast.build_encoder(HUGE, 1, 1),
+    lambda: relaycast.count_words(1, HUGE),
+    lambda: relaycast.enumerate_words(1, HUGE),
+    lambda: relaycast.enumerate_words(HUGE, 2),
+    lambda: relaycast.enumerate_words(1, 3, -HUGE),
+    lambda: relaycast.capacity(-HUGE),
+    lambda: relaycast.table_report(HUGE),
+    lambda: relaycast.simulate(relaycast.parse_tree("0 -\n"),
+                               ()).transmit_stream(-HUGE),
+])
+def test_huge_ints_are_named_by_their_size(call):
+    """An int past the interpreter's 4,300-digit str limit is named in a
+    message by its sign and approximate length, not printed."""
+    with pytest.raises(relaycast.RelaycastError,
+                       match="integer of about 5001 digits"):
+        call()
+
+
+@pytest.mark.parametrize("digits", [640, 4300, 4301, 5001])
+def test_ints_are_printed_while_they_convert(digits):
+    """An int is printed as ``repr`` prints it, up to the interpreter's
+    int-to-str limit (4,300 digits by default), and named by its size
+    past it."""
+    value = -10 ** (digits - 1)
+    try:
+        spelled = repr(value)
+    except ValueError:
+        spelled = f"a negative integer of about {digits} digits"
+    with pytest.raises(relaycast.InvalidParameterError) as info:
+        relaycast.capacity(value)
+    assert str(info.value) == f"q must be a positive integer, got {spelled}"
 
 
 # Run in a fresh interpreter, since the suite itself has loaded the CLI.
