@@ -31,8 +31,9 @@ message bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, islice, repeat
+from operator import getitem
 from typing import Dict, List, Sequence, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
@@ -41,8 +42,9 @@ from .constraint import (ConstraintGraph, Matrix, _label_order,
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      StateSplitError, StreamFormatError, UnknownCodewordError)
-from .symbols import (Word, _check_int, _check_iterable, _check_type,
-                      _spell, _Symbols, format_stream, is_bits, is_decimal)
+from .symbols import (Word, _CanonicalSymbols, _check_int, _check_iterable,
+                      _check_type, _coded, _normalize_bits, _row_code, _spell,
+                      _Symbols, _Table, format_stream, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 # Machines kept by each of the two memos, built by rate and parsed by
@@ -231,35 +233,32 @@ class Encoder:
         """``[state][v] = (codeword symbols, state after)`` for a chunk.
 
         A chunk is ``_chunk_blocks`` blocks, ``v`` their bits read as one
-        big-endian number. With one block per chunk (p >= 5) this is
-        ``transitions`` itself.
+        big-endian number, so a row holds at most 256 entries. With one
+        block per chunk (p >= 5) this is ``transitions`` itself.
         """
         if self._chunk_blocks == 1:
             return self.transitions
-        return _ChunkTable(self.transitions, self._chunk_blocks)
+        return _Table(partial(_chunk_row, self.transitions,
+                              self._chunk_blocks))
+
+    @cached_property
+    def _chunk_codes(self):
+        """``[state]``, for q <= 255: the byte code of each codeword of
+        ``_chunk_table[state]``, or with one block per chunk (p >= 5) one
+        bytes object, tag t's codeword at byte ``t * n``."""
+        return _Table(partial(_row_code, self._chunk_table,
+                              self._chunk_blocks == 1))
 
 
-class _ChunkTable(dict):
-    """Rows of the k-fold composed transitions, built per state on first use.
-
-    A row holds ``2**(k*p)`` entries, at most 256, so the table holds at
-    most ``num_states * 256``; rows of states an encoding never reaches
-    at a chunk boundary are never built. Concurrent encoders at worst
-    build one row twice and store equal values.
-    """
-
-    def __init__(self, transitions, blocks):
-        super().__init__()
-        self._transitions = transitions
-        self._blocks = blocks
-
-    def __missing__(self, state):
-        row = [((), state)]
-        for _ in range(self._blocks):
-            row = [(word + step, nxt) for word, at in row
-                   for step, nxt in self._transitions[at]]
-        row = self[state] = tuple(row)
-        return row
+def _chunk_row(transitions, blocks, state):
+    """The ``blocks``-fold composed transitions out of ``state``; rows
+    are built on first use, so a state never reached at a chunk boundary
+    costs nothing."""
+    row = [((), state)]
+    for _ in range(blocks):
+        row = [(word + step, nxt) for word, at in row
+               for step, nxt in transitions[at]]
+    return tuple(row)
 
 
 def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
@@ -275,18 +274,6 @@ def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
             lookup[word] = lookup.get(word, ()) + ((tag, nxt),)
         index.append(lookup)
     return tuple(index)
-
-
-class _CanonicalSymbols(_Symbols):
-    """A token table that outlives its calls: a token spelled otherwise
-    than ``str`` spells its symbol (``00`` for ``0``; ``str(N)`` is
-    ``N``) is converted but not kept, so new spellings cannot grow it."""
-
-    def __missing__(self, token):
-        symbol = super().__missing__(token)
-        if token != str(symbol):
-            self.pop(token, None)
-        return symbol
 
 
 class _SubsetTable:
@@ -592,17 +579,6 @@ class FrameHeader:
         _check_int(self.pad, "pad", 0)
 
 
-def _normalize_bits(bits, name: str = "bits") -> str:
-    if isinstance(bits, str):
-        text = bits
-    else:
-        _check_iterable(bits, name, "a str or a sequence of bits")
-        text = "".join(str(b) for b in bits)
-    if not is_bits(text):
-        raise StreamFormatError("bit strings may contain only 0 and 1")
-    return text
-
-
 def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
     """Map a bit string to an admissible symbol stream.
 
@@ -612,38 +588,50 @@ def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
     bits) so that decoding can resolve shared codewords even at the end
     of the stream. Empty input maps to the empty stream.
 
-    Whole chunks of up to 8 bits (``8 // p`` blocks) cost one lookup
-    each in the encoder's chunk table; the blocks after the last whole
-    chunk are looked up one at a time. When p divides 8 a chunk is a
-    byte, and the chunk values are the bytes of the bits read as one
-    number. Any ``encoder`` but an :class:`Encoder` raises
-    :class:`InvalidParameterError`.
+    Chunks of up to 8 bits (``8 // p`` blocks) cost one lookup each in
+    the encoder's chunk table. A last chunk of fewer blocks is looked up
+    padded with zero tags, and the symbols of the padding blocks are cut
+    off: a block's codeword depends only on the blocks before it. When p
+    divides 8 a chunk is a byte, and the chunk values are the bytes of
+    the bits read as one number. Any ``encoder`` but an :class:`Encoder`
+    raises :class:`InvalidParameterError`.
+
+    For q <= 255 the stream is a private ``tuple`` subclass that also
+    holds its byte code (see :mod:`relaycast.symbols`), joined from codes
+    kept per chunk-table row; for q > 255 it is a plain tuple.
     """
     _check_type(encoder, Encoder, "encoder")
     text = _normalize_bits(bits)
     length = len(text)
     if length == 0:
         return (), FrameHeader(0, 0)
-    p = encoder.p
+    p, n = encoder.p, encoder.n
     pad = (-length) % p
     text += "0" * (pad + p * encoder.anticipation)
+    symbols = len(text) // p * n
     width = encoder._chunk_blocks * p
-    whole = len(text) - len(text) % width
+    text += "0" * (-len(text) % width)
     if width == 8:
-        values = int(text[:whole] or "0", 2).to_bytes(whole // 8, "big")
+        values = int(text, 2).to_bytes(len(text) // 8, "big")
     else:
-        values = [int(text[i:i + width], 2) for i in range(0, whole, width)]
+        values = [int(text[i:i + width], 2) for i in range(0, len(text), width)]
     table = encoder._chunk_table
-    transitions = encoder.transitions
     out: List = []
+    states = []  # the state each chunk leaves from
     state = encoder.start_state
     for value in values:
+        states.append(state)
         word, state = table[state][value]
         out.extend(word)
-    for i in range(whole, len(text), p):
-        word, state = transitions[state][int(text[i:i + p], 2)]
-        out.extend(word)
-    return tuple(out), FrameHeader(length, pad)
+    del out[symbols:]
+    header = FrameHeader(length, pad)
+    if encoder.q > 255:
+        return tuple(out), header
+    codes = encoder._chunk_codes
+    parts = ((codes[s][v * n:v * n + n] for s, v in zip(states, values))
+             if encoder._chunk_blocks == 1 else
+             map(getitem, map(codes.__getitem__, states), values))
+    return _coded(out, parts), header
 
 
 def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
@@ -673,20 +661,17 @@ def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
     token :class:`StreamFormatError` at its block, inside a chunk too.
     Framing is checked first, so unlike ``parse_stream`` then
     ``decode``, a bad token in a stream of the wrong length reports
-    the length. A ``word`` that is not iterable or holds an unhashable
-    symbol raises :class:`StreamFormatError`, and an ``encoder`` that is
-    not an :class:`Encoder` or a ``header`` that is not a
-    :class:`FrameHeader` :class:`InvalidParameterError`.
+    the length. A ``word`` that is not iterable, is a ``str`` or holds
+    an unhashable symbol raises :class:`StreamFormatError`, and an
+    ``encoder`` that is not an :class:`Encoder` or a ``header`` that is
+    not a :class:`FrameHeader` :class:`InvalidParameterError`.
     """
     _check_type(encoder, Encoder, "encoder")
-    if isinstance(word, str):
-        raise StreamFormatError(
-            "decode takes a sequence of symbols or tokens, not a str; "
-            "split the stream text first")
-    _check_type(header, FrameHeader, "header")
     _check_iterable(word, "word", "a sequence of symbols or tokens")
-    # a list, such as text.split(), is read in place, not copied
-    stream = word if type(word) is list else tuple(word)
+    _check_type(header, FrameHeader, "header")
+    # a list, such as text.split(), and any tuple are read in place
+    stream = (word if type(word) is list or isinstance(word, tuple)
+              else tuple(word))
     if len(stream) % encoder.n:
         raise FramingError(
             f"stream length {len(stream)} is not a multiple of n={encoder.n}")

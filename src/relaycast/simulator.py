@@ -28,12 +28,11 @@ from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraint import capacity
-from .encoder import _normalize_bits, build_encoder, decode, encode
-from .errors import (InvalidParameterError, RelaycastError, StreamFormatError,
-                     TopologyError)
+from .encoder import build_encoder, decode, encode
+from .errors import InvalidParameterError, RelaycastError, TopologyError
 from .symbols import (_DATA_RUN, ERASED, N, Symbol, Word, _check_int,
-                      _check_iterable, _check_type, _data_mask, _spell,
-                      is_decimal)
+                      _check_iterable, _check_type, _data_mask,
+                      _normalize_bits, _spell, is_decimal)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,9 @@ class SimTrace:
         return tuple((t, v) for t in self.lost for v in relays)
 
     def transmit_stream(self, node: int) -> Word:
-        """Everything ``node`` sent, slot by slot."""
+        """Everything ``node`` sent, slot by slot. A ``node`` that is not
+        a nonnegative ``int`` raises :class:`InvalidParameterError`."""
+        _check_int(node, "node", 0)
         if node not in self.depth:
             raise InvalidParameterError(
                 f"node {_spell(node)} is not in the trace")
@@ -228,8 +229,11 @@ class SimTrace:
         return "\n".join(lines)
 
 
-def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
+def _relay(parent_stream: Word, mask: bytes) -> Tuple[Word, Tuple[int, ...]]:
     """A depth-1 relay's transmissions and violation slots.
+
+    ``mask`` is the :func:`_data_mask` of ``parent_stream``, or of a
+    prefix of it that holds all its data symbols.
 
     The relay transmits what it stored in the previous slot, initially
     silence. While OFF it stores what its parent sends; while ON it
@@ -241,10 +245,13 @@ def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     symbols: it sends ``(N,) + parent_stream[:-1]`` with silence in the
     slot after each lost one. The runs are found in C, by one regular
     expression over a byte mask of the data slots, so Python runs once
-    per lost symbol, not once per slot.
+    per lost symbol, not once per slot; with none lost, two tuple copies
+    make the row.
     """
-    lost = [t for run in _DATA_RUN.finditer(_data_mask(parent_stream))
+    lost = [t for run in _DATA_RUN.finditer(mask)
             for t in range(run.start() + 1, run.end(), 2)]
+    if not lost:
+        return (N,) + parent_stream[:-1] if parent_stream else (), ()
     # one slot longer than the stream, so a symbol lost in the last slot
     # has a slot to silence
     sent = [N, *parent_stream]
@@ -253,13 +260,12 @@ def _relay(parent_stream: Word) -> Tuple[Word, Tuple[int, ...]]:
     return tuple(sent[:-1]), tuple(lost)
 
 
-def _source(source_stream: Sequence[Symbol], caller: str) -> Word:
-    """The source stream as a tuple; a ``str`` is text, not symbols."""
-    if isinstance(source_stream, str):
-        raise StreamFormatError(
-            f"{caller} takes a sequence of symbols, not a str; "
-            f"parse the stream text first")
+def _source(source_stream: Sequence[Symbol]) -> Word:
+    """The source stream as a tuple, any tuple as it is; a ``str`` is
+    text, not symbols."""
     _check_iterable(source_stream, "source_stream", "a sequence of symbols")
+    if isinstance(source_stream, tuple):
+        return source_stream
     return tuple(source_stream)
 
 
@@ -274,16 +280,20 @@ def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
     node is ON under a data-transmitting parent is logged.
 
     Only depth 1 is scanned (see :class:`SimTrace`): time and memory
-    are O(slots), whatever the depth and the number of nodes. Any
-    ``topo`` but a :class:`TreeTopology` raises InvalidParameterError.
+    are O(slots), whatever the depth and the number of nodes. A tuple
+    is read as it is; a stream from ``encode`` gives its data mask with
+    one ``translate`` of its byte code, and with no slot lost depth 1
+    sends ``(N,) + source[:-1]``, so such a stream costs no Python work
+    per symbol. Any ``topo`` but a :class:`TreeTopology` raises
+    InvalidParameterError.
     """
     _check_type(topo, TreeTopology, "topo")
-    stream = _source(source_stream, "simulate")
+    stream = _source(source_stream)
     if extra_slots is None:
         extra_slots = topo.max_depth
     _check_int(extra_slots, "extra_slots", 0)
     source = stream + (N,) * extra_slots
-    relayed, lost = _relay(source)
+    relayed, lost = _relay(source, _data_mask(stream))
     return SimTrace(nodes=topo.nodes, depth=topo.depth, source=source,
                     relayed=relayed, lost=lost)
 
@@ -335,7 +345,7 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     _check_type(topo, TreeTopology, "topo")
     if topo.depth is not trace.depth and topo.depth != trace.depth:
         raise InvalidParameterError("topology is not the one the trace ran on")
-    stream = _source(source_stream, "verify_delivery")
+    stream = _source(source_stream)
     horizon = trace.num_slots
     expected = ((N,) + stream + (N,) * horizon)[:horizon]
     first_miss = horizon
@@ -407,11 +417,12 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     forwarded stream and decodes it. Every node must recover the
     message bits exactly.
 
-    Every depth >= 1 forwards ``relayed[1:1 + len(stream)]``, which
-    equals the source stream whenever the source is admissible; depth
-    1's window is decoded only when it differs, since decoding is
-    deterministic. Per-node records are shared per tree while the
-    verdict pattern repeats (see ``TreeTopology._records``), and the
+    Every depth >= 1 forwards ``relayed[1:1 + len(stream)]``. A lost
+    slot is always a data slot inside the stream, so that window equals
+    the stream exactly when ``trace.lost`` is empty; depth 1's window is
+    decoded only when a slot was lost, since decoding is deterministic.
+    Per-node records are shared per tree while the verdict pattern
+    repeats (see ``TreeTopology._records``), and the
     pattern decides ``all_recovered``, so neither the call nor reading
     the verdict does Python work per node. ``topo`` is checked by
     :func:`simulate`.
@@ -428,9 +439,8 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
             return False
 
     source_ok = recovers(stream)
-    window = trace.relayed[1:1 + len(stream)]
-    relay_ok = (source_ok if window == stream or not topo.max_depth
-                else recovers(window))
+    relay_ok = (source_ok if not trace.lost or not topo.max_depth
+                else recovers(trace.relayed[1:1 + len(stream)]))
     nodes, all_recovered = topo._records(
         NodeRecovery, source_ok, 1 if relay_ok else topo.max_depth + 1)
     report = EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),

@@ -8,6 +8,11 @@ The simulator's ``ERASED`` reception is a sentinel of the same kind.
 
 Streams serialize as whitespace-separated tokens: decimal digits for
 data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
+
+For q <= 255, ``encode`` returns a stream that also holds its byte
+code: one byte per symbol, 0 for ``N`` and k + 1 for data symbol k.
+The code does not depend on q, and the readers here and in the
+simulator use it in C instead of looking at each symbol.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, StreamFormatError
@@ -77,12 +82,16 @@ def _spell(value) -> str:
 
 def _check_iterable(value, name: str, kind: str) -> None:
     """Raise :class:`StreamFormatError` naming the argument ``name``
-    unless ``value`` is iterable; ``kind`` says what it should be."""
+    unless ``value`` is iterable and not a ``str``, which is text, not
+    symbols or bits; ``kind`` says what it should be."""
     try:
         iter(value)
+        if not isinstance(value, str):
+            return
     except TypeError:
-        raise StreamFormatError(
-            f"{name} must be {kind}, not {type(value).__name__}") from None
+        pass
+    raise StreamFormatError(
+        f"{name} must be {kind}, not {type(value).__name__}")
 
 
 def _check_type(value, kind: type, name: str,
@@ -100,8 +109,64 @@ def is_data(symbol: Symbol) -> bool:
     return symbol is not N
 
 
+class _Table(dict):
+    """``build(key)`` for each key, built on first use; concurrent callers
+    at worst build one twice and store equal values."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+class _Coded(tuple):
+    """A stream as ``encode`` returns it for q <= 255: a tuple of symbols
+    whose ``code`` attribute holds its byte code, 0 for ``N`` and k + 1
+    for data symbol k. It equals and hashes as the tuple of its symbols;
+    pickling and copying keep the code."""
+
+
+def _code(symbols: Iterable[Symbol]) -> bytes:
+    """The byte code of ``symbols``, data symbols below 255 or ``N``."""
+    return bytes(0 if s is N else s + 1 for s in symbols)
+
+
+def _row_code(rows, joined: bool, state):
+    """The byte codes of the codewords of ``rows[state]``, a row of
+    ``(codeword, next)`` pairs: one per codeword, or ``joined`` in one."""
+    words = [word for word, _ in rows[state]]
+    if joined:
+        return _code(chain.from_iterable(words))
+    return tuple(map(_code, words))
+
+
+def _coded(symbols: list, parts: Iterable[bytes]) -> Word:
+    """The list ``symbols``, which it empties, as a stream coded by the
+    join of ``parts``, cut to its length; the copy reuses the list's
+    memory, and the join the tuple's."""
+    stream = tuple(symbols)
+    symbols.clear()
+    stream = _Coded(stream)
+    # the last part may hold a padded chunk's surplus
+    stream.code = b"".join(parts)[:len(stream)]
+    return stream
+
+
+# code byte -> mask byte, and -> token byte, a space for a data symbol
+# of two or more digits
+_MASK = bytes(1) + b"\x01" * 255
+_TOKEN_BYTES = b"N0123456789".ljust(256, b" ")
+
+
 def _data_mask(word: Iterable[Symbol]) -> bytes:
-    """One byte per symbol: 1 for a data symbol, 0 for silence ``N``."""
+    """One byte per symbol: 1 for a data symbol, 0 for silence ``N``.
+
+    A coded stream's mask is one ``translate`` of its code."""
+    if type(word) is _Coded:
+        return word.code.translate(_MASK)
     return bytes(map(operator.is_not, word, repeat(N)))
 
 
@@ -113,8 +178,9 @@ def is_admissible(word: Sequence[Symbol]) -> bool:
     """True iff no two consecutive symbols are both data symbols.
 
     The mask is built and searched in C, so Python does no work per
-    symbol. A ``word`` that is not iterable raises
-    :class:`StreamFormatError`.
+    symbol; a stream from ``encode`` gives its mask with one
+    ``translate`` of its byte code. A ``word`` that is not iterable, or
+    is a ``str``, raises :class:`StreamFormatError`.
     """
     _check_iterable(word, "word", "a sequence of symbols")
     return _DATA_RUN.search(_data_mask(word)) is None
@@ -165,6 +231,29 @@ class _Symbols(dict):
         return symbol
 
 
+class _CanonicalSymbols(_Symbols):
+    """A token table that outlives its calls: a token spelled otherwise
+    than ``str`` spells its symbol (``00`` for ``0``; ``str(N)`` is
+    ``N``) is converted but not kept, so new spellings cannot grow it."""
+
+    def __missing__(self, token):
+        symbol = super().__missing__(token)
+        if token != str(symbol):
+            self.pop(token, None)
+        return symbol
+
+
+def _normalize_bits(bits, name: str = "bits") -> str:
+    if isinstance(bits, str):
+        text = bits
+    else:
+        _check_iterable(bits, name, "a str or a sequence of bits")
+        text = "".join(str(b) for b in bits)
+    if not is_bits(text):
+        raise StreamFormatError("bit strings may contain only 0 and 1")
+    return text
+
+
 def parse_stream(text: str, q: int | None = None) -> Word:
     """Parse a token stream like ``0 N 1 N N`` into a word.
 
@@ -179,25 +268,26 @@ def parse_stream(text: str, q: int | None = None) -> Word:
     return tuple(map(_Symbols(q).__getitem__, text.split()))
 
 
-class _Tokens(dict):
-    """Symbol -> token, each symbol converted on first sight."""
-
-    def __missing__(self, symbol):
-        token = self[symbol] = "N" if symbol is N else str(symbol)
-        return token
-
-
 def format_stream(word: Sequence[Symbol]) -> str:
     """Inverse of :func:`parse_stream`.
 
-    Each distinct symbol is converted once; values that compare equal,
-    such as ``True`` and ``1``, share the token of the first one. A
-    ``word`` that is not iterable or holds an unhashable symbol raises
+    A stream from ``encode`` whose tokens are all one character (q <=
+    10) is spelled from its byte code, with one ``translate`` and a
+    strided copy. Otherwise each distinct symbol is converted once;
+    values that compare equal, such as ``True`` and ``1``, share the
+    token of the first one. A ``word`` that is not iterable, is a
+    ``str`` or holds an unhashable symbol raises
     :class:`StreamFormatError`.
     """
     _check_iterable(word, "word", "a sequence of symbols")
+    if type(word) is _Coded:
+        tokens = word.code.translate(_TOKEN_BYTES)
+        if b" " not in tokens:
+            text = bytearray(b" ") * (2 * len(tokens) - 1)
+            text[::2] = tokens
+            return text.decode()
     try:
-        return " ".join(map(_Tokens().__getitem__, word))
+        return " ".join(map(_Table(str).__getitem__, word))
     except TypeError as exc:  # looking a symbol up hashes it
         raise StreamFormatError(
             f"word holds an unhashable symbol: {exc}") from None

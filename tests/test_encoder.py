@@ -689,6 +689,7 @@ _TOPOLOGY = parse_tree("0 -\n1 0\n")
 @pytest.mark.parametrize("call, error, argument", [
     (lambda m, s, h: decode(m, 5, h), StreamFormatError, "word"),
     (lambda m, s, h: decode(m, None, h), StreamFormatError, "word"),
+    (lambda m, s, h: decode(m, "N 0 N", h), StreamFormatError, "word"),
     (lambda m, s, h: decode(m, [[0, 1, 2]] * len(s), h), StreamFormatError,
      "word"),
     (lambda m, s, h: decode(m, s, (4, 0)), InvalidParameterError, "header"),
@@ -718,18 +719,22 @@ _TOPOLOGY = parse_tree("0 -\n1 0\n")
     (lambda m, s, h: parse_tree(5), TopologyError, "text"),
     (lambda m, s, h: format_stream(5), StreamFormatError, "word"),
     (lambda m, s, h: format_stream([[0]]), StreamFormatError, "word"),
+    (lambda m, s, h: format_stream("0 N"), StreamFormatError, "word"),
     (lambda m, s, h: is_admissible(5), StreamFormatError, "word"),
+    (lambda m, s, h: is_admissible("N"), StreamFormatError, "word"),
     (lambda m, s, h: spectral_radius(5), InvalidMatrixError, "matrix"),
     (lambda m, s, h: run(None), InvalidParameterError, "argv"),
     (lambda m, s, h: run("capacity"), InvalidParameterError, "argv"),
-], ids=["decode int", "decode None", "decode unhashable", "decode tuple header",
+], ids=["decode int", "decode None", "decode str", "decode unhashable",
+        "decode tuple header",
         "encode int", "encode None", "end_to_end int", "simulate int",
         "verify_delivery int", "encode str machine", "decode None machine",
         "serialize_encoder int", "encoder_report int", "simulate str topo",
         "verify_delivery int trace", "verify_delivery int topo",
         "end_to_end int topo", "parse_stream int", "parse_encoder bytes",
         "parse_tree int", "format_stream int", "format_stream unhashable",
-        "is_admissible int", "spectral_radius int", "run None", "run str"])
+        "format_stream str", "is_admissible int", "is_admissible str",
+        "spectral_radius int", "run None", "run str"])
 def test_wrong_types_end_in_a_relaycast_error(enc_q1, call, error, argument):
     stream, header = encode(enc_q1, "1101001110100101")
     with pytest.raises(error) as excinfo:

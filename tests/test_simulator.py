@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -12,11 +14,11 @@ from relaycast import (ERASED, DeliveryReport, EndToEndReport,
                        InvalidParameterError, N, NodeDelivery, NodeRecovery,
                        RelaycastError, StreamFormatError, TopologyError,
                        baseline_rate,
-                       build_encoder, capacity, encode, end_to_end,
-                       is_admissible, parse_stream, parse_tree, simulate,
-                       verify_delivery)
-from relaycast.symbols import is_data
-from helpers import (chain_text, decode_oracle, fig1_text,
+                       build_encoder, capacity, decode, encode, end_to_end,
+                       format_stream, is_admissible, parse_stream, parse_tree,
+                       simulate, verify_delivery)
+from relaycast.symbols import _data_mask, is_data
+from helpers import (ROUND_TRIP_RATES, chain_text, decode_oracle, fig1_text,
                      random_admissible_stream, random_bits, random_stream,
                      relay_oracle, simulate_per_depth, simulate_per_node,
                      transmitted)
@@ -379,7 +381,8 @@ def test_simulate_matches_per_depth_oracle(topo, stream, extra_slots):
 @example(stream=(N, 1, 0, 1, N, N))         # a run of three data symbols
 @example(stream=(N, 0, N, 0, 1))            # a run ending on the last slot
 def test_relay_matches_per_slot_oracle(stream):
-    assert relaycast.simulator._relay(stream) == relay_oracle(stream)
+    mask = _data_mask(stream)
+    assert relaycast.simulator._relay(stream, mask) == relay_oracle(stream)
 
 
 def test_verify_delivery_shares_bounded_records_on_deep_chain():
@@ -420,6 +423,17 @@ def test_transmit_stream_rejects_unknown_node():
     with pytest.raises(InvalidParameterError) as excinfo:
         trace.transmit_stream(7)
     assert str(excinfo.value) == "node 7 is not in the trace"
+
+
+@pytest.mark.parametrize("node", [[1], {1: 0}, True, False, 1.0, "1", None,
+                                  -1])
+def test_transmit_stream_takes_only_int_node_ids(node):
+    """Node ids are nonnegative ints: an unhashable node, a bool or a
+    float equal to an id is refused, not looked up."""
+    trace = simulate(parse_tree(chain_text(2)), parse_stream("0 N"))
+    with pytest.raises(InvalidParameterError) as excinfo:
+        trace.transmit_stream(node)
+    assert str(excinfo.value).startswith("node must be a nonnegative integer")
 
 
 def _simulate_peak(depth):
@@ -624,3 +638,76 @@ def test_violations_occur_only_at_depth_one(topo, stream, extra_slots):
         assert all(topo.depth[v] == 1 for _, v in trace.violations)
         for node in topo.nodes[1:]:
             assert is_admissible(trace.transmit_stream(node))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=streams(), extra_slots=st.integers(1, 3))
+def test_relayed_window_equals_the_stream_iff_nothing_is_lost(stream,
+                                                              extra_slots):
+    """What ``end_to_end`` decides on: depth 1's window equals the source
+    stream exactly when no slot was lost, since every lost slot is a
+    data slot inside the stream and depth 1 silences it."""
+    trace = simulate(parse_tree(chain_text(1)), stream, extra_slots)
+    window = trace.relayed[1:1 + len(stream)]
+    assert (window == stream) is not trace.lost
+    assert all(stream[t] is not N for t in trace.lost)
+
+
+# ---------------------------------------------------------------------------
+# coded streams: encode's tuple subclass against a plain tuple
+
+def _spelled_code(stream):
+    return bytes(0 if s is N else s + 1 for s in stream)
+
+
+def _views(topo, stream, header, machine):
+    """Everything a reader makes of ``stream``."""
+    trace = simulate(topo, stream)
+    report = verify_delivery(trace, topo, stream)
+    return (format_stream(stream), is_admissible(stream), trace.source,
+            trace.relayed, trace.lost, trace.export(), report.nodes,
+            report.violations, decode(machine, stream, header))
+
+
+@settings(max_examples=200, deadline=None)
+@given(topo=trees(), rate=st.sampled_from(ROUND_TRIP_RATES),
+       bits=st.text(alphabet="01", max_size=80))
+def test_coded_streams_read_as_their_tuples(topo, rate, bits):
+    """Every reader gives the same result on ``encode``'s stream as on
+    the plain tuple of its symbols, which takes the per-symbol paths;
+    the code is spelled here one symbol at a time."""
+    machine = build_encoder(*rate)
+    stream, header = encode(machine, bits)
+    plain = tuple(stream)
+    assert type(plain) is tuple and plain == stream
+    if stream:
+        assert type(stream) is not tuple
+        assert stream.code == _spelled_code(plain)
+    assert _views(topo, stream, header, machine) == \
+        _views(topo, plain, header, machine)
+    copies = [pickle.loads(pickle.dumps(stream, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for kept in copies + [copy.copy(stream), copy.deepcopy(stream)]:
+        assert kept == plain and type(kept) is type(stream)
+        assert getattr(kept, "code", None) == getattr(stream, "code", None)
+
+
+@pytest.mark.parametrize("rate, coded", [((12, 4, 2), True),
+                                         ((255, 4, 1), True),
+                                         ((256, 4, 1), False),
+                                         ((300, 8, 2), False)])
+def test_streams_are_coded_up_to_q_255(rate, coded):
+    """One byte per symbol holds ``N`` and data symbols 0..254; two-digit
+    tokens are spelled one symbol at a time, as for a plain tuple."""
+    machine = build_encoder(*rate)
+    bits = random_bits(random.Random(25), 300)
+    stream, header = encode(machine, bits)
+    assert (type(stream) is not tuple) is coded
+    if coded:
+        assert stream.code == _spelled_code(stream)
+    assert max(s for s in stream if s is not N) >= 10
+    topo = parse_tree(fig1_text())
+    assert _views(topo, stream, header, machine) == \
+        _views(topo, tuple(stream), header, machine)
+    assert format_stream(stream) == " ".join(
+        "N" if s is N else str(s) for s in stream)
