@@ -161,18 +161,12 @@ def _cmd_encode(args) -> None:
 
 
 def _cmd_decode(args) -> None:
+    # parsing first reports a bad token first, then the frame, then the
+    # blocks
     machine = parse_encoder(_read_value(args.encoder))
-    text = _read_value(args.stream, "stream")
+    stream = parse_stream(_read_value(args.stream, "stream"), q=machine.q)
     pad = (-args.length) % machine.p
-    try:
-        bits = decode(machine, text.split(), FrameHeader(args.length, pad))
-    except RelaycastError:
-        # Decoding tokens checks the frame before the tokens; parsing
-        # first reports a bad token first, then the frame, then the
-        # blocks, as this command always has.
-        stream = parse_stream(text, q=machine.q)
-        bits = decode(machine, stream, FrameHeader(args.length, pad))
-    print(bits)
+    print(decode(machine, stream, FrameHeader(args.length, pad)))
 
 
 def _cmd_simulate(args) -> None:

@@ -5,36 +5,28 @@ keeping the concatenated output admissible. Construction:
 
 1. take the n-th power of the two-state presentation,
 2. find the integer weight vector x of least sum with ``A x >= 2**p x``
-   (2**p choices per state are sustainable), on the closed-form 2x2
-   adjacency ``A`` and before step 1 builds any path,
-3. out-split heavy states until every weight is 1, at which point every
-   surviving state has at least 2**p outgoing edges,
-4. delete surplus edges down to exactly 2**p per state and assign input
-   tags in codeword order.
+   on the closed-form 2x2 adjacency ``A``, before step 1 builds a path,
+3. out-split heavy states until every weight is 1, when every surviving
+   state has at least 2**p outgoing edges,
+4. delete surplus edges down to 2**p per state, tags in codeword order.
 
-Out-splitting duplicates every edge that enters a split state, so two
-transitions of the finished machine can share a codeword. Instead of
-demanding distinct codewords per state (impossible at these rates: from
-a state entered on a data-final block only silence-initial blocks exist,
-and there are fewer than 2**p of them), the builder certifies bounded
-lookahead decodability: it follows every pair of states reachable by
-emitting identical blocks and verifies the pair dies out within a fixed
-number of blocks, the machine's *anticipation*. ``encode`` appends that
-many fixed flush blocks so the lookahead always has material. ``decode``
-follows the set of label-consistent states with one table lookup per
-chunk of up to 8 message bits (one block when p >= 5), as ``encode``
-does, and keeps a back-pointer per state; by the certificate, every path
-surviving the flush merges within it, and one walk back recovers the
-message bits.
-"""
+Out-splitting duplicates every edge into a split state, so two
+transitions can share a codeword (at these rates unavoidable). The
+builder certifies bounded lookahead instead: every pair of states
+reachable on identical blocks dies out within a fixed number of blocks,
+the *anticipation*, and ``encode`` appends that many flush blocks.
+``decode`` follows the set of label-consistent states, one table lookup
+per chunk of up to 8 message bits, and walks back-pointers from the one
+path the flush leaves. For q <= 255 both work on the stream's byte code
+(see :mod:`relaycast.symbols`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import chain, combinations, islice, repeat
-from operator import getitem
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, combinations, repeat
+from operator import getitem, invert, itemgetter
+from typing import Dict, List, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
                          _label_symbols, _past_capacity, _power_adjacency,
@@ -42,9 +34,10 @@ from .constraint import (ConstraintGraph, Matrix, _label_order,
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      StateSplitError, StreamFormatError, UnknownCodewordError)
-from .symbols import (Word, _CanonicalSymbols, _check_int, _check_iterable,
-                      _check_type, _coded, _normalize_bits, _row_code, _spell,
-                      _Symbols, _Table, format_stream, is_decimal)
+from .symbols import (_CHAR_CODE, _CODE, Stream, Word, _check_int,
+                      _check_iterable, _check_type, _chunk_values,
+                      _normalize_bits, _read, _spell, _split, _Symbols, _Table,
+                      format_stream, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 # Machines kept by each of the two memos, built by rate and parsed by
@@ -123,19 +116,16 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     """Out-split states until every weight is 1.
 
     Zero-weight states are dropped first. Each round splits the heaviest
-    state (ties: lowest index) in two, giving the first descendant the
-    smallest workable weight (1 when possible). The state's outgoing
-    edges, ordered by descending head weight then label, are cut
-    greedily into two groups whose edge-weight sums stay at least
-    ``2**p`` times the descendant weights; edges entering the split
-    state are duplicated to both descendants. The result has
-    ``sum(x.vector)`` states, every one with at least ``2**p`` outgoing
-    edges; the number of rounds performed is ``sum(x.vector)`` minus the
-    number of nonzero weights. A vector of all ones returns ``g`` itself.
-    ``x`` satisfies the weight inequality, as synthesis's vectors do; it
-    is not checked. :class:`StateSplitError` is raised when the greedy
-    cut misses a partition, which may exist (``build_encoder(3, 6, 5)``).
-    """
+    state (ties: lowest index) in two, the first descendant with the
+    smallest workable weight (1 when possible). Its outgoing edges, by
+    descending head weight then label, are cut greedily into two groups
+    whose edge-weight sums stay at least ``2**p`` times the descendant
+    weights; edges into the split state are duplicated to both. The result
+    has ``sum(x.vector)`` states, each with ``2**p`` or more outgoing
+    edges, after ``sum(x.vector)`` minus the nonzero weights rounds; all
+    ones return ``g`` itself. ``x`` satisfies the weight inequality,
+    unchecked. :class:`StateSplitError` is raised when the greedy cut
+    misses a partition, which may exist (``build_encoder(3, 6, 5)``)."""
     if all(w == 1 for w in x.vector):
         return g
     target = 1 << x.p
@@ -216,8 +206,23 @@ class Encoder:
         return self.p / self.n
 
     @cached_property
+    def _codes(self) -> tuple:
+        """Per state (q <= 255), its codewords' byte codes in tag order,
+        joined; synthesis fills it in from its labels."""
+        return tuple(bytes(map(_CODE.__getitem__, chain.from_iterable(
+            map(itemgetter(0), row)))) for row in self.transitions)
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """Per state, its codewords in tag order: n-byte codes for q <=
+        255, else symbol tuples; :func:`parse_encoder` fills it in."""
+        if self.q > 255:
+            return tuple(tuple(map(itemgetter(0), row)) for row in self.transitions)
+        return tuple(map(_split, self._codes, repeat(self.n)))
+
+    @cached_property
     def _by_codeword(self):
-        return _codeword_index(self.transitions)
+        return _block_index(self._blocks, self.transitions)
 
     @cached_property
     def _subset_table(self) -> _SubsetTable:
@@ -229,44 +234,38 @@ class Encoder:
         return max(1, 8 // self.p)
 
     @cached_property
-    def _chunk_table(self):
-        """``[state][v] = (codeword symbols, state after)`` for a chunk.
-
-        A chunk is ``_chunk_blocks`` blocks, ``v`` their bits read as one
-        big-endian number, so a row holds at most 256 entries. With one
-        block per chunk (p >= 5) this is ``transitions`` itself.
-        """
-        if self._chunk_blocks == 1:
-            return self.transitions
-        return _Table(partial(_chunk_row, self.transitions,
-                              self._chunk_blocks))
-
-    @cached_property
-    def _chunk_codes(self):
-        """``[state]``, for q <= 255: the byte code of each codeword of
-        ``_chunk_table[state]``, or with one block per chunk (p >= 5) one
-        bytes object, tag t's codeword at byte ``t * n``."""
-        return _Table(partial(_row_code, self._chunk_table,
-                              self._chunk_blocks == 1))
+    def _encode_rows(self) -> _Table:
+        """``[state]``: the state's encode row (see :func:`encode`)."""
+        return _Table(_Row)
 
 
-def _chunk_row(transitions, blocks, state):
-    """The ``blocks``-fold composed transitions out of ``state``; rows
-    are built on first use, so a state never reached at a chunk boundary
-    costs nothing."""
-    row = [((), state)]
-    for _ in range(blocks):
-        row = [(word + step, nxt) for word, at in row
-               for step, nxt in transitions[at]]
-    return tuple(row)
+class _Row(list):
+    """A state's encode row, empty until :func:`_fill` fills it: at chunk
+    value v the row after the chunk, at ``~v`` the chunk's codewords."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: int):
+        super().__init__()
+        self.state = state
+
+
+def _fill(encoder: Encoder, row: _Row) -> None:
+    """Fill ``row`` with the chunks out of its state, composed block by
+    block; the rows it points to stay empty until they are reached."""
+    chunks = [(b"" if encoder.q <= 255 else (), row.state)]
+    for _ in range(encoder._chunk_blocks):
+        chunks = [(part + block, nxt) for part, at in chunks
+                  for block, (_, nxt) in zip(encoder._blocks[at],
+                                             encoder.transitions[at])]
+    parts, nexts = zip(*chunks)
+    row[:] = [*map(encoder._encode_rows.__getitem__, nexts), *reversed(parts)]
 
 
 def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
-    """Per state: codeword -> ((tag, next), ...), in tag order.
-
-    Each state's row is iterated once, as ``(codeword, next)`` pairs in
-    tag order; any hashable key may stand for a codeword.
-    """
+    """Per state: codeword -> ((tag, next), ...), in tag order, from each
+    state's ``(codeword, next)`` pairs; any hashable key may stand for a
+    codeword."""
     index = []
     for outs in transitions:
         lookup: Dict[Word, tuple] = {}
@@ -279,53 +278,34 @@ def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
 class _SubsetTable:
     """Decode steps over candidate-state tuples, built on first sight.
 
-    A row belongs to one sorted tuple of machine states and maps a key
-    to ``(next tuple, next row, back-pointers)``, where the back-pointer
-    of each next state is ``(index in the tuple, tag bits)``. A key is
-    one block (n symbols or stream tokens, p tag bits) or one chunk of
-    ``k = encoder._chunk_blocks`` blocks (k·n of them, k·p tag bits),
-    whose step is composed from its blocks' steps; a row holds at most
-    ``len(tuple) * 2**(k*p)`` chunk keys of symbols and as many of
-    tokens. A block of tokens is stored only in its canonical spelling
-    (``0``, not ``00``), and a chunk only when all its blocks were, so a
-    row grows with the codewords seen, not with the spellings sent, and
-    a valid stream's tokens are converted once per row, not per sight.
-    Only blocks that match a transition are stored, so every error is
-    raised afresh with the index of its own block. One token table
-    serves the table's whole life and keeps only canonical tokens, so
-    each is converted once per machine. Rows are filled by ``dict``
-    stores of equal values, so concurrent decoders at worst repeat a
-    step.
-    """
+    A row belongs to one sorted tuple of machine states and maps a key to
+    ``(next tuple, next row, back-pointers)``, the back-pointer of each
+    next state being ``(index in the tuple, tag bits)``. A key is one block
+    or one chunk of ``k = encoder._chunk_blocks`` blocks, whose step is
+    composed from its blocks' steps. Only blocks that match a transition
+    are stored, so every error is raised afresh with its own block's index.
+    Rows are filled by ``dict`` stores of equal values, so concurrent
+    decoders at worst repeat a step."""
 
     def __init__(self, encoder: Encoder):
         self._by_codeword = encoder._by_codeword
         self._tag_format = f"0{encoder.p}b"
         self._n = encoder.n
-        self._symbols = _CanonicalSymbols(encoder.q)
         self._rows: Dict[Tuple[int, ...], dict] = {}
         first = (encoder.start_state,)
         self.start = (first, self._rows.setdefault(first, {}))
 
     def advance(self, states, row, key, index):
-        """The step from ``states`` on ``key``, stored in ``row``.
-
-        ``index`` is the number of the key's first block. A chunk is
-        stepped block by block, through the steps ``row`` and the rows
-        after it already hold, so its errors are its blocks' errors.
-        Tokens of a block are checked and converted as
-        :func:`parse_stream` does.
-        """
+        """The step from ``states`` on ``key``, stored in ``row``; ``index``
+        is the number of the key's first block. A chunk is stepped block
+        by block, so its errors are its blocks' errors."""
         n = self._n
         if len(key) > n:
-            at, stored, path = row, True, []
+            at, path = row, []
             for i in range(0, len(key), n):
                 block = key[i:i + n]
-                step = at.get(block)
-                if step is None:
-                    step = self.advance(states, at, block, index + i // n)
-                    stored = stored and block in at
-                states, at, links = step
+                states, at, links = (at.get(block) or
+                                     self.advance(states, at, block, index + i // n))
                 path.append(links)
             path.reverse()
             back = []
@@ -336,50 +316,41 @@ class _SubsetTable:
                     tags.append(tag)
                 tags.reverse()
                 back.append((j, "".join(tags)))
-            step = (states, at, tuple(back))
-            # a stored block is all symbols or all tokens; so must the chunk be
-            if stored and len({isinstance(s, str) for s in key[::n]}) == 1:
-                row[key] = step
+            step = row[key] = (states, at, tuple(back))
             return step
-        tokens = list(map(isinstance, key, repeat(str)))
-        if not any(tokens):
-            symbols, canonical = key, True
-        elif all(tokens):
-            symbols = tuple(map(self._symbols.__getitem__, key))
-            canonical = key == tuple(map(str, symbols))
-        else:  # a block mixing symbols and tokens is never stored
-            token = self._symbols.__getitem__
-            symbols = tuple(token(s) if t else s for s, t in zip(key, tokens))
-            canonical = False
         moves: Dict[int, tuple] = {}
         for j, state in enumerate(states):
-            for tag, nxt in self._by_codeword[state].get(symbols, ()):
+            for tag, nxt in self._by_codeword[state].get(key, ()):
                 if nxt in moves:
                     raise AmbiguousEncoderError(
                         "two decode paths converged; machine certificate broken")
                 moves[nxt] = (j, format(tag, self._tag_format))
         if not moves:
             raise UnknownCodewordError(
-                f"block {index} ({format_stream(symbols)}) matches no transition")
+                f"block {index} ({format_stream(key)}) matches no transition")
         after = tuple(sorted(moves))
-        step = (after, self._rows.setdefault(after, {}),
-                tuple(moves[s] for s in after))
-        if canonical:
-            row[key] = step
+        step = row[key] = (after, self._rows.setdefault(after, {}),
+                           tuple(moves[s] for s in after))
         return step
+
+
+def _block_index(blocks, transitions) -> Tuple[Dict[Stream, tuple], ...]:
+    """The codeword index of a machine, keyed by its ``_blocks``."""
+    return _codeword_index([zip(codes, map(itemgetter(1), row))
+                            for codes, row in zip(blocks, transitions)])
 
 
 def _pair_successors(index, pair, spell) -> set:
     """Pairs ``pair`` reaches by emitting a common codeword from both members.
 
-    Walks only the codewords both members emit. A pair that collapses
-    onto a single state raises :class:`AmbiguousEncoderError`, naming the
-    first such codeword in the first member's tag order.
-    """
+    Walks the codewords both emit in the first member's tag order, so the
+    result does not hang on how codewords hash. A pair that collapses onto
+    a single state raises :class:`AmbiguousEncoderError`, naming the first
+    such codeword in that order."""
     a, b = pair
     a_index, b_index = index[a], index[b]
     following = set()
-    for word in a_index.keys() & b_index.keys():
+    for word in filter(b_index.__contains__, a_index):
         for _, ta in a_index[word]:
             for _, tb in b_index[word]:
                 following.add((min(ta, tb), max(ta, tb)))
@@ -457,19 +428,14 @@ def _anticipation(index, spell=lambda word: word) -> int:
 def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
     """Delete surplus edges down to 2**p per state and assign tags.
 
-    Keeps the lexicographically smallest codewords at each state,
-    preferring distinct codewords and filling with duplicates only when
-    the state does not offer 2**p distinct ones. Tags follow codeword
-    order. States that become unreachable from the start state (the
-    first descendant of OFF, index 0) are dropped.
-
-    The anticipation certificate works on label ranks, and each kept
-    codeword is spelled as symbols once. The machine builds its codeword
-    index on its first decode: the memo keeps machines whether or not
-    they are decoded, and the index is about half of a fresh machine's
-    memory (0.85 of 1.65 MB for (1,11,16)). ``g`` is a split graph of
-    n-symbol labels, with ``2**p`` out-edges or more per state, unchecked.
-    """
+    Keeps the lexicographically smallest codewords at each state, distinct
+    ones first, with tags in codeword order, and drops states unreachable
+    from the start (the first descendant of OFF, index 0). The
+    anticipation certificate works on label ranks; each kept codeword is
+    spelled as symbols once, and for q <= 255 each state's byte codes are
+    one ``translate`` of its labels. The codeword index, about half of a
+    fresh machine's memory, is built on the first decode. ``g`` is a split
+    graph of n-symbol labels, 2**p out-edges or more per state, unchecked."""
     q = g.q
     words = g.words
     fanout = 1 << p
@@ -502,28 +468,36 @@ def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
     renumber = {old: new for new, old in enumerate(order)}
     ranks = [ranks[old] for old in order]
     heads = [[renumber[d] for d in heads[old]] for old in order]
+    if q <= 255:  # a label writes data symbol k as the byte k and N as q
+        code = (bytes(range(1, q + 1)) + bytes(1)).ljust(256, b"\0")
+        codes = tuple(b"".join(map(words.__getitem__, r)).translate(code)
+                      for r in ranks)
     distinct = list(set(chain.from_iterable(ranks)))
     symbols = _label_symbols(q, map(words.__getitem__, distinct))
     codewords = dict(zip(distinct, zip(*[symbols] * n)))
-    transitions = tuple(tuple(zip(map(codewords.__getitem__, r), h))
+    anticipation = _anticipation(
+        _codeword_index([zip(r, h) for r, h in zip(ranks, heads)]),
+        codewords.__getitem__)
+    # equal (rank, head) pairs share one transition: split states copy rows
+    pair = _Table(lambda key: (codewords[key[0]], key[1]))
+    transitions = tuple(tuple(map(pair.__getitem__, zip(r, h)))
                         for r, h in zip(ranks, heads))
-    index = _codeword_index([zip(r, h) for r, h in zip(ranks, heads)])
-    return Encoder(q=q, p=p, n=n, start_state=renumber[start],
-                   transitions=transitions,
-                   anticipation=_anticipation(index, codewords.__getitem__))
+    encoder = Encoder(q=q, p=p, n=n, start_state=renumber[start],
+                      transitions=transitions, anticipation=anticipation)
+    if q <= 255:
+        vars(encoder)["_codes"] = codes
+    return encoder
 
 
 def build_encoder(q: int, p: int, n: int) -> Encoder:
     """Synthesize the rate p:n machine for q data symbols plus silence.
 
-    Deterministic in (q, p, n), so the machine is memoised: every call
-    with the same rate in one process returns the same frozen
-    :class:`Encoder`, shared by all callers, and its decode table stays
-    warm between calls. The machines of the 8 most recently used rates
-    are kept. Raises :class:`InfeasibleRateError` when p/n exceeds the
-    capacity, :class:`EnumerationCapError` when the power graph has more
-    than ``2**18`` paths; a rate that fails raises again on every call.
-    """
+    Deterministic in (q, p, n), so the machine is memoised: every call with
+    the same rate in one process returns the same frozen :class:`Encoder`,
+    its decode table warm; the 8 most recently used rates are kept. Raises
+    :class:`InfeasibleRateError` when p/n exceeds the capacity and
+    :class:`EnumerationCapError` when the power graph has more than
+    ``2**18`` paths, again on every call."""
     # the rate's one check, which the stages rely on: before the lookup, so
     # that True, 2.0 or [2] never reach the cache; q, then n (as "power"),
     # then p, the order and names that the error messages pin
@@ -579,138 +553,116 @@ class FrameHeader:
         _check_int(self.pad, "pad", 0)
 
 
-def encode(encoder: Encoder, bits) -> Tuple[Word, FrameHeader]:
-    """Map a bit string to an admissible symbol stream.
+def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
+    """Map a bit string to an admissible stream: its byte code (``bytes``,
+    see :mod:`relaycast.symbols`) for q <= 255, else a tuple of symbols.
 
     Consumes p bits per block from the start state, zero-padding the tail
-    to a multiple of p, then appends ``encoder.anticipation`` flush
-    blocks (always tag 0, so p zero bits each, appended to the padded
-    bits) so that decoding can resolve shared codewords even at the end
-    of the stream. Empty input maps to the empty stream.
-
-    Chunks of up to 8 bits (``8 // p`` blocks) cost one lookup each in
-    the encoder's chunk table. A last chunk of fewer blocks is looked up
-    padded with zero tags, and the symbols of the padding blocks are cut
-    off: a block's codeword depends only on the blocks before it. When p
-    divides 8 a chunk is a byte, and the chunk values are the bytes of
-    the bits read as one number. Any ``encoder`` but an :class:`Encoder`
-    raises :class:`InvalidParameterError`.
-
-    For q <= 255 the stream is a private ``tuple`` subclass that also
-    holds its byte code (see :mod:`relaycast.symbols`), joined from codes
-    kept per chunk-table row; for q > 255 it is a plain tuple.
-    """
+    to a multiple of p, then appends ``encoder.anticipation`` flush blocks
+    (tag 0) so that decoding can resolve shared codewords at the end too;
+    empty input maps to the empty stream. Chunks of up to 8 bits (``8 //
+    p`` blocks, or one) are read as numbers in C, and a state's row gives,
+    per chunk value, the row after it and the chunk's code: ``accumulate``
+    walks the rows and one join makes the stream. A last chunk of fewer
+    blocks is looked up padded with zero tags and cut: a block's codeword
+    depends only on the blocks before it. Any ``encoder`` but an
+    :class:`Encoder` raises :class:`InvalidParameterError`."""
     _check_type(encoder, Encoder, "encoder")
     text = _normalize_bits(bits)
     length = len(text)
     if length == 0:
-        return (), FrameHeader(0, 0)
+        return b"" if encoder.q <= 255 else (), FrameHeader(0, 0)
     p, n = encoder.p, encoder.n
     pad = (-length) % p
     text += "0" * (pad + p * encoder.anticipation)
     symbols = len(text) // p * n
     width = encoder._chunk_blocks * p
     text += "0" * (-len(text) % width)
-    if width == 8:
-        values = int(text, 2).to_bytes(len(text) // 8, "big")
-    else:
-        values = [int(text[i:i + width], 2) for i in range(0, len(text), width)]
-    table = encoder._chunk_table
-    out: List = []
-    states = []  # the state each chunk leaves from
-    state = encoder.start_state
-    for value in values:
-        states.append(state)
-        word, state = table[state][value]
-        out.extend(word)
-    del out[symbols:]
-    header = FrameHeader(length, pad)
-    if encoder.q > 255:
-        return tuple(out), header
-    codes = encoder._chunk_codes
-    parts = ((codes[s][v * n:v * n + n] for s, v in zip(states, values))
-             if encoder._chunk_blocks == 1 else
-             map(getitem, map(codes.__getitem__, states), values))
-    return _coded(out, parts), header
+    values = _chunk_values(text, width)
+    walk = [encoder._encode_rows[encoder.start_state]]
+    chunks = iter(values)
+    while True:
+        try:
+            walk.extend(accumulate(chunks, getitem, initial=walk.pop()))
+            break
+        except IndexError:  # the walk reached an empty row: fill it, go on
+            _fill(encoder, walk[-1])
+            walk.append(walk[-1][values[len(walk) - 1]])
+    parts = map(getitem, walk, map(invert, values))
+    stream = (b"".join(parts) if encoder.q <= 255
+              else tuple(chain.from_iterable(parts)))
+    return stream[:symbols], FrameHeader(length, pad)
 
 
-def decode(encoder: Encoder, word: Sequence, header: FrameHeader) -> str:
+def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     """Recover the original bits; exact inverse of :func:`encode`.
 
     The decoder's state is the tuple of machine states the blocks so far
-    allow (shared codewords keep several alive). As in :func:`encode`,
-    the message's whole chunks of ``k = max(1, 8 // p)`` blocks cost one
-    lookup each in the encoder's subset table; the blocks after them,
-    flush included, cost one lookup each. A lookup gives the next tuple
-    and a back-pointer per next state: its index in the previous tuple
-    and its tag bits. The table is filled on first sight of a (tuple,
-    chunk or block) pair, a chunk's step composed from its blocks'
-    steps, and kept on the encoder, so it grows only with the candidate
-    sets and codewords actually seen. After the last block every
-    survivor is walked back through the flush; the certificate merges
-    them there into one path, which is walked back to block 0. Time and
-    memory are O(blocks).
+    allow. Each whole chunk of the message (``k = max(1, 8 // p)`` blocks)
+    and then each block costs one lookup in the encoder's subset table,
+    filled on first sight of a (tuple, key) pair: the next tuple and per
+    next state a back-pointer, its index in the tuple before and its tag
+    bits. The survivors are walked back through the flush, where the
+    certificate merges them, and the one path left to block 0: O(blocks).
 
-    ``word`` holds symbols or stream tokens (``"0"``, ``"N"``, ...), such
-    as ``text.split()``; a token block is checked and converted as
-    :func:`parse_stream` does when the table first sees it, each
-    distinct token once per machine, and then costs one lookup like any
-    block (a block spelled otherwise, as ``00`` for ``0``, is converted
-    at every sight). Stray streams that match no transition raise
-    :class:`UnknownCodewordError` at the offending block, and a bad
-    token :class:`StreamFormatError` at its block, inside a chunk too.
-    Framing is checked first, so unlike ``parse_stream`` then
-    ``decode``, a bad token in a stream of the wrong length reports
-    the length. A ``word`` that is not iterable, is a ``str`` or holds
-    an unhashable symbol raises :class:`StreamFormatError`, and an
-    ``encoder`` that is not an :class:`Encoder` or a ``header`` that is
-    not a :class:`FrameHeader` :class:`InvalidParameterError`.
-    """
+    ``word`` is a byte code, symbols or stream tokens such as
+    ``text.split()``, checked as :func:`parse_stream` checks them; for q <=
+    255 it is read as its byte code once, and the keys are byte slices cut
+    in C. Framing is checked first; then a block that matches no transition
+    raises :class:`UnknownCodewordError`, and a bad token
+    :class:`StreamFormatError`, each after the blocks before it. A ``word``
+    that is not iterable, is a ``str`` or holds an unhashable symbol raises
+    :class:`StreamFormatError`, and an ``encoder`` or ``header`` of another
+    type :class:`InvalidParameterError`."""
     _check_type(encoder, Encoder, "encoder")
     _check_iterable(word, "word", "a sequence of symbols or tokens")
     _check_type(header, FrameHeader, "header")
-    # a list, such as text.split(), and any tuple are read in place
-    stream = (word if type(word) is list or isinstance(word, tuple)
+    stream = (word if isinstance(word, (bytes, bytearray, list, tuple))
               else tuple(word))
-    if len(stream) % encoder.n:
+    n = encoder.n
+    if len(stream) % n:
         raise FramingError(
-            f"stream length {len(stream)} is not a multiple of n={encoder.n}")
+            f"stream length {len(stream)} is not a multiple of n={n}")
     length = header.bit_length
     if header.pad != (-length) % encoder.p:
         raise FramingError(
             f"pad {header.pad} inconsistent with bit length {length}")
     message_blocks = (length + encoder.p - 1) // encoder.p
     expected = message_blocks + (encoder.anticipation if message_blocks else 0)
-    total = len(stream) // encoder.n
+    total = len(stream) // n
     if total != expected:
         raise FramingError(f"stream has {total} blocks, frame implies {expected}")
     if message_blocks == 0:
         return ""
 
-    n = encoder.n
+    read, fault = _read(stream, encoder.q)
     k = encoder._chunk_blocks
-    # blocks in whole chunks; a chunk of one block is read as a block
-    whole = message_blocks - message_blocks % k if k > 1 else 0
+    # the message's whole chunks, then block by block; a fault cuts the
+    # stream before its block
+    end = len(read) - len(read) % n
+    chunks = min(message_blocks // k, end // (k * n))
+    whole = chunks * k * n
+    keys = _split(read[:whole], k * n) + _split(read[whole:end], n)
     table = encoder._subset_table
     states, row = table.start
-    history = []  # per chunk, then per block: the shared back-pointer tuple
-    symbols = iter(stream)
-    try:
-        # the whole chunks, then the rest block by block; a key's first
-        # block is number len(history) * blocks + offset
-        for keys, blocks, offset in (
-                (islice(zip(*[symbols] * (k * n)), whole // k), k, 0),
-                (zip(*[symbols] * n), 1, whole - whole // k)):
-            for key in keys:
-                step = row.get(key)
-                if step is None:
-                    step = table.advance(states, row, key,
-                                         len(history) * blocks + offset)
-                states, row, back = step
-                history.append(back)
-    except TypeError as exc:  # hashing a key hashes its symbols
-        raise StreamFormatError(
-            f"word holds an unhashable symbol: {exc}") from None
+    history = []  # per key: the back-pointers of its step
+    for key in keys:
+        step = row.get(key)
+        if step is None:  # the key's first block: chunks come first
+            at = len(history)
+            step = table.advance(states, row, key,
+                                 at * k if at < chunks else at + chunks * (k - 1))
+        states, row, back = step
+        history.append(back)
+    if fault:
+        at, error = fault
+        if isinstance(error, TypeError):  # looking an item up hashes it
+            raise StreamFormatError(f"word holds an unhashable symbol: {error}")
+        if isinstance(error, KeyError):  # no symbol
+            block = stream[at - at % n:at - at % n + n]
+            raise UnknownCodewordError(
+                f"block {at // n} ({format_stream(block)}) matches no transition")
+        raise error
 
     # survivors not merged within the flush differ in some message tag
     message = len(history) - encoder.anticipation
@@ -775,12 +727,9 @@ def parse_encoder(text: str) -> Encoder:
 
     Malformed text, or any ``text`` but a str, raises
     :class:`EncoderFormatError`, again on every call. The machine is
-    memoised on the text, as :func:`build_encoder`'s is on the rate:
-    every call with the same text in one process returns the same frozen
-    :class:`Encoder`, shared by all callers, and its encode and decode
-    tables stay warm between calls. The machines of the 8 most recently
-    parsed texts are kept.
-    """
+    memoised on the text, as :func:`build_encoder`'s is on the rate, and
+    shared by all callers with its tables warm; the machines of the 8 most
+    recently parsed texts are kept."""
     _check_type(text, str, "text", EncoderFormatError)
     # the memo's key is an exact str: a subclass's own __eq__ and __hash__
     # could otherwise fetch the machine of another text
@@ -808,7 +757,9 @@ def _parse(text: str) -> Encoder:
     if given != num_states * fanout:
         raise EncoderFormatError(
             f"expected {num_states * fanout} transition lines, got {given}")
-    table: Dict[Tuple[int, int], Transition] = {}
+    # per state, its transitions and their codewords' codes, by tag
+    rows = [[None] * fanout for _ in range(num_states)]
+    codes = [[None] * fanout for _ in range(num_states)]
     token = _Symbols(q).__getitem__  # one token table for the whole file
     for line in lines[1:]:
         parts = line.split()
@@ -822,24 +773,30 @@ def _parse(text: str) -> Encoder:
             raise EncoderFormatError(f"bad transition line {line!r}") from exc
         if not 0 <= state < num_states or not 0 <= tag < fanout:
             raise EncoderFormatError(f"state or tag out of range in {line!r}")
-        if (state, tag) in table:
+        if rows[state][tag]:
             raise EncoderFormatError(f"duplicate transition for state "
                                      f"{state} tag {tag}")
-        table[(state, tag)] = (word, nxt)
-    transitions = tuple(
-        tuple(table[(state, tag)] for tag in range(fanout))
-        for state in range(num_states))
+        rows[state][tag] = (word, nxt)
+        codes[state][tag] = word
+        if q <= 255:  # the byte code of the codeword's tokens
+            chars = "".join(parts[2:-1])
+            codes[state][tag] = (chars.encode().translate(_CHAR_CODE)
+                                 if len(chars) == n
+                                 else bytes(map(_CODE.__getitem__, word)))
+    transitions = tuple(map(tuple, rows))
     for outs in transitions:
         for _, nxt in outs:
             if nxt >= num_states:
                 raise EncoderFormatError(f"transition target {nxt} out of range")
     if start >= num_states:
         raise EncoderFormatError(f"start state {start} out of range")
-    index = _codeword_index(transitions)
+    blocks = tuple(map(tuple, codes))
+    index = _block_index(blocks, transitions)
     encoder = Encoder(q=q, p=p, n=n, start_state=start,
                       transitions=transitions,
                       anticipation=_anticipation(index))
     # a parsed machine is decoded at once, so it keeps the index its
-    # certificate was built from; this fills the cached property
-    vars(encoder)["_by_codeword"] = index
+    # certificate was built from, keyed by the codes it read; this fills
+    # the cached properties
+    vars(encoder).update(_blocks=blocks, _by_codeword=index)
     return encoder

@@ -1,38 +1,37 @@
 """Slot-synchronous symbol forwarding over a rooted relay tree.
 
 Every non-source node repeats, one slot later, whatever it heard from
-its parent in the previous slot. A node transmitting a data symbol is ON
-for that slot and cannot listen: whatever its parent sent is erased. The
-simulator never peeks at an erased symbol; the node stores silence in
-its place, which is only correct when the source stream is admissible.
-That is exactly the property the violation log makes testable: a
-violation is recorded whenever a node is ON while its parent transmits a
-data symbol, and an inadmissible source provably produces one.
+its parent. A node transmitting a data symbol is ON for that slot and
+cannot listen: whatever its parent sent is erased, and the node stores
+silence in its place, which is only correct for an admissible source.
+The violation log makes that testable: a violation is recorded whenever
+a node is ON while its parent transmits data.
 
 All nodes at one depth behave alike. A relay never sends two data
 symbols in a row, so depth 1's stream is admissible whatever the source
 sends, and each deeper relay passes it on unchanged, one slot later.
 The simulator scans depth 1 once and keeps two rows, the source's and
-depth 1's, deriving deeper rows on read: simulation, delivery checks
-and decoding in the pipeline cost O(slots), whatever the tree's shape.
-A node's delivery or recovery record is fixed by its depth's verdict,
-so the per-node records are built once and shared while the verdicts
-repeat.
-"""
+depth 1's, deriving deeper rows on read, so every cost is O(slots),
+whatever the tree's shape. A node's record is fixed by its depth's
+verdict, so the per-node records are shared while the verdicts repeat."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .constraint import capacity
 from .encoder import build_encoder, decode, encode
 from .errors import InvalidParameterError, RelaycastError, TopologyError
-from .symbols import (_DATA_RUN, ERASED, N, Symbol, Word, _check_int,
-                      _check_iterable, _check_type, _data_mask,
-                      _normalize_bits, _spell, is_decimal)
+from .symbols import (_DATA_RUN, ERASED, N, Stream, _check_int, _check_type,
+                      _data_mask, _normalize_bits, _spell, _stream, _word,
+                      is_decimal)
+
+# Slots simulate runs at most, stream and extra slots together: a row of
+# a byte code holds 64 MiB, and one of symbols 512 MiB.
+_SLOT_BUDGET = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +59,12 @@ class TreeTopology:
 
     def _records(self, record: type, source_ok: bool,
                  first_ok: int) -> Tuple[tuple, bool]:
-        """``record(node, depth, verdict)`` for every node, in node order,
-        and whether every verdict passes.
-
-        The source's verdict is ``source_ok`` and depth d >= 1's is
-        ``d >= first_ok``: a relay's verdict can only turn from failing
-        to passing with depth, since depth d sends depth 1's row d-1
-        slots late and the horizon cuts off more of it. Records are
-        frozen, so each record type keeps the tuple of its last pattern
-        and shares it with every report that has that pattern; another
-        pattern rebuilds it.
-        """
+        """``record(node, depth, verdict)`` for every node, in node order, and
+        whether every verdict passes. The source's verdict is ``source_ok``
+        and depth d >= 1's is ``d >= first_ok``: depth d sends depth 1's row
+        d-1 slots late, and the horizon cuts off more of it. Records are
+        frozen, so each record type keeps the tuple of its last pattern and
+        shares it with every report of that pattern."""
         pattern = (source_ok, min(first_ok, self.max_depth + 1))
         kept = self._shared.get(record)
         if kept is None or kept[0] != pattern:
@@ -159,38 +153,37 @@ def parse_tree(text: str) -> TreeTopology:
 class SimTrace:
     """Per-slot transcript of what every node transmitted and received.
 
-    Two rows: ``source``, the padded source stream, and ``relayed``,
-    what depth 1 sends, with ``lost``, the slots of depth 1's violations.
-    Depth d >= 1 sends ``((N,)*(d-1) + relayed)[:num_slots]`` and hears
-    :data:`ERASED` where it sends data, otherwise what depth d-1 sends;
-    no deeper node has violations. :meth:`transmit_stream` gives one
-    node's row; the per-node views ``received`` and ``violations`` are
-    derived when first read.
-
-    ``received`` holds :data:`ERASED` where the half-duplex rule lost a
-    symbol and ``None`` for the source, which has no parent to hear.
-    """
+    Two rows: ``source``, the padded source stream, and ``relayed``, what
+    depth 1 sends, with ``lost``, the slots of depth 1's violations. The
+    rows are byte codes (see :mod:`relaycast.symbols`) when the source has
+    one, else tuples of symbols. Depth d >= 1 sends ``relayed`` after d-1
+    silences, cut to ``num_slots``, and hears :data:`ERASED` where it sends
+    data, otherwise what depth d-1 sends; no deeper node has violations.
+    :meth:`transmit_stream` gives one node's row, in the rows' form; the
+    per-node symbol views ``received`` (:data:`ERASED` where a symbol was
+    lost, ``None`` for the source) and ``violations`` are derived on read."""
 
     nodes: Tuple[int, ...]
     depth: Dict[int, int]
-    source: Word
-    relayed: Word
+    source: Stream
+    relayed: Stream
     lost: Tuple[int, ...]
 
     @property
     def num_slots(self) -> int:
         return len(self.source)
 
-    def _sent(self, d: int) -> Word:
+    def _sent(self, d: int) -> Stream:
         """What every node at depth ``d`` transmits."""
-        return ((N,) * (d - 1) + self.relayed)[:self.num_slots] if d else self.source
+        relayed = self.relayed
+        return (_silence(relayed, d - 1) + relayed)[:self.num_slots] if d else self.source
 
     def _heard(self, d: int) -> Tuple[object, ...]:
         """What every node at depth ``d`` receives."""
         if d == 0:
             return (None,) * self.num_slots
-        return tuple(u if s is N else ERASED
-                     for s, u in zip(self._sent(d), self._sent(d - 1)))
+        return tuple(u if s is N else ERASED for s, u in
+                     zip(_word(self._sent(d)), _word(self._sent(d - 1))))
 
     def _by_depth(self, row) -> list:
         """``row(d)`` for every depth d of the tree."""
@@ -207,7 +200,7 @@ class SimTrace:
         relays = [v for v in self.nodes if self.depth[v] == 1]
         return tuple((t, v) for t in self.lost for v in relays)
 
-    def transmit_stream(self, node: int) -> Word:
+    def transmit_stream(self, node: int) -> Stream:
         """Everything ``node`` sent, slot by slot. A ``node`` that is not
         a nonnegative ``int`` raises :class:`InvalidParameterError`."""
         _check_int(node, "node", 0)
@@ -218,7 +211,7 @@ class SimTrace:
 
     def export(self) -> str:
         """One line per slot: ``t | v:sym ...``, ``*`` marking erased reception."""
-        rows = self._by_depth(self._sent)
+        rows = [_word(row) for row in self._by_depth(self._sent)]
         lines = []
         for t in range(self.num_slots):
             # a relay's reception is erased exactly when it sends data
@@ -229,70 +222,60 @@ class SimTrace:
         return "\n".join(lines)
 
 
-def _relay(parent_stream: Word, mask: bytes) -> Tuple[Word, Tuple[int, ...]]:
-    """A depth-1 relay's transmissions and violation slots.
+def _silence(stream: Stream, slots: int) -> Stream:
+    """``slots`` silent slots, in the form of ``stream``."""
+    return bytes(slots) if isinstance(stream, bytes) else (N,) * slots
 
-    ``mask`` is the :func:`_data_mask` of ``parent_stream``, or of a
-    prefix of it that holds all its data symbols.
 
-    The relay transmits what it stored in the previous slot, initially
-    silence. While OFF it stores what its parent sends; while ON it
-    stores silence, since it cannot know what it missed, and a data
-    symbol from the parent in that slot is a violation.
+def _relay(parent_stream: Stream, mask: bytes) -> Tuple[Stream, Tuple[int, ...]]:
+    """A depth-1 relay's transmissions, in the form of ``parent_stream``,
+    and its violation slots; ``mask`` is the :func:`_data_mask` of
+    ``parent_stream`` or of a prefix that holds all its data symbols.
 
-    So the relay is ON one slot after each symbol it stores and loses
-    exactly the 2nd, 4th, ... symbol of each maximal run of data
-    symbols: it sends ``(N,) + parent_stream[:-1]`` with silence in the
-    slot after each lost one. The runs are found in C, by one regular
-    expression over a byte mask of the data slots, so Python runs once
-    per lost symbol, not once per slot; with none lost, two tuple copies
-    make the row.
-    """
+    The relay sends what it stored the slot before, initially silence. It
+    stores what its parent sends while OFF and silence while ON, when a
+    data symbol from the parent is a violation. So it loses exactly the
+    2nd, 4th, ... symbol of each run of data symbols, which one regular
+    expression over the mask finds in C: Python runs once per lost symbol,
+    not once per slot, and with none lost two copies make the row."""
     lost = [t for run in _DATA_RUN.finditer(mask)
             for t in range(run.start() + 1, run.end(), 2)]
+    silent = _silence(parent_stream, 1)
     if not lost:
-        return (N,) + parent_stream[:-1] if parent_stream else (), ()
+        return (silent + parent_stream)[:len(parent_stream)], ()
     # one slot longer than the stream, so a symbol lost in the last slot
     # has a slot to silence
-    sent = [N, *parent_stream]
+    sent = (bytearray if isinstance(silent, bytes) else list)(silent + parent_stream)
     for t in lost:
-        sent[t + 1] = N
-    return tuple(sent[:-1]), tuple(lost)
+        sent[t + 1] = silent[0]
+    return type(parent_stream)(sent[:-1]), tuple(lost)
 
 
-def _source(source_stream: Sequence[Symbol]) -> Word:
-    """The source stream as a tuple, any tuple as it is; a ``str`` is
-    text, not symbols."""
-    _check_iterable(source_stream, "source_stream", "a sequence of symbols")
-    if isinstance(source_stream, tuple):
-        return source_stream
-    return tuple(source_stream)
-
-
-def simulate(topo: TreeTopology, source_stream: Sequence[Symbol],
+def simulate(topo: TreeTopology, source_stream,
              extra_slots: Optional[int] = None) -> SimTrace:
     """Run ``len(source_stream) + extra_slots`` slots of forwarding.
 
-    The source transmits its stream (silence once exhausted); every other
-    node repeats, one slot later, what it heard from its parent (see
-    :func:`_relay`). ``extra_slots`` defaults to the tree depth so the
-    pipeline drains. The stream may be inadmissible; every slot where a
-    node is ON under a data-transmitting parent is logged.
-
-    Only depth 1 is scanned (see :class:`SimTrace`): time and memory
-    are O(slots), whatever the depth and the number of nodes. A tuple
-    is read as it is; a stream from ``encode`` gives its data mask with
-    one ``translate`` of its byte code, and with no slot lost depth 1
-    sends ``(N,) + source[:-1]``, so such a stream costs no Python work
-    per symbol. Any ``topo`` but a :class:`TreeTopology` raises
-    InvalidParameterError.
-    """
+    The source sends its stream, then silence; every other node repeats,
+    one slot later, what it heard from its parent (see :func:`_relay`).
+    ``extra_slots`` defaults to the tree depth, so the pipeline drains.
+    The stream may be inadmissible; every slot where a node is ON under a
+    data-transmitting parent is logged. Only depth 1 is scanned (see
+    :class:`SimTrace`), so time and memory are O(slots). A stream with a
+    byte code, a code or symbols below 255, is read as it once and gets
+    byte rows, its data mask one ``translate``: no Python work per symbol.
+    A horizon past 2**26 slots (``_SLOT_BUDGET``) raises
+    :class:`InvalidParameterError` before any row is built, as does any
+    ``topo`` but a :class:`TreeTopology`."""
     _check_type(topo, TreeTopology, "topo")
-    stream = _source(source_stream)
+    stream = _stream(source_stream, "source_stream")
     if extra_slots is None:
         extra_slots = topo.max_depth
     _check_int(extra_slots, "extra_slots", 0)
-    source = stream + (N,) * extra_slots
+    if extra_slots > _SLOT_BUDGET - len(stream):
+        raise InvalidParameterError(
+            f"{len(stream)} stream slots and extra_slots={_spell(extra_slots)} "
+            f"pass the simulation budget of {_SLOT_BUDGET} slots")
+    source = stream + _silence(stream, extra_slots)
     relayed, lost = _relay(source, _data_mask(stream))
     return SimTrace(nodes=topo.nodes, depth=topo.depth, source=source,
                     relayed=relayed, lost=lost)
@@ -325,35 +308,31 @@ class DeliveryReport:
 
 
 def verify_delivery(trace: SimTrace, topo: TreeTopology,
-                    source_stream: Sequence[Symbol]) -> DeliveryReport:
+                    source_stream) -> DeliveryReport:
     """Check that every node relays the source stream delayed by its depth.
 
-    A node's forwarded stream (its transmissions, in which erased
-    receptions already appear as silence) must equal depth-many leading
-    silences followed by the source stream, truncated to the simulated
-    horizon. For an admissible source this holds at every node with zero
-    violations; an inadmissible source breaks it somewhere.
-
+    A node's transmissions, in which erased receptions appear as silence,
+    must equal depth-many silences, then the source stream, cut to the
+    horizon: at every node for an admissible source, with no violations.
     Depth d >= 1 sends ``relayed`` d-1 slots late, so it passes iff
-    ``relayed`` matches depth 1's expected row before slot
-    ``horizon - d + 1``. ``topo`` must be the tree the trace ran on;
-    its per-node records are shared (see ``TreeTopology._records``).
-    A ``trace`` or ``topo`` of another type raises
-    :class:`InvalidParameterError`.
-    """
+    ``relayed`` matches depth 1's expected row before slot ``horizon - d +
+    1``. ``topo`` must be the tree the trace ran on; its per-node records
+    are shared (see ``TreeTopology._records``). ``source_stream`` is read
+    as :func:`simulate` reads it. A ``trace`` or ``topo`` of another type
+    raises :class:`InvalidParameterError`."""
     _check_type(trace, SimTrace, "trace")
     _check_type(topo, TreeTopology, "topo")
     if topo.depth is not trace.depth and topo.depth != trace.depth:
         raise InvalidParameterError("topology is not the one the trace ran on")
-    stream = _source(source_stream)
+    stream = _stream(source_stream, "source_stream")
     horizon = trace.num_slots
-    expected = ((N,) + stream + (N,) * horizon)[:horizon]
+    expected = (_silence(stream, 1) + stream + _silence(stream, horizon))[:horizon]
     first_miss = horizon
     if trace.relayed != expected:  # compared in C; scanned only on a miss
         first_miss = next((t for t, (got, want) in
                            enumerate(zip(trace.relayed, expected))
                            if got != want), horizon)
-    source_ok = trace.source == (stream + (N,) * horizon)[:horizon]
+    source_ok = trace.source == (stream + _silence(stream, horizon))[:horizon]
     nodes, all_passed = topo._records(NodeDelivery, source_ok,
                                       horizon - first_miss + 1)
     report = DeliveryReport(nodes=nodes,
@@ -410,29 +389,22 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
                message) -> EndToEndReport:
     """Encode, broadcast through the tree, decode at every node, compare.
 
-    Takes the rate p:n machine from :func:`build_encoder`, which
-    synthesizes each rate once per process, feeds the encoded stream to
-    the source, simulates with the default ``max_depth`` extra slots,
-    then strips each depth's depth-long silence prefix from its
-    forwarded stream and decodes it. Every node must recover the
-    message bits exactly.
-
-    Every depth >= 1 forwards ``relayed[1:1 + len(stream)]``. A lost
-    slot is always a data slot inside the stream, so that window equals
-    the stream exactly when ``trace.lost`` is empty; depth 1's window is
-    decoded only when a slot was lost, since decoding is deterministic.
-    Per-node records are shared per tree while the verdict pattern
-    repeats (see ``TreeTopology._records``), and the
-    pattern decides ``all_recovered``, so neither the call nor reading
-    the verdict does Python work per node. ``topo`` is checked by
-    :func:`simulate`.
-    """
+    Takes the rate p:n machine from :func:`build_encoder`, simulates the
+    encoded stream with the default extra slots, and decodes each depth's
+    forwarded stream after its depth-long silence: every node must recover
+    the message bits exactly. Every depth >= 1 forwards ``relayed[1:1 +
+    len(stream)]``, and a lost slot is always a data slot inside the
+    stream, so depth 1's window is decoded only when ``trace.lost`` is not
+    empty. Per-node records are shared per tree while the verdict pattern
+    repeats (see ``TreeTopology._records``), and the pattern decides
+    ``all_recovered``: no Python work per node. ``topo`` is checked by
+    :func:`simulate`."""
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message, "message")
     stream, header = encode(machine, bits)
     trace = simulate(topo, stream)
 
-    def recovers(window: Word) -> bool:
+    def recovers(window: Stream) -> bool:
         try:
             return decode(machine, window, header) == bits
         except RelaycastError:

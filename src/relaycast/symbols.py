@@ -5,25 +5,25 @@ ON) or the distinguished silence symbol ``N`` (the node is OFF, i.e.
 listening). Silence is a sentinel object rather than the integer ``q``
 so that arithmetic on it fails loudly instead of corrupting a stream.
 The simulator's ``ERASED`` reception is a sentinel of the same kind.
-
 Streams serialize as whitespace-separated tokens: decimal digits for
 data symbols and the literal token ``N`` for silence, e.g. ``0 N 1 N N``.
 
-For q <= 255, ``encode`` returns a stream that also holds its byte
-code: one byte per symbol, 0 for ``N`` and k + 1 for data symbol k.
-The code does not depend on q, and the readers here and in the
-simulator use it in C instead of looking at each symbol.
-"""
+A stream of symbols below 255 is held as its byte code, ``bytes`` with
+0 for ``N`` and k + 1 for data symbol k, whatever q. ``encode`` returns
+it for q <= 255, and every stream function takes it or a sequence of
+symbols, converted to the code once, on entry. A stream with no code (a
+symbol of 255 or more, or an item that is no symbol) is a tuple."""
 
 from __future__ import annotations
 
 import math
 import operator
 import re
-from itertools import chain, repeat
-from typing import Iterable, Sequence, Tuple, Union
+import struct
+from itertools import repeat
+from typing import Optional, Sequence, Tuple, Union
 
-from .errors import InvalidParameterError, StreamFormatError
+from .errors import InvalidParameterError, RelaycastError, StreamFormatError
 
 
 class _Marker:
@@ -51,6 +51,8 @@ ERASED = _Marker("ERASED")
 
 Symbol = Union[int, _Marker]
 Word = Tuple[Symbol, ...]
+# a byte code, or a word where a symbol has no code byte
+Stream = Union[bytes, Word]
 
 
 def _check_int(value, name: str, minimum: int = 1) -> None:
@@ -122,68 +124,64 @@ class _Table(dict):
         return value
 
 
-class _Coded(tuple):
-    """A stream as ``encode`` returns it for q <= 255: a tuple of symbols
-    whose ``code`` attribute holds its byte code, 0 for ``N`` and k + 1
-    for data symbol k. It equals and hashes as the tuple of its symbols;
-    pickling and copying keep the code."""
+# code byte -> symbol, and symbol -> code byte for the 256 symbols that
+# have one; a value equal to a symbol, such as True for 1, maps as it
+_SYMBOL = (N, *range(255))
+_CODE = dict(zip(_SYMBOL, range(256)))
+# code byte -> mask byte, and -> token byte, a space for a data symbol of
+# two or more digits
+_MASK = bytes(1) + b"\x01" * 255
+_TOKEN_BYTES = b"N0123456789".ljust(256, b" ")
+# one-character token -> code byte
+_CHAR_CODE = bytes.maketrans(b"N0123456789", bytes(range(11)))
 
 
-def _code(symbols: Iterable[Symbol]) -> bytes:
-    """The byte code of ``symbols``, data symbols below 255 or ``N``."""
-    return bytes(0 if s is N else s + 1 for s in symbols)
+def _code_of(word: Sequence) -> Optional[bytes]:
+    """The byte code of ``word``, a code or a sequence of symbols below
+    255, converted in C; ``None`` when an item is no such symbol."""
+    if isinstance(word, (bytes, bytearray)):
+        return bytes(word)
+    try:
+        return bytes(map(_CODE.__getitem__, word))
+    except (KeyError, TypeError):
+        return None
 
 
-def _row_code(rows, joined: bool, state):
-    """The byte codes of the codewords of ``rows[state]``, a row of
-    ``(codeword, next)`` pairs: one per codeword, or ``joined`` in one."""
-    words = [word for word, _ in rows[state]]
-    if joined:
-        return _code(chain.from_iterable(words))
-    return tuple(map(_code, words))
+def _stream(word, name: str) -> Stream:
+    """``word`` as its byte code, else a tuple of its items; not
+    iterable, or a ``str``, it raises :class:`StreamFormatError`."""
+    _check_iterable(word, name, "a sequence of symbols")
+    if not isinstance(word, (bytes, bytearray, tuple, list)):
+        word = tuple(word)
+    code = _code_of(word)
+    return tuple(word) if code is None else code
 
 
-def _coded(symbols: list, parts: Iterable[bytes]) -> Word:
-    """The list ``symbols``, which it empties, as a stream coded by the
-    join of ``parts``, cut to its length; the copy reuses the list's
-    memory, and the join the tuple's."""
-    stream = tuple(symbols)
-    symbols.clear()
-    stream = _Coded(stream)
-    # the last part may hold a padded chunk's surplus
-    stream.code = b"".join(parts)[:len(stream)]
+def _word(stream: Stream) -> Word:
+    """The symbols of a stream: a byte code's, or a tuple as it is."""
+    if isinstance(stream, bytes):
+        return tuple(map(_SYMBOL.__getitem__, stream))
     return stream
 
 
-# code byte -> mask byte, and -> token byte, a space for a data symbol
-# of two or more digits
-_MASK = bytes(1) + b"\x01" * 255
-_TOKEN_BYTES = b"N0123456789".ljust(256, b" ")
-
-
-def _data_mask(word: Iterable[Symbol]) -> bytes:
-    """One byte per symbol: 1 for a data symbol, 0 for silence ``N``.
-
-    A coded stream's mask is one ``translate`` of its code."""
-    if type(word) is _Coded:
-        return word.code.translate(_MASK)
-    return bytes(map(operator.is_not, word, repeat(N)))
+def _data_mask(stream: Stream) -> bytes:
+    """One byte per symbol: 1 for a data symbol, 0 for silence ``N``."""
+    if isinstance(stream, bytes):
+        return stream.translate(_MASK)
+    return bytes(map(operator.is_not, stream, repeat(N)))
 
 
 # two or more data symbols in a row, in a :func:`_data_mask`
 _DATA_RUN = re.compile(rb"\x01\x01+")
 
 
-def is_admissible(word: Sequence[Symbol]) -> bool:
+def is_admissible(word: Union[bytes, Sequence[Symbol]]) -> bool:
     """True iff no two consecutive symbols are both data symbols.
 
-    The mask is built and searched in C, so Python does no work per
-    symbol; a stream from ``encode`` gives its mask with one
-    ``translate`` of its byte code. A ``word`` that is not iterable, or
-    is a ``str``, raises :class:`StreamFormatError`.
-    """
-    _check_iterable(word, "word", "a sequence of symbols")
-    return _DATA_RUN.search(_data_mask(word)) is None
+    ``word`` is a byte code or a sequence of symbols; a code's mask of data
+    slots is one ``translate``, searched in C. A ``word`` that is not
+    iterable, or is a ``str``, raises :class:`StreamFormatError`."""
+    return _DATA_RUN.search(_data_mask(_stream(word, "word"))) is None
 
 
 # Python refuses to convert longer digit strings when its int string
@@ -211,14 +209,17 @@ def is_bits(text: str) -> bool:
 
 
 class _Symbols(dict):
-    """Token -> symbol, each token checked and converted on first sight."""
+    """Token -> symbol, each token checked and converted on first sight;
+    any other item is taken as a symbol."""
 
     def __init__(self, q):
         super().__init__()
         self._q = q
 
     def __missing__(self, token):
-        if token == "N":
+        if not isinstance(token, str):
+            symbol = token
+        elif token == "N":
             symbol = N
         elif is_decimal(token):
             symbol = int(token)
@@ -231,16 +232,58 @@ class _Symbols(dict):
         return symbol
 
 
-class _CanonicalSymbols(_Symbols):
-    """A token table that outlives its calls: a token spelled otherwise
-    than ``str`` spells its symbol (``00`` for ``0``; ``str(N)`` is
-    ``N``) is converted but not kept, so new spellings cannot grow it."""
+class _Codes(dict):
+    """Token or symbol -> code byte, checked as :class:`_Symbols` checks
+    it: ``KeyError`` for no symbol below 255, which is never stored."""
 
-    def __missing__(self, token):
-        symbol = super().__missing__(token)
-        if token != str(symbol):
-            self.pop(token, None)
-        return symbol
+    def __init__(self, q):
+        super().__init__()
+        self._symbol = _Symbols(q).__getitem__
+
+    def __missing__(self, item):
+        self[item] = code = _CODE[self._symbol(item)]
+        return code
+
+
+def _chars_code(chars: str, q: int) -> Optional[bytes]:
+    """The byte code of one-character tokens, one per character of
+    ``chars``, by one ``translate``; ``None`` if one is no token for q."""
+    text = chars.encode("ascii", "replace")  # "?" for any other character
+    # the valid one-character tokens: N and the digits below min(q, 10)
+    if text.translate(None, b"N0123456789"[:min(q, 10) + 1]):
+        return None
+    return text.translate(_CHAR_CODE)
+
+
+def _read(word: Sequence, q: int):
+    """``word`` (a byte code, symbols or tokens, checked as parse_stream
+    checks them) as q's machines read it: a byte code for q <= 255, else a
+    tuple, with ``None``; or the stream of the items before the first bad
+    token, unhashable item or (q <= 255) non-symbol, with its index and
+    error. One-character tokens take one join."""
+    if q > 255:
+        table, join = _Symbols(q), tuple
+        if isinstance(word, (bytes, bytearray)):
+            word = _word(bytes(word))
+    else:
+        table, join = _Codes(q), bytes
+        code = _code_of(word)
+        try:
+            if code is None and len(chars := "".join(word)) == len(word):
+                code = _chars_code(chars, q)
+        except TypeError:  # an item is no str
+            pass
+        if code is not None:
+            return code, None
+    try:
+        return join(map(table.__getitem__, word)), None
+    except (RelaycastError, KeyError, TypeError):
+        converted = []
+    for item in word:  # again, up to the first bad item
+        try:
+            converted.append(table[item])
+        except (RelaycastError, KeyError, TypeError) as exc:
+            return join(converted), (len(converted), exc)
 
 
 def _normalize_bits(bits, name: str = "bits") -> str:
@@ -254,40 +297,72 @@ def _normalize_bits(bits, name: str = "bits") -> str:
     return text
 
 
-def parse_stream(text: str, q: int | None = None) -> Word:
-    """Parse a token stream like ``0 N 1 N N`` into a word.
+def _chunk_values(bits: str, width: int):
+    """The values of the ``width``-bit chunks of ``bits`` (width up to 64),
+    read in C: each chunk is copied into an 8, 16, 32 or 64-bit field, one
+    strided copy per bit, and the fields are read as one number."""
+    size = 8 << max(0, (width - 1).bit_length() - 3)
+    fields = bits
+    if width < size:
+        fields = bytearray(b"0") * (len(bits) // width * size)
+        text = bits.encode()
+        for j in range(width):
+            fields[size - width + j::size] = text[j::width]
+    data = int(fields, 2).to_bytes(len(fields) // 8, "big")
+    if size == 8:
+        return data
+    field = {16: "H", 32: "I", 64: "Q"}[size]  # struct's format of a field
+    return struct.unpack(f">{len(data) * 8 // size}{field}", data)
 
-    When ``q`` is given, data symbols must lie in ``0..q-1``. Each
-    distinct token is checked once, on its first occurrence, so the
-    first bad token of the stream is the one reported. A ``text`` that
-    is not a ``str`` raises :class:`StreamFormatError`.
-    """
+
+def _split(stream: Stream, n: int):
+    """``stream`` cut into its n-item slices; a byte code is cut in C."""
+    if isinstance(stream, bytes):
+        return struct.Struct(f"{n}s" * (len(stream) // n)).unpack(stream)
+    return tuple(map(stream.__getitem__, map(slice, range(0, len(stream), n),
+                                             range(n, len(stream) + n, n))))
+
+
+def parse_stream(text: str, q: int | None = None) -> Stream:
+    """Parse a token stream like ``0 N 1 N N``.
+
+    When ``q`` is given, data symbols must lie in ``0..q-1``, and for q <=
+    255 the result is the byte code: one-character tokens one space apart
+    take a strided slice and one ``translate``. Otherwise it is a tuple of
+    symbols. Each distinct token is checked on its first occurrence, so
+    the first bad token is the one reported. A ``text`` that is not a
+    ``str`` raises :class:`StreamFormatError`."""
     _check_type(text, str, "text", StreamFormatError)
-    if q is not None:
-        _check_int(q, "q")
-    return tuple(map(_Symbols(q).__getitem__, text.split()))
+    if q is None:
+        return tuple(map(_Symbols(q).__getitem__, text.split()))
+    _check_int(q, "q")
+    if q <= 255 and (chars := text.strip())[1::2] == " " * (len(chars) // 2):
+        code = _chars_code(chars[::2], q)
+        if code is not None:
+            return code
+    stream, fault = _read(text.split(), q)
+    if fault:
+        raise fault[1]
+    return stream
 
 
-def format_stream(word: Sequence[Symbol]) -> str:
-    """Inverse of :func:`parse_stream`.
-
-    A stream from ``encode`` whose tokens are all one character (q <=
-    10) is spelled from its byte code, with one ``translate`` and a
-    strided copy. Otherwise each distinct symbol is converted once;
-    values that compare equal, such as ``True`` and ``1``, share the
-    token of the first one. A ``word`` that is not iterable, is a
-    ``str`` or holds an unhashable symbol raises
-    :class:`StreamFormatError`.
-    """
-    _check_iterable(word, "word", "a sequence of symbols")
-    if type(word) is _Coded:
-        tokens = word.code.translate(_TOKEN_BYTES)
-        if b" " not in tokens:
-            text = bytearray(b" ") * (2 * len(tokens) - 1)
-            text[::2] = tokens
-            return text.decode()
+def format_stream(word: Union[bytes, Sequence[Symbol]]) -> str:
+    """Inverse of :func:`parse_stream`, for a byte code or a sequence of
+    symbols, read as its code when it has one. A code of one-character
+    tokens is spelled with one ``translate`` and a strided copy; a stream
+    with no code symbol by symbol, each distinct symbol converted once. A
+    ``word`` that is not iterable, is a ``str`` or holds an unhashable
+    symbol raises :class:`StreamFormatError`."""
+    stream = _stream(word, "word")
+    if isinstance(stream, bytes):
+        tokens = stream.translate(_TOKEN_BYTES)
+        if b" " in tokens:
+            return " ".join(map(str, map(_SYMBOL.__getitem__, stream)))
+        text = bytearray(b" ") * (2 * len(tokens) - 1)
+        text[::2] = tokens
+        return text.decode()
     try:
-        return " ".join(map(_Table(str).__getitem__, word))
+        return " ".join(map(_Table(str).__getitem__, stream))
     except TypeError as exc:  # looking a symbol up hashes it
         raise StreamFormatError(
             f"word holds an unhashable symbol: {exc}") from None

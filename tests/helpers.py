@@ -14,8 +14,8 @@ vector by a search over every vector in order of sum, and ``decode``
 by the path-tracking decoder that carries every candidate's bit string
 forward, the anticipation certificate by the memoised depth-first
 search that the pair-graph walk replaced, ``encode`` by the loop that
-looks up one block at a time, and the stream text formats by the loops
-that convert one token or symbol at a time.
+looks up one block at a time, and the stream text formats and byte
+codes by the loops that convert one token or symbol at a time.
 """
 
 import math
@@ -65,7 +65,8 @@ def outcome(fn, *args):
 
 
 def parse_stream_oracle(text, q=None):
-    """The word ``parse_stream`` must return, or the error it must raise.
+    """The stream ``parse_stream`` must return, or the error it must
+    raise: the byte code of the symbols for q <= 255, else their tuple.
 
     Checks each distinct token once, in order of first occurrence, in a
     pass before the conversion.
@@ -83,7 +84,8 @@ def parse_stream_oracle(text, q=None):
             symbols[token] = value
         else:
             raise StreamFormatError(f"bad stream token {token!r}")
-    return tuple(symbols[token] for token in tokens)
+    word = tuple(symbols[token] for token in tokens)
+    return word if q is None or q > 255 else code_of(word)
 
 
 def format_stream_oracle(word):
@@ -91,18 +93,34 @@ def format_stream_oracle(word):
     return " ".join(["N" if s is N else str(s) for s in word])
 
 
+def code_of(word):
+    """The byte code of a word of symbols below 255, one symbol at a
+    time: 0 for N, k + 1 for data symbol k."""
+    return bytes(0 if s is N else s + 1 for s in word)
+
+
+def symbols_of(stream):
+    """The symbols of a stream, one at a time: a byte code's (0 is N,
+    k + 1 is data symbol k), or any other sequence's as a tuple."""
+    if isinstance(stream, (bytes, bytearray)):
+        return tuple(N if b == 0 else b - 1 for b in stream)
+    return tuple(stream)
+
+
 def encode_oracle(encoder, bits):
     """The ``(stream, header)`` that ``encode`` must return.
 
     Looks up one p-bit block at a time in ``encoder.transitions``, then
-    appends ``encoder.anticipation`` flush blocks under tag 0.
+    appends ``encoder.anticipation`` flush blocks under tag 0. The
+    stream is the symbols' byte code for q <= 255, else their tuple.
     """
     text = bits if isinstance(bits, str) else "".join(str(b) for b in bits)
     if text.strip("01"):
         raise StreamFormatError("bit strings may contain only 0 and 1")
     length = len(text)
+    form = code_of if encoder.q <= 255 else tuple
     if length == 0:
-        return (), FrameHeader(0, 0)
+        return form(()), FrameHeader(0, 0)
     pad = (-length) % encoder.p
     text += "0" * pad
     out = []
@@ -113,7 +131,7 @@ def encode_oracle(encoder, bits):
     for _ in range(encoder.anticipation):
         word, state = encoder.transitions[state][0]
         out.extend(word)
-    return tuple(out), FrameHeader(length, pad)
+    return form(out), FrameHeader(length, pad)
 
 
 def scan_admissible(word):
@@ -241,7 +259,8 @@ class NodeTrace:
 def transmitted(trace):
     """Slot-major rows of what every node of ``trace`` sent, in node order:
     the layout of ``NodeTrace.transmitted``."""
-    return tuple(zip(*(trace.transmit_stream(v) for v in trace.nodes)))
+    return tuple(zip(*(symbols_of(trace.transmit_stream(v))
+                       for v in trace.nodes)))
 
 
 def simulate_per_node(topo, source_stream, extra_slots=None):
@@ -251,7 +270,7 @@ def simulate_per_node(topo, source_stream, extra_slots=None):
     parent's symbol, ON it records an erasure, stores silence and logs a
     violation if the parent sent data.
     """
-    stream = tuple(source_stream)
+    stream = symbols_of(source_stream)
     if extra_slots is None:
         extra_slots = topo.max_depth
     nodes = topo.nodes
@@ -325,7 +344,7 @@ def simulate_per_depth(topo, source_stream, extra_slots=None):
     Each depth's scan reads the stream of the depth above, so no row is
     derived from depth 1's; nodes then copy the rows of their depth.
     """
-    stream = tuple(source_stream)
+    stream = symbols_of(source_stream)
     if extra_slots is None:
         extra_slots = topo.max_depth
     sent = stream + (N,) * extra_slots
@@ -660,7 +679,7 @@ def decode_oracle(encoder, word, header):
     bits; stray streams that match no transition raise
     :class:`UnknownCodewordError` at the offending block.
     """
-    stream = tuple(word)
+    stream = symbols_of(word)
     if len(stream) % encoder.n:
         raise FramingError(
             f"stream length {len(stream)} is not a multiple of n={encoder.n}")
@@ -676,7 +695,10 @@ def decode_oracle(encoder, word, header):
     if message_blocks == 0:
         return ""
 
-    lookup = encoder._by_codeword
+    lookup = [{} for _ in encoder.transitions]
+    for state, outs in enumerate(encoder.transitions):
+        for tag, (word, nxt) in enumerate(outs):
+            lookup[state].setdefault(word, []).append((tag, nxt))
     candidates = {encoder.start_state: ""}
     for i in range(total):
         block = stream[i * encoder.n:(i + 1) * encoder.n]

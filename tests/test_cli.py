@@ -367,6 +367,21 @@ def test_simulate_cli(tmp_path, capsys):
     assert "node 2 depth 2: ok" in out
 
 
+@pytest.mark.parametrize("extra_slots", ["1000000000000", "1" * 30])
+def test_simulate_refuses_a_horizon_past_the_slot_budget(tmp_path, capsys,
+                                                         extra_slots):
+    """One error line and exit 1, before any row is built: these ended in
+    a MemoryError and an OverflowError traceback."""
+    tree = tmp_path / "chain.txt"
+    tree.write_text(chain_text(1))
+    assert run(["simulate", "--tree", str(tree), "--stream", "0 N",
+                "--extra-slots", extra_slots]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: 2 stream slots and extra_slots={extra_slots} pass "
+                   f"the simulation budget of {2 ** 26} slots\n")
+
+
 def test_end_to_end_cli(tmp_path, capsys):
     tree = tmp_path / "fig1.txt"
     tree.write_text(fig1_text())

@@ -15,6 +15,7 @@ from relaycast import (ERASED, EnumerationCapError, InvalidMatrixError,
                        spectral_radius)
 from relaycast.constraint import (_power_adjacency, make_constraint,
                                   power_graph)
+import relaycast.symbols as symbols_module
 from relaycast.symbols import is_data
 from helpers import (brute_force_words, count_leading_coefficient,
                      format_stream_oracle, matrix_power, outcome,
@@ -82,12 +83,23 @@ _TOKENS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(tokens=st.lists(_TOKENS), q=st.one_of(st.none(), st.integers(1, 7)),
+@given(tokens=st.lists(_TOKENS),
+       q=st.one_of(st.none(), st.integers(1, 7),
+                   st.sampled_from([10, 11, 255, 256, 10 ** 6])),
        sep=st.sampled_from([" ", "  ", "\t", "\n", " \r\n "]))
 def test_parse_stream_matches_per_token_oracle(tokens, q, sep):
     """The same word, or the same error for the first bad token."""
     text = sep.join(tokens)
     assert outcome(parse_stream, text, q) == outcome(parse_stream_oracle, text, q)
+
+
+def test_one_character_tokens_one_space_apart_take_a_strided_slice(
+        monkeypatch):
+    """Such a text is read with a strided slice and one translate, with no
+    split and no token table: ``_read`` is not called."""
+    monkeypatch.setattr(symbols_module, "_read", None)
+    assert parse_stream("N 0 N N 0", q=1) == bytes([0, 1, 0, 0, 1])
+    assert parse_stream(" 9 N 2\n", q=12) == bytes([10, 0, 3])
 
 
 @pytest.mark.parametrize("q", ["2", 2.0, 0, True])

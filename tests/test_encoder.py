@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from relaycast import (AmbiguousEncoderError, EncoderFormatError,
                        EnumerationCapError, FrameHeader, FramingError,
@@ -29,10 +30,12 @@ from relaycast.constraint import (_past_capacity, _power_adjacency,
 from relaycast.encoder import (ApproxEigenvector, Encoder, _anticipation,
                                _codeword_index, _parse, _synthesize,
                                find_approximate_eigenvector, split_states)
+from relaycast.symbols import _chunk_values
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
-                     approximate_eigenvector_oracle, decode_oracle,
+                     approximate_eigenvector_oracle, code_of, decode_oracle,
                      deep_encoder_text, encode_oracle, matrix_vector,
-                     outcome, random_bits, rows_adjacency, rows_graph)
+                     outcome, random_bits, rows_adjacency, rows_graph,
+                     symbols_of)
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -456,7 +459,7 @@ def test_block_streams_within_counting_bound(enc_q1, enc_q6):
 
 def test_encode_empty(enc_q1):
     stream, header = encode(enc_q1, "")
-    assert stream == ()
+    assert stream == b""
     assert header == FrameHeader(0, 0)
     assert decode(enc_q1, stream, header) == ""
 
@@ -465,7 +468,7 @@ def test_encode_first_block_is_tagged_codeword(enc_q6):
     bits = "101"
     stream, _ = encode(enc_q6, bits)
     word, _ = enc_q6.transitions[enc_q6.start_state][int(bits, 2)]
-    assert stream[:2] == word
+    assert stream[:2] == code_of(word)
 
 
 def test_encode_length_formula(enc_q1, enc_q6):
@@ -491,6 +494,17 @@ def test_roundtrip_randomized(enc_q1, enc_q6):
             assert decode(machine, stream, header) == bits
 
 
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 20), bits=st.text("01", min_size=1, max_size=180))
+def test_chunk_values_match_a_per_chunk_parse(width, bits):
+    """The chunk values encode reads in C, in fields of 8, 16 or 32 bits,
+    against ``int`` of each chunk, with zeros padding the tail to whole
+    chunks as encode pads it."""
+    bits += "0" * (-len(bits) % width)
+    assert list(_chunk_values(bits, width)) == [
+        int(bits[i:i + width], 2) for i in range(0, len(bits), width)]
+
+
 def test_encode_accepts_int_sequences(enc_q1):
     stream_a, header_a = encode(enc_q1, [1, 0, 1, 1])
     stream_b, header_b = encode(enc_q1, "1011")
@@ -499,7 +513,7 @@ def test_encode_accepts_int_sequences(enc_q1):
 
 def test_decode_unknown_codeword(enc_q1):
     stream, header = encode(enc_q1, "110010")
-    corrupted = (0, 0, 0) + stream[3:]  # adjacent data symbols
+    corrupted = (0, 0, 0) + symbols_of(stream)[3:]  # adjacent data symbols
     with pytest.raises(UnknownCodewordError):
         decode(enc_q1, corrupted, header)
 
@@ -514,7 +528,8 @@ def test_decode_rejects_a_str_word(enc_q1):
 
 
 def test_token_blocks_are_converted_once_per_row(enc_q1):
-    """A second decode of the same tokens converts nothing."""
+    """A second decode of the same tokens takes no step: each chunk and
+    block of their byte code is one lookup in the warm table."""
     machine = parse_encoder(serialize_encoder(enc_q1))
     bits = random_bits(random.Random(3), 1000)
     stream, header = encode(machine, bits)
@@ -598,9 +613,10 @@ def test_decode_matches_oracle(differential_machines, data):
     machine = differential_machines[name]
     bits = data.draw(st.text("01", max_size=12 * machine.p))
     stream, header = encode(machine, bits)
-    kind, stream, header = _corrupt(data, machine, stream, header)
+    kind, stream, header = _corrupt(data, machine, symbols_of(stream), header)
     expected = outcome(decode_oracle, machine, stream, header)
     assert outcome(decode, machine, stream, header) == expected
+    assert outcome(decode, machine, code_of(stream), header) == expected
     if kind == "none" and name in DIFFERENTIAL_RATES:
         assert expected == bits
 
@@ -636,8 +652,9 @@ def _token_outcome(machine, symbols, header, at, token):
 @given(data=st.data())
 def test_chunked_decode_matches_oracle(differential_machines, data):
     """Messages of 2 to 4 whole chunks and 0 to k-1 blocks more, intact
-    or with one symbol or one token changed at a drawn block of a chunk:
-    symbols and tokens decode as the oracle decodes the symbols."""
+    or with one symbol, one token or one item that is no symbol changed
+    at a drawn block of a chunk: symbols, their code and tokens decode
+    as the oracle decodes the symbols."""
     name = data.draw(st.sampled_from(sorted(differential_machines, key=str)))
     machine = differential_machines[name]
     k, n, p = machine._chunk_blocks, machine.n, machine.p
@@ -646,8 +663,9 @@ def test_chunked_decode_matches_oracle(differential_machines, data):
     length = p * blocks - data.draw(st.integers(0, p - 1))
     bits = data.draw(st.text("01", min_size=length, max_size=length))
     stream, header = encode(machine, bits)
+    stream = symbols_of(stream)
     tokens = format_stream(stream).split()
-    kind = data.draw(st.sampled_from(["none", "symbol", "token"]))
+    kind = data.draw(st.sampled_from(["none", "symbol", "token", "no symbol"]))
     # a symbol of block j of chunk c, or of a block after the whole chunks
     block = k * data.draw(st.integers(0, chunks)) + data.draw(
         st.integers(0, k - 1))
@@ -657,8 +675,14 @@ def test_chunked_decode_matches_oracle(differential_machines, data):
             [s for s in list(range(machine.q)) + [N] if s is not stream[at]]))
         stream = stream[:at] + (symbol,) + stream[at + 1:]
         tokens = format_stream(stream).split()
+    if kind == "no symbol":
+        junk = data.draw(st.sampled_from([None, 2.5, 300]))
+        stream = stream[:at] + (junk,) + stream[at + 1:]
+        tokens[at] = junk
     expected = outcome(decode_oracle, machine, stream, header)
     assert outcome(decode, machine, stream, header) == expected
+    if kind != "no symbol":
+        assert outcome(decode, machine, code_of(stream), header) == expected
     if kind == "token":
         token = data.draw(st.sampled_from(["x", "0x", str(machine.q), "-1"]))
         tokens[at] = token
@@ -669,8 +693,11 @@ def test_chunked_decode_matches_oracle(differential_machines, data):
 
 
 def test_cold_token_decode_converts_each_token_once(enc_q6):
-    """A fresh machine's first token decode checks and converts each
-    distinct token once, however many rows and chunks meet it."""
+    """A fresh machine's first token decode reads one-character tokens
+    into the byte code with one join and one translate, calling no code
+    per token, and other spellings (``00`` for ``0``) through one token
+    table, each distinct token once, however many rows and chunks meet
+    it."""
     machine = _parse.__wrapped__(serialize_encoder(enc_q6))  # not memoised
     bits = random_bits(random.Random(8), 3000)
     stream, header = encode(machine, bits)
@@ -680,7 +707,11 @@ def test_cold_token_decode_converts_each_token_once(enc_q6):
                                    side_effect=symbols_module._Symbols.__missing__)
     with converting as counting:
         assert decode(machine, tokens, header) == bits
-    assert 0 < counting.call_count <= len(set(tokens))
+    assert counting.call_count == 0
+    respelled = [t if t == "N" else "0" + t for t in tokens]
+    with converting as counting:
+        assert decode(machine, respelled, header) == bits
+    assert 0 < counting.call_count <= len(set(respelled))
 
 
 _TOPOLOGY = parse_tree("0 -\n1 0\n")
@@ -926,8 +957,10 @@ def test_deep_certificate_parses_without_recursion():
 
 
 def test_respelled_tokens_leave_the_subset_table_as_it_was(enc_q1):
-    """Blocks of ``00``-style tokens decode but are never stored, so a
-    caller sent new spellings does not grow the machine's table."""
+    """Tokens of any spelling (``00`` for ``0``), and lists mixing tokens
+    and symbols, are read into the byte code on entry, so the table keys
+    only byte slices, and a caller sent new spellings does not grow the
+    machine's table."""
     machine = parse_encoder(serialize_encoder(enc_q1))
     bits = random_bits(random.Random(5), 300)
     stream, header = encode(machine, bits)
@@ -940,22 +973,18 @@ def test_respelled_tokens_leave_the_subset_table_as_it_was(enc_q1):
         return {(after, block) for after, row in rows.items() for block in row}
 
     stored = keys()
-    token_blocks = [" ".join(b) for _, b in stored if isinstance(b[0], str)]
-    assert token_blocks
-    assert all(format_stream(parse_stream(b)) == b for b in token_blocks)
-    # blocks and chunks of blocks, each all symbols or all tokens
+    assert stored and all(type(b) is bytes for _, b in stored)
+    # blocks and chunks of blocks
     assert {len(b) for _, b in stored} == {machine.n,
                                            machine._chunk_blocks * machine.n}
-    assert all(len({isinstance(s, str) for s in b}) == 1 for _, b in stored)
     for zeros in ("0", "00", "0" * 639):
         respelled = [t if t == "N" else zeros + t for t in tokens]
         assert decode(machine, respelled, header) == bits
-    # every other block as symbols: no chunk is all symbols or all tokens
-    n = machine.n
-    mixed = [stream[i] if i // n % 2 else t for i, t in enumerate(tokens)]
+    # every other block as symbols
+    n, symbols = machine.n, symbols_of(stream)
+    mixed = [symbols[i] if i // n % 2 else t for i, t in enumerate(tokens)]
     assert decode(machine, mixed, header) == bits
     assert keys() == stored
-    assert set(machine._subset_table._symbols) == {"0", "N"}
 
 
 @pytest.fixture(scope="module")
@@ -1050,3 +1079,63 @@ def test_codeword_indexes_per_machine(source, indexes):
             stream, header = encode(machine, bits)
             assert decode(machine, stream, header) == bits
     assert counting.call_count == indexes
+
+
+# ten rates, more than the 8 machines each memo keeps, so both evict
+STATEFUL_RATES = [(1, 1, 2), (1, 2, 3), (1, 3, 5), (2, 1, 1), (2, 3, 3),
+                  (3, 2, 2), (6, 1, 1), (6, 3, 2), (1, 5, 8), (2, 4, 4)]
+
+
+class SharedMachines(RuleBasedStateMachine):
+    """Build, parse, encode and decode interleaved over ten rates: every
+    shared machine, memoised on its rate or its text with the tables its
+    earlier calls filled, gives the results and errors of a fresh twin
+    with empty tables, on intact, corrupted, respelled (``00``) and
+    mixed streams of tokens and symbols."""
+
+    @rule(rate=st.sampled_from(STATEFUL_RATES), parsed=st.booleans())
+    def make(self, rate, parsed):
+        shared, twin = self._pair(rate, parsed)
+        assert serialize_encoder(shared) == serialize_encoder(twin)
+
+    @rule(rate=st.sampled_from(STATEFUL_RATES), parsed=st.booleans(),
+          bits=st.text("01", max_size=40),
+          change=st.sampled_from(["none", "symbol", "respell", "mix",
+                                  "bad token", "length"]),
+          at=st.integers(0))
+    def round_trip(self, rate, parsed, bits, change, at):
+        shared, twin = self._pair(rate, parsed)
+        stream, header = encode(shared, bits)
+        assert (stream, header) == encode(twin, bits)
+        tokens = format_stream(stream).split()
+        word, symbols = tokens, symbols_of(stream)
+        at %= max(len(tokens), 1)
+        if change == "symbol" and tokens:
+            word = symbols[:at] + (0 if symbols[at] is N else N,) + symbols[at + 1:]
+        elif change == "respell":
+            word = ["00" + t if t != "N" else t for t in tokens]
+        elif change == "mix":
+            word = [s if i % 2 else t for i, (s, t) in
+                    enumerate(zip(symbols, tokens))]
+        elif change == "bad token" and tokens:
+            word = tokens[:at] + ["x"] + tokens[at + 1:]
+        elif change == "length":
+            header = FrameHeader(header.bit_length + shared.p, header.pad)
+        got = outcome(decode, shared, word, header)
+        assert got == outcome(decode, twin, word, header)
+        if change in ("none", "respell", "mix"):
+            assert got == bits
+
+    @staticmethod
+    def _pair(rate, parsed):
+        """The shared machine of ``rate``, built or parsed, and a twin
+        that no memo holds."""
+        if parsed:
+            text = serialize_encoder(_synthesize.__wrapped__(*rate))
+            return parse_encoder(text), _parse.__wrapped__(text)
+        return build_encoder(*rate), _synthesize.__wrapped__(*rate)
+
+
+SharedMachines.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None)
+test_shared_machines_act_as_fresh_twins = SharedMachines.TestCase

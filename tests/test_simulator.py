@@ -18,9 +18,10 @@ from relaycast import (ERASED, DeliveryReport, EndToEndReport,
                        format_stream, is_admissible, parse_stream, parse_tree,
                        simulate, verify_delivery)
 from relaycast.symbols import _data_mask, is_data
-from helpers import (ROUND_TRIP_RATES, chain_text, decode_oracle, fig1_text,
-                     random_admissible_stream, random_bits, random_stream,
-                     relay_oracle, simulate_per_depth, simulate_per_node,
+from helpers import (ROUND_TRIP_RATES, chain_text, code_of, decode_oracle,
+                     fig1_text, outcome, random_admissible_stream,
+                     random_bits, random_stream, relay_oracle,
+                     simulate_per_depth, simulate_per_node, symbols_of,
                      transmitted)
 
 
@@ -77,7 +78,7 @@ def test_hand_traced_chain():
     stream = parse_stream("0 N 0 N N")
     trace = simulate(topo, stream)  # default drain: depth = 2 extra slots
     assert trace.num_slots == 7
-    assert trace.transmit_stream(2) == parse_stream("N N 0 N 0 N N")
+    assert trace.transmit_stream(2) == code_of(parse_stream("N N 0 N 0 N N"))
     assert trace.violations == ()
 
 
@@ -105,6 +106,18 @@ def test_erased_reception_marked():
 def test_negative_extra_slots_rejected():
     with pytest.raises(InvalidParameterError):
         simulate(parse_tree(chain_text(1)), (N,), extra_slots=-1)
+
+
+@pytest.mark.parametrize("extra_slots", [
+    10**12, 10**30, relaycast.simulator._SLOT_BUDGET - 1])
+def test_a_horizon_past_the_slot_budget_is_refused(extra_slots):
+    """Refused from its size, before a row is built: 10**12 slots used to
+    end in MemoryError and 10**30 in OverflowError."""
+    with pytest.raises(InvalidParameterError) as excinfo:
+        simulate(parse_tree(chain_text(1)), parse_stream("0 N"), extra_slots)
+    assert str(excinfo.value) == (
+        f"2 stream slots and extra_slots={extra_slots} pass the simulation "
+        f"budget of {relaycast.simulator._SLOT_BUDGET} slots")
 
 
 @pytest.mark.parametrize("extra_slots", [1.5, "2", True, -1])
@@ -163,7 +176,7 @@ def test_delay_law_on_deep_chain():
         d = topo.depth[node]
         actual = trace.transmit_stream(node)
         expected = ((N,) * d + stream + (N,) * trace.num_slots)[:trace.num_slots]
-        assert actual == expected
+        assert symbols_of(actual) == expected
 
 
 def test_erasures_only_hide_silence_under_admissible_source():
@@ -337,7 +350,8 @@ def _assert_matches(oracle, topo, stream, extra_slots):
     assert trace.violations == oracle.violations
     assert trace.export() == oracle.export()
     for node in topo.nodes:
-        assert trace.transmit_stream(node) == oracle.transmit_stream(node)
+        assert symbols_of(trace.transmit_stream(node)) == \
+            oracle.transmit_stream(node)
     horizon = trace.num_slots
     # checked against the simulated stream and against another one
     for claimed in (stream, stream[1:] + (0,)):
@@ -383,6 +397,8 @@ def test_simulate_matches_per_depth_oracle(topo, stream, extra_slots):
 def test_relay_matches_per_slot_oracle(stream):
     mask = _data_mask(stream)
     assert relaycast.simulator._relay(stream, mask) == relay_oracle(stream)
+    sent, lost = relaycast.simulator._relay(code_of(stream), mask)
+    assert (symbols_of(sent), lost) == relay_oracle(stream)
 
 
 def test_verify_delivery_shares_bounded_records_on_deep_chain():
@@ -470,6 +486,7 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
     """
     machine = build_encoder(*code)
     stream, header = encode(machine, bits)
+    stream = symbols_of(stream)
     if flip is not None and stream:
         i = flip % len(stream)
         stream = stream[:i] + ((0 if stream[i] is N else N),) + stream[i + 1:]
@@ -509,6 +526,7 @@ def test_end_to_end_decodes_each_distinct_window_once():
     topo = parse_tree(fig1_text())
     bits = random_bits(random.Random(11), 90)
     stream, header = encode(build_encoder(1, 2, 3), bits)
+    stream = symbols_of(stream)
     counting = mock.Mock(wraps=relaycast.simulator.decode)
     with mock.patch.object(relaycast.simulator, "decode", counting):
         assert end_to_end(1, 2, 3, topo, bits).all_recovered
@@ -523,8 +541,8 @@ def test_end_to_end_decodes_each_distinct_window_once():
             report = end_to_end(1, 2, 3, topo, bits)
         assert counting.call_count == 3
     # the relay silences the inserted symbol and so forwards the original
-    assert [call.args[1] for call in counting.call_args_list[1:]] == \
-        [flipped, stream]
+    assert [symbols_of(call.args[1])
+            for call in counting.call_args_list[1:]] == [flipped, stream]
     assert [entry.recovered for entry in report.nodes] == \
         [entry.depth > 0 for entry in report.nodes]
 
@@ -551,7 +569,7 @@ def test_report_verdicts_follow_each_pattern(text, change):
     topo = parse_tree(text)
     bits = random_bits(random.Random(12), 90)
     stream, header = encode(build_encoder(1, 2, 3), bits)
-    stream = _changed(stream, change)
+    stream = _changed(symbols_of(stream), change)
     with mock.patch.object(relaycast.simulator, "encode",
                            lambda *_: (stream, header)):
         report = end_to_end(1, 2, 3, topo, bits)
@@ -576,6 +594,7 @@ def test_alternating_patterns_rebuild_the_kept_records():
     topo = parse_tree(fig1_text())
     bits = random_bits(random.Random(13), 90)
     stream, header = encode(build_encoder(1, 2, 3), bits)
+    stream = symbols_of(stream)
     reports = []
     for change in (None, "insert", None, "insert"):
         changed = _changed(stream, change)
@@ -649,47 +668,47 @@ def test_relayed_window_equals_the_stream_iff_nothing_is_lost(stream,
     data slot inside the stream and depth 1 silences it."""
     trace = simulate(parse_tree(chain_text(1)), stream, extra_slots)
     window = trace.relayed[1:1 + len(stream)]
-    assert (window == stream) is not trace.lost
+    assert (window == code_of(stream)) is (not trace.lost)
     assert all(stream[t] is not N for t in trace.lost)
 
 
 # ---------------------------------------------------------------------------
-# coded streams: encode's tuple subclass against a plain tuple
-
-def _spelled_code(stream):
-    return bytes(0 if s is N else s + 1 for s in stream)
-
+# one stream form: a byte code and the tuple of its symbols read alike
 
 def _views(topo, stream, header, machine):
-    """Everything a reader makes of ``stream``."""
+    """Everything a stream function makes of ``stream``, or its error."""
     trace = simulate(topo, stream)
     report = verify_delivery(trace, topo, stream)
     return (format_stream(stream), is_admissible(stream), trace.source,
-            trace.relayed, trace.lost, trace.export(), report.nodes,
-            report.violations, decode(machine, stream, header))
+            trace.relayed, trace.lost, trace.export(), trace.received,
+            trace.violations, [trace.transmit_stream(v) for v in topo.nodes],
+            report.nodes, report.violations,
+            outcome(decode, machine, stream, header))
 
 
 @settings(max_examples=200, deadline=None)
 @given(topo=trees(), rate=st.sampled_from(ROUND_TRIP_RATES),
-       bits=st.text(alphabet="01", max_size=80))
-def test_coded_streams_read_as_their_tuples(topo, rate, bits):
-    """Every reader gives the same result on ``encode``'s stream as on
-    the plain tuple of its symbols, which takes the per-symbol paths;
-    the code is spelled here one symbol at a time."""
+       bits=st.text(alphabet="01", max_size=80),
+       change=st.one_of(st.none(), st.tuples(st.integers(0), st.integers(0))))
+def test_coded_streams_read_as_their_tuples(topo, rate, bits, change):
+    """``encode``'s stream is the byte code of its symbols, spelled here
+    one symbol at a time, and every stream function gives equal results
+    and equal errors on the code and on the tuple of its symbols, intact
+    or with one symbol changed (a decode error, and often violations)."""
     machine = build_encoder(*rate)
     stream, header = encode(machine, bits)
-    plain = tuple(stream)
-    assert type(plain) is tuple and plain == stream
-    if stream:
-        assert type(stream) is not tuple
-        assert stream.code == _spelled_code(plain)
-    assert _views(topo, stream, header, machine) == \
+    assert type(stream) is bytes
+    plain = symbols_of(stream)
+    if change is not None and stream:
+        at, symbol = change[0] % len(plain), change[1] % (machine.q + 1)
+        plain = plain[:at] + ((N if symbol == machine.q else symbol),) + \
+            plain[at + 1:]
+    code = code_of(plain)
+    assert code == stream or change is not None
+    assert _views(topo, code, header, machine) == \
         _views(topo, plain, header, machine)
-    copies = [pickle.loads(pickle.dumps(stream, protocol))
-              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for kept in copies + [copy.copy(stream), copy.deepcopy(stream)]:
-        assert kept == plain and type(kept) is type(stream)
-        assert getattr(kept, "code", None) == getattr(stream, "code", None)
+    assert _views(topo, bytearray(code), header, machine) == \
+        _views(topo, list(plain), header, machine)
 
 
 @pytest.mark.parametrize("rate, coded", [((12, 4, 2), True),
@@ -697,17 +716,31 @@ def test_coded_streams_read_as_their_tuples(topo, rate, bits):
                                          ((256, 4, 1), False),
                                          ((300, 8, 2), False)])
 def test_streams_are_coded_up_to_q_255(rate, coded):
-    """One byte per symbol holds ``N`` and data symbols 0..254; two-digit
-    tokens are spelled one symbol at a time, as for a plain tuple."""
+    """One byte per symbol holds ``N`` and data symbols 0..254; past q =
+    255 ``encode`` gives a tuple, and a stream holding a symbol past 254
+    has no code: every stream function reads it symbol by symbol, with
+    the results it gives a list of the same symbols."""
     machine = build_encoder(*rate)
     bits = random_bits(random.Random(25), 300)
     stream, header = encode(machine, bits)
-    assert (type(stream) is not tuple) is coded
-    if coded:
-        assert stream.code == _spelled_code(stream)
-    assert max(s for s in stream if s is not N) >= 10
-    topo = parse_tree(fig1_text())
-    assert _views(topo, stream, header, machine) == \
-        _views(topo, tuple(stream), header, machine)
+    symbols = symbols_of(stream)
+    assert type(stream) is (bytes if coded else tuple)
+    assert max(s for s in symbols if s is not N) >= 10
+    assert decode(machine, stream, header) == bits
     assert format_stream(stream) == " ".join(
-        "N" if s is N else str(s) for s in stream)
+        "N" if s is N else str(s) for s in symbols)
+    topo = parse_tree(fig1_text())
+    if coded:
+        assert stream == code_of(symbols)
+        assert _views(topo, stream, header, machine) == \
+            _views(topo, symbols, header, machine)
+    else:
+        at = next(i for i, s in enumerate(symbols) if s is not N)
+        symbols = symbols[:at] + (machine.q - 1,) + symbols[at + 1:]
+        views = _views(topo, symbols, header, machine)
+        assert type(views[2]) is type(views[3]) is tuple
+        assert views == _views(topo, list(symbols), header, machine)
+    copies = [pickle.loads(pickle.dumps(stream, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for kept in copies + [copy.copy(stream), copy.deepcopy(stream)]:
+        assert kept == stream and type(kept) is type(stream)

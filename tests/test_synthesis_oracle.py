@@ -15,6 +15,7 @@ round-trip through the text formats and through encode and decode, and
 the parsed stream on every one.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -28,11 +29,11 @@ from relaycast import (FrameHeader, N, RelaycastError, StreamFormatError,
                        enumerate_words, format_stream, parse_encoder,
                        parse_stream, serialize_encoder)
 from relaycast.constraint import make_constraint, power_graph
-from relaycast.encoder import (ApproxEigenvector, _synthesize,
+from relaycast.encoder import (ApproxEigenvector, Encoder, _synthesize,
                                find_approximate_eigenvector, prune_to_encoder,
                                split_states)
 from helpers import (ROUND_TRIP_RATES, SWEEP, Edge, EdgeListGraph,
-                     approximate_eigenvector_oracle, canonical_edges,
+                     approximate_eigenvector_oracle, canonical_edges, code_of,
                      constraint_oracle, graph_rows, label_symbols, outcome,
                      power_graph_oracle, prune_to_encoder_oracle, rows_graph,
                      rows_adjacency, split_states_oracle)
@@ -259,12 +260,30 @@ def test_streams_roundtrip_through_text_and_decode(sweep_machines, rate,
     machine = sweep_machines[rate]
     symbols = list(range(machine.q)) + [N]
     word = tuple(data.draw(st.lists(st.sampled_from(symbols), max_size=40)))
-    assert parse_stream(format_stream(word), q=machine.q) == word
+    assert parse_stream(format_stream(word), q=machine.q) == code_of(word)
     bits = data.draw(st.text("01", max_size=10 * machine.p))
     stream, header = encode(machine, bits)
     parsed = parse_stream(format_stream(stream), q=machine.q)
     assert parsed == stream
     assert decode(machine, parsed, header) == bits
+
+
+@pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
+def test_row_codes_equal_a_per_symbol_spelling(sweep_machines, rate):
+    """The byte codes of a synthesized machine's codewords, one translate
+    of each state's labels, of a parsed one's, one translate of each
+    line's tokens, and of a machine built by hand, converted from its
+    symbols, equal the codewords spelled one symbol at a time."""
+    machine = sweep_machines[rate]
+    spelled = tuple(tuple(code_of(word) for word, _ in row)
+                    for row in machine.transitions)
+    parsed = parse_encoder(serialize_encoder(machine))
+    by_hand = Encoder(**{f.name: getattr(machine, f.name)
+                         for f in dataclasses.fields(Encoder)})
+    for built in (machine, parsed, by_hand):
+        assert built._blocks == spelled
+    # synthesis and parsing fill the codes in themselves
+    assert "_blocks" in vars(machine) and "_blocks" in vars(parsed)
 
 
 @pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
