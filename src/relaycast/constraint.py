@@ -39,17 +39,15 @@ def _symbol_width(q: int) -> int:
 
 
 def _label_symbols(q: int, labels: Iterable[bytes]) -> Iterator[Symbol]:
-    """The symbols of labels of q's graphs, one label after another.
-
-    One pass over the labels joined, with no Python code per label or,
-    for one-byte symbols, per symbol.
-    """
+    """The symbols of labels of q's graphs, one label after another, for
+    q > 255, two or more bytes per symbol: one pass over the labels joined,
+    with no Python code per label. (For q <= 255 a label is one byte per
+    symbol, and one ``translate`` makes its byte code.)"""
     width = _symbol_width(q)
     joined = b"".join(labels)
-    values = joined if width == 1 else [
-        int.from_bytes(joined[i:i + width], "big")
-        for i in range(0, len(joined), width)]
-    return map([*range(q), N].__getitem__, values)
+    return map([*range(q), N].__getitem__,
+               [int.from_bytes(joined[i:i + width], "big")
+                for i in range(0, len(joined), width)])
 
 
 @dataclass(frozen=True)

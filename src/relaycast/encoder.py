@@ -17,15 +17,16 @@ reachable on identical blocks dies out within a fixed number of blocks,
 the *anticipation*, and ``encode`` appends that many flush blocks.
 ``decode`` follows the set of label-consistent states, one table lookup
 per chunk of up to 8 message bits, and walks back-pointers from the one
-path the flush leaves. For q <= 255 both work on the stream's byte code
-(see :mod:`relaycast.symbols`)."""
+path the flush leaves. A codeword is a piece of the stream, held in the
+stream's form: for q <= 255 its byte code (see :mod:`relaycast.symbols`),
+so that encode joins codewords and decode looks up byte slices."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, repeat
-from operator import getitem, invert, itemgetter
+from itertools import accumulate, chain, combinations
+from operator import getitem, invert
 from typing import Dict, List, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
@@ -34,18 +35,16 @@ from .constraint import (ConstraintGraph, Matrix, _label_order,
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      StateSplitError, StreamFormatError, UnknownCodewordError)
-from .symbols import (_CHAR_CODE, _CODE, Stream, Word, _check_int,
-                      _check_iterable, _check_type, _chunk_values,
+from .symbols import (Stream, _chars_code, _check_int, _check_iterable,
+                      _check_type, _chunk_values, _code_of, _Codes,
                       _normalize_bits, _read, _spell, _split, _Symbols, _Table,
                       format_stream, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 # Machines kept by each of the two memos, built by rate and parsed by
 # text. One with a warm decode table holds a few MB ((1,11,16): about
-# 3 MB), so each keeps only a handful.
+# 1.5 MB), so each keeps only a handful.
 _MEMO_SIZE = 8
-
-Transition = Tuple[Word, int]
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +187,19 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
 
 @dataclass(frozen=True)
 class Encoder:
-    """Immutable rate p:n machine. ``transitions[state][tag] = (codeword, next)``."""
+    """Immutable rate p:n machine. ``transitions[state][tag] = (codeword,
+    next)``; for q <= 255 a codeword is its byte code, as a stream is,
+    converted once from any sequence of symbols given."""
 
     q: int
     p: int
     n: int
     start_state: int
-    transitions: Tuple[Tuple[Transition, ...], ...]
+    transitions: Tuple[Tuple[Tuple[Stream, int], ...], ...] = field(repr=False)
     anticipation: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "transitions", _coded(self.q, self.transitions))
 
     @property
     def num_states(self) -> int:
@@ -206,23 +210,8 @@ class Encoder:
         return self.p / self.n
 
     @cached_property
-    def _codes(self) -> tuple:
-        """Per state (q <= 255), its codewords' byte codes in tag order,
-        joined; synthesis fills it in from its labels."""
-        return tuple(bytes(map(_CODE.__getitem__, chain.from_iterable(
-            map(itemgetter(0), row)))) for row in self.transitions)
-
-    @cached_property
-    def _blocks(self) -> tuple:
-        """Per state, its codewords in tag order: n-byte codes for q <=
-        255, else symbol tuples; :func:`parse_encoder` fills it in."""
-        if self.q > 255:
-            return tuple(tuple(map(itemgetter(0), row)) for row in self.transitions)
-        return tuple(map(_split, self._codes, repeat(self.n)))
-
-    @cached_property
     def _by_codeword(self):
-        return _block_index(self._blocks, self.transitions)
+        return _codeword_index(self.transitions)
 
     @cached_property
     def _subset_table(self) -> _SubsetTable:
@@ -239,6 +228,19 @@ class Encoder:
         return _Table(_Row)
 
 
+def _coded(q, transitions):
+    """``transitions`` with each codeword as its byte code where it has one
+    (q <= 255); the builders' tables, coded already, and junk stay as given."""
+    try:
+        kinds = {type(word) for word, _ in chain.from_iterable(transitions)}
+        if q > 255 or kinds <= {bytes}:
+            return transitions
+        return tuple(tuple((_code_of(word) or word, nxt) for word, nxt in row)
+                     for row in transitions)
+    except (TypeError, ValueError):
+        return transitions
+
+
 class _Row(list):
     """A state's encode row, empty until :func:`_fill` fills it: at chunk
     value v the row after the chunk, at ``~v`` the chunk's codewords."""
@@ -251,24 +253,23 @@ class _Row(list):
 
 
 def _fill(encoder: Encoder, row: _Row) -> None:
-    """Fill ``row`` with the chunks out of its state, composed block by
-    block; the rows it points to stay empty until they are reached."""
-    chunks = [(b"" if encoder.q <= 255 else (), row.state)]
-    for _ in range(encoder._chunk_blocks):
+    """Fill ``row`` with the chunks out of its state, its transitions then
+    composed block by block; the rows it points to stay empty until reached."""
+    chunks = encoder.transitions[row.state]
+    for _ in range(encoder._chunk_blocks - 1):
         chunks = [(part + block, nxt) for part, at in chunks
-                  for block, (_, nxt) in zip(encoder._blocks[at],
-                                             encoder.transitions[at])]
+                  for block, nxt in encoder.transitions[at]]
     parts, nexts = zip(*chunks)
     row[:] = [*map(encoder._encode_rows.__getitem__, nexts), *reversed(parts)]
 
 
-def _codeword_index(transitions) -> Tuple[Dict[Word, tuple], ...]:
+def _codeword_index(transitions) -> Tuple[Dict[Stream, tuple], ...]:
     """Per state: codeword -> ((tag, next), ...), in tag order, from each
-    state's ``(codeword, next)`` pairs; any hashable key may stand for a
-    codeword."""
+    state's ``(codeword, next)`` pairs. A machine builds it for its
+    certificate and again, as ``_by_codeword``, on its first decode."""
     index = []
     for outs in transitions:
-        lookup: Dict[Word, tuple] = {}
+        lookup: Dict[Stream, tuple] = {}
         for tag, (word, nxt) in enumerate(outs):
             lookup[word] = lookup.get(word, ()) + ((tag, nxt),)
         index.append(lookup)
@@ -334,13 +335,7 @@ class _SubsetTable:
         return step
 
 
-def _block_index(blocks, transitions) -> Tuple[Dict[Stream, tuple], ...]:
-    """The codeword index of a machine, keyed by its ``_blocks``."""
-    return _codeword_index([zip(codes, map(itemgetter(1), row))
-                            for codes, row in zip(blocks, transitions)])
-
-
-def _pair_successors(index, pair, spell) -> set:
+def _pair_successors(index, pair) -> set:
     """Pairs ``pair`` reaches by emitting a common codeword from both members.
 
     Walks the codewords both emit in the first member's tag order, so the
@@ -358,16 +353,15 @@ def _pair_successors(index, pair, spell) -> set:
         word = next(w for w in a_index if w in b_index
                     and {t for _, t in a_index[w]} & {t for _, t in b_index[w]})
         raise AmbiguousEncoderError(
-            f"states {a} and {b} merge on {format_stream(spell(word))!r}")
+            f"states {a} and {b} merge on {format_stream(word)!r}")
     return following
 
 
-def _anticipation(index, spell=lambda word: word) -> int:
+def _anticipation(index) -> int:
     """Lookahead blocks needed to resolve shared codewords, or raise.
 
     ``index`` is per state: codeword -> ((tag, next), ...), in tag order,
-    where a codeword may be stood for by any key, such as its label
-    rank, that ``spell`` turns back into its symbols for a message.
+    as :func:`_codeword_index` builds it from a machine's transitions.
     Walks the graph over unordered state pairs reachable by emitting a
     common codeword from both members, from the pairs a state forks
     into, expanding each pair once. A pair that collapses onto a single
@@ -389,7 +383,7 @@ def _anticipation(index, spell=lambda word: word) -> int:
                     for word, moves in by_word.items()
                     for (_, a), (_, b) in combinations(moves, 2) if a == b)
                 raise AmbiguousEncoderError(
-                    f"state {state} emits {format_stream(spell(word))!r} "
+                    f"state {state} emits {format_stream(word)!r} "
                     f"to state {a} under two different tags")
             forks.add((min(a, b), max(a, b)))
     successors: Dict[Tuple[int, int], set] = {}
@@ -397,7 +391,7 @@ def _anticipation(index, spell=lambda word: word) -> int:
     while stack:
         pair = stack.pop()
         if pair not in successors:
-            successors[pair] = _pair_successors(index, pair, spell)
+            successors[pair] = _pair_successors(index, pair)
             stack.extend(successors[pair])
     # Peel pairs whose successors are all peeled, sinks first: a pair's
     # height is the number of pairs on its longest path. Pairs that can
@@ -430,12 +424,12 @@ def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
 
     Keeps the lexicographically smallest codewords at each state, distinct
     ones first, with tags in codeword order, and drops states unreachable
-    from the start (the first descendant of OFF, index 0). The
-    anticipation certificate works on label ranks; each kept codeword is
-    spelled as symbols once, and for q <= 255 each state's byte codes are
-    one ``translate`` of its labels. The codeword index, about half of a
-    fresh machine's memory, is built on the first decode. ``g`` is a split
-    graph of n-symbol labels, 2**p out-edges or more per state, unchecked."""
+    from the start (the first descendant of OFF, index 0). Each distinct
+    kept label is spelled once, in rank order: for q <= 255 all of them by
+    one ``translate`` of the joined labels, cut into byte codes. The
+    certificate's codeword index, about half of a fresh machine's memory,
+    is dropped and built again on the first decode. ``g`` is a split graph
+    of n-symbol labels, 2**p out-edges or more per state, unchecked."""
     q = g.q
     words = g.words
     fanout = 1 << p
@@ -468,25 +462,21 @@ def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
     renumber = {old: new for new, old in enumerate(order)}
     ranks = [ranks[old] for old in order]
     heads = [[renumber[d] for d in heads[old]] for old in order]
+    distinct = sorted(set(chain.from_iterable(ranks)))
+    labels = map(words.__getitem__, distinct)
     if q <= 255:  # a label writes data symbol k as the byte k and N as q
         code = (bytes(range(1, q + 1)) + bytes(1)).ljust(256, b"\0")
-        codes = tuple(b"".join(map(words.__getitem__, r)).translate(code)
-                      for r in ranks)
-    distinct = list(set(chain.from_iterable(ranks)))
-    symbols = _label_symbols(q, map(words.__getitem__, distinct))
-    codewords = dict(zip(distinct, zip(*[symbols] * n)))
-    anticipation = _anticipation(
-        _codeword_index([zip(r, h) for r, h in zip(ranks, heads)]),
-        codewords.__getitem__)
+        spelled = _split(b"".join(labels).translate(code), n)
+    else:
+        spelled = zip(*[_label_symbols(q, labels)] * n)
+    codewords = dict(zip(distinct, spelled))
     # equal (rank, head) pairs share one transition: split states copy rows
     pair = _Table(lambda key: (codewords[key[0]], key[1]))
     transitions = tuple(tuple(map(pair.__getitem__, zip(r, h)))
                         for r, h in zip(ranks, heads))
-    encoder = Encoder(q=q, p=p, n=n, start_state=renumber[start],
-                      transitions=transitions, anticipation=anticipation)
-    if q <= 255:
-        vars(encoder)["_codes"] = codes
-    return encoder
+    return Encoder(q=q, p=p, n=n, start_state=renumber[start],
+                   transitions=transitions,
+                   anticipation=_anticipation(_codeword_index(transitions)))
 
 
 def build_encoder(q: int, p: int, n: int) -> Encoder:
@@ -626,12 +616,14 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     length = header.bit_length
     if header.pad != (-length) % encoder.p:
         raise FramingError(
-            f"pad {header.pad} inconsistent with bit length {length}")
+            f"pad {_spell(header.pad)} inconsistent with bit length "
+            f"{_spell(length)}")
     message_blocks = (length + encoder.p - 1) // encoder.p
     expected = message_blocks + (encoder.anticipation if message_blocks else 0)
     total = len(stream) // n
     if total != expected:
-        raise FramingError(f"stream has {total} blocks, frame implies {expected}")
+        raise FramingError(
+            f"stream has {total} blocks, frame implies {_spell(expected)}")
     if message_blocks == 0:
         return ""
 
@@ -699,8 +691,7 @@ def encoder_report(encoder: Encoder) -> EncoderReport:
     """Rate, capacity, and their ratio for a built machine (an
     :class:`Encoder`, else :class:`InvalidParameterError`)."""
     _check_type(encoder, Encoder, "encoder")
-    cap = capacity(encoder.q)
-    rate = encoder.p / encoder.n
+    rate, cap = encoder.rate, capacity(encoder.q)
     return EncoderReport(q=encoder.q, p=encoder.p, n=encoder.n, rate=rate,
                          capacity=cap, efficiency=rate / cap,
                          num_states=encoder.num_states)
@@ -725,7 +716,8 @@ def serialize_encoder(encoder: Encoder) -> str:
 def parse_encoder(text: str) -> Encoder:
     """Inverse of :func:`serialize_encoder`; re-verifies decodability.
 
-    Malformed text, or any ``text`` but a str, raises
+    Each line's codeword is read once into the machine's form, for q <=
+    255 its byte code. Malformed text, or any ``text`` but a str, raises
     :class:`EncoderFormatError`, again on every call. The machine is
     memoised on the text, as :func:`build_encoder`'s is on the rate, and
     shared by all callers with its tables warm; the machines of the 8 most
@@ -757,18 +749,21 @@ def _parse(text: str) -> Encoder:
     if given != num_states * fanout:
         raise EncoderFormatError(
             f"expected {num_states * fanout} transition lines, got {given}")
-    # per state, its transitions and their codewords' codes, by tag
+    # per state, its transitions by tag
     rows = [[None] * fanout for _ in range(num_states)]
-    codes = [[None] * fanout for _ in range(num_states)]
-    token = _Symbols(q).__getitem__  # one token table for the whole file
+    # one token table for the whole file, to code bytes for q <= 255
+    table, join = (_Codes(q), bytes) if q <= 255 else (_Symbols(q), tuple)
     for line in lines[1:]:
         parts = line.split()
         if (len(parts) != 3 + n
                 or not all(map(is_decimal, (parts[0], parts[1], parts[-1])))):
             raise EncoderFormatError(f"bad transition line {line!r}")
         state, tag, nxt = int(parts[0]), int(parts[1]), int(parts[-1])
+        # the codeword in its final form, one-character tokens by one translate
+        chars = "".join(parts[2:-1])
+        word = _chars_code(chars, q) if q <= 255 and len(chars) == n else None
         try:
-            word = tuple(map(token, parts[2:-1]))
+            word = word or join(map(table.__getitem__, parts[2:-1]))
         except StreamFormatError as exc:
             raise EncoderFormatError(f"bad transition line {line!r}") from exc
         if not 0 <= state < num_states or not 0 <= tag < fanout:
@@ -777,12 +772,6 @@ def _parse(text: str) -> Encoder:
             raise EncoderFormatError(f"duplicate transition for state "
                                      f"{state} tag {tag}")
         rows[state][tag] = (word, nxt)
-        codes[state][tag] = word
-        if q <= 255:  # the byte code of the codeword's tokens
-            chars = "".join(parts[2:-1])
-            codes[state][tag] = (chars.encode().translate(_CHAR_CODE)
-                                 if len(chars) == n
-                                 else bytes(map(_CODE.__getitem__, word)))
     transitions = tuple(map(tuple, rows))
     for outs in transitions:
         for _, nxt in outs:
@@ -790,13 +779,5 @@ def _parse(text: str) -> Encoder:
                 raise EncoderFormatError(f"transition target {nxt} out of range")
     if start >= num_states:
         raise EncoderFormatError(f"start state {start} out of range")
-    blocks = tuple(map(tuple, codes))
-    index = _block_index(blocks, transitions)
-    encoder = Encoder(q=q, p=p, n=n, start_state=start,
-                      transitions=transitions,
-                      anticipation=_anticipation(index))
-    # a parsed machine is decoded at once, so it keeps the index its
-    # certificate was built from, keyed by the codes it read; this fills
-    # the cached properties
-    vars(encoder).update(_blocks=blocks, _by_codeword=index)
-    return encoder
+    return Encoder(q=q, p=p, n=n, start_state=start, transitions=transitions,
+                   anticipation=_anticipation(_codeword_index(transitions)))

@@ -110,9 +110,10 @@ def symbols_of(stream):
 def encode_oracle(encoder, bits):
     """The ``(stream, header)`` that ``encode`` must return.
 
-    Looks up one p-bit block at a time in ``encoder.transitions``, then
-    appends ``encoder.anticipation`` flush blocks under tag 0. The
-    stream is the symbols' byte code for q <= 255, else their tuple.
+    Looks up one p-bit block at a time in ``encoder.transitions``, reads
+    its codeword one symbol at a time (``symbols_of``), then appends
+    ``encoder.anticipation`` flush blocks under tag 0. The stream is the
+    symbols' byte code for q <= 255, else their tuple.
     """
     text = bits if isinstance(bits, str) else "".join(str(b) for b in bits)
     if text.strip("01"):
@@ -127,10 +128,10 @@ def encode_oracle(encoder, bits):
     state = encoder.start_state
     for i in range(0, len(text), encoder.p):
         word, state = encoder.transitions[state][int(text[i:i + encoder.p], 2)]
-        out.extend(word)
+        out.extend(symbols_of(word))
     for _ in range(encoder.anticipation):
         word, state = encoder.transitions[state][0]
-        out.extend(word)
+        out.extend(symbols_of(word))
     return form(out), FrameHeader(length, pad)
 
 
@@ -698,7 +699,7 @@ def decode_oracle(encoder, word, header):
     lookup = [{} for _ in encoder.transitions]
     for state, outs in enumerate(encoder.transitions):
         for tag, (word, nxt) in enumerate(outs):
-            lookup[state].setdefault(word, []).append((tag, nxt))
+            lookup[state].setdefault(symbols_of(word), []).append((tag, nxt))
     candidates = {encoder.start_state: ""}
     for i in range(total):
         block = stream[i * encoder.n:(i + 1) * encoder.n]

@@ -446,7 +446,7 @@ def test_cross_block_admissibility(enc_q1, enc_q6):
 def test_block_streams_within_counting_bound(enc_q1, enc_q6):
     # distinct k-block outputs cannot outnumber admissible words
     for machine in (enc_q1, enc_q6):
-        streams = {(): machine.start_state}
+        streams = {b"": machine.start_state}
         for k in range(1, 4):
             streams = {prefix + word: nxt
                        for prefix, state in streams.items()
@@ -468,7 +468,7 @@ def test_encode_first_block_is_tagged_codeword(enc_q6):
     bits = "101"
     stream, _ = encode(enc_q6, bits)
     word, _ = enc_q6.transitions[enc_q6.start_state][int(bits, 2)]
-    assert stream[:2] == code_of(word)
+    assert stream[:2] == word
 
 
 def test_encode_length_formula(enc_q1, enc_q6):
@@ -551,6 +551,32 @@ def test_decode_framing_errors(enc_q1):
         decode(enc_q1, stream[:-enc_q1.n], header)  # missing flush block
     with pytest.raises(FramingError):
         decode(enc_q1, stream, FrameHeader(4, 1))  # inconsistent pad
+
+
+@pytest.mark.parametrize("wrong, named", [
+    (0, "frame implies an integer of about"),
+    (1, "bit length an integer of about 5001 digits")])
+def test_framing_errors_spell_a_bit_length_past_the_str_limit(enc_q1, wrong,
+                                                              named):
+    """A bit length of 5,001 digits, past the interpreter's int-to-str
+    limit, ends in a ``FramingError`` with the right pad, naming the
+    block count it implies, and with a wrong one, naming the length."""
+    stream, _ = encode(enc_q1, "1101")
+    length = 10**5000
+    pad = (wrong - length) % enc_q1.p
+    with pytest.raises(FramingError, match=named):
+        decode(enc_q1, stream, FrameHeader(length, pad))
+
+
+def test_encoder_repr_leaves_out_the_transitions():
+    """A machine's repr names its rate, start state and anticipation,
+    not its thousands of transitions."""
+    machine = build_encoder(1, 13, 19)
+    text = repr(machine)
+    assert len(text) < 200
+    for name, value in [("q", 1), ("p", 13), ("n", 19), ("start_state", 0),
+                        ("anticipation", machine.anticipation)]:
+        assert f"{name}={value}" in text
 
 
 def _converging_machine():
@@ -1062,13 +1088,13 @@ def test_fork_errors_name_the_first_codeword(transitions):
         assert outcome(_anticipation, index) == expected
 
 
-@pytest.mark.parametrize("source, indexes", [("parsed", 1), ("built", 2)])
+@pytest.mark.parametrize("source, indexes", [("parsed", 2), ("built", 2)])
 def test_codeword_indexes_per_machine(source, indexes):
-    """A parsed machine decodes with the index its certificate was built
-    from. A synthesized one, which the memo keeps whether or not it is
-    ever decoded, drops that index and builds one more on its first
-    decode. Encoding and later decodes build none. Both are fresh
-    machines, not the memos' copies."""
+    """A parsed machine and a synthesized one, which the memos keep
+    whether or not they are ever decoded, each drop the index their
+    certificate was built from and build one more on their first decode.
+    Encoding and later decodes build none. Both are fresh machines, not
+    the memos' copies."""
     text = serialize_encoder(build_encoder(1, 9, 13))
     counting = mock.Mock(wraps=encoder_module._codeword_index)
     with mock.patch.object(encoder_module, "_codeword_index", counting):

@@ -29,7 +29,7 @@ from relaycast import (FrameHeader, N, RelaycastError, StreamFormatError,
                        enumerate_words, format_stream, parse_encoder,
                        parse_stream, serialize_encoder)
 from relaycast.constraint import make_constraint, power_graph
-from relaycast.encoder import (ApproxEigenvector, Encoder, _synthesize,
+from relaycast.encoder import (ApproxEigenvector, _synthesize,
                                find_approximate_eigenvector, prune_to_encoder,
                                split_states)
 from helpers import (ROUND_TRIP_RATES, SWEEP, Edge, EdgeListGraph,
@@ -153,9 +153,14 @@ TWO_BYTE_MACHINES = {
 
 @pytest.mark.parametrize("rate", sorted(TWO_BYTE_MACHINES))
 def test_two_byte_symbol_machines_are_pinned(rate):
-    text = serialize_encoder(_synthesize.__wrapped__(*rate))
+    """Past q = 255 a symbol has no byte code, so codewords stay symbol
+    tuples, as streams do."""
+    machine = _synthesize.__wrapped__(*rate)
+    text = serialize_encoder(machine)
     assert hashlib.sha256(text.encode()).hexdigest() == TWO_BYTE_MACHINES[rate]
     assert text == _text_or_error(_oracle_chain, *rate)
+    assert machine.transitions == _spelled_transitions(text)
+    assert parse_encoder(text).transitions == machine.transitions
 
 
 @st.composite
@@ -268,22 +273,38 @@ def test_streams_roundtrip_through_text_and_decode(sweep_machines, rate,
     assert decode(machine, parsed, header) == bits
 
 
+def _spelled_transitions(text):
+    """The transitions of a serialized machine, each codeword read one
+    token at a time as a tuple of symbols."""
+    lines = text.splitlines()
+    num_states = int(lines[0].split()[4])
+    rows = [[] for _ in range(num_states)]
+    for line in lines[1:]:
+        state, _, *tokens, nxt = line.split()
+        word = tuple(N if t == "N" else int(t) for t in tokens)
+        rows[int(state)].append((word, int(nxt)))
+    return tuple(map(tuple, rows))
+
+
 @pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
 def test_row_codes_equal_a_per_symbol_spelling(sweep_machines, rate):
-    """The byte codes of a synthesized machine's codewords, one translate
-    of each state's labels, of a parsed one's, one translate of each
-    line's tokens, and of a machine built by hand, converted from its
-    symbols, equal the codewords spelled one symbol at a time."""
+    """The codewords of a synthesized machine, one translate of its
+    labels, of a parsed one, one translate of each line's tokens, and of
+    a machine built by hand from symbol tuples, converted on
+    construction, are the byte codes of the codewords spelled one symbol
+    at a time; the machine built by hand equals the synthesized one."""
     machine = sweep_machines[rate]
-    spelled = tuple(tuple(code_of(word) for word, _ in row)
-                    for row in machine.transitions)
-    parsed = parse_encoder(serialize_encoder(machine))
-    by_hand = Encoder(**{f.name: getattr(machine, f.name)
-                         for f in dataclasses.fields(Encoder)})
+    text = serialize_encoder(machine)
+    symbols = _spelled_transitions(text)
+    spelled = tuple(tuple((code_of(word), nxt) for word, nxt in row)
+                    for row in symbols)
+    parsed = parse_encoder(text)
+    by_hand = dataclasses.replace(machine, transitions=symbols)
     for built in (machine, parsed, by_hand):
-        assert built._blocks == spelled
-    # synthesis and parsing fill the codes in themselves
-    assert "_blocks" in vars(machine) and "_blocks" in vars(parsed)
+        assert built.transitions == spelled
+        assert all(type(word) is bytes
+                   for row in built.transitions for word, _ in row)
+    assert by_hand == machine
 
 
 @pytest.mark.parametrize("rate", ROUND_TRIP_RATES)
