@@ -183,12 +183,16 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_end_to_end(args) -> None:
-    from .simulator import end_to_end, parse_tree
+    from .simulator import _SLOT_BUDGET, end_to_end, parse_tree
     topo = parse_tree(_read_value(args.tree))
     if args.bits is not None:
         bits = _read_value(args.bits, "bits").strip()
     else:
         _check_int(args.random, "random", 0)
+        if args.random > _SLOT_BUDGET:  # refused before any bit is drawn
+            raise InvalidParameterError(
+                f"random={_spell(args.random)} passes the limit of "
+                f"{_SLOT_BUDGET} message bits")
         rng = random.Random(args.seed)
         bits = "".join(rng.choice("01") for _ in range(args.random))
     report = end_to_end(args.q, args.p, args.n, topo, bits)

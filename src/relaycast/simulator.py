@@ -11,16 +11,17 @@ All nodes at one depth behave alike. A relay never sends two data
 symbols in a row, so depth 1's stream is admissible whatever the source
 sends, and each deeper relay passes it on unchanged, one slot later.
 The simulator scans depth 1 once and keeps two rows, the source's and
-depth 1's, deriving deeper rows on read, so every cost is O(slots),
-whatever the tree's shape. A node's record is fixed by its depth's
-verdict, so the per-node records are shared while the verdicts repeat."""
+depth 1's, deriving deeper rows on read, and a report keeps one verdict
+per depth, building a node's record when it is read: every cost but a
+walk over the nodes is O(slots), whatever the tree's shape."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .constraint import capacity
 from .encoder import build_encoder, decode, encode
@@ -44,9 +45,6 @@ class TreeTopology:
     nodes: Tuple[int, ...]
     parent: Dict[int, int]
     depth: Dict[int, int]
-    # record type -> ((source verdict, first passing relay depth), records)
-    _shared: Dict[type, Tuple[Tuple[bool, int], tuple]] = field(
-        default_factory=dict, init=False, repr=False)
 
     @cached_property
     def max_depth(self) -> int:
@@ -56,24 +54,6 @@ class TreeTopology:
     def _relays(self) -> int:
         """The number of depth-1 nodes."""
         return sum(d == 1 for d in self.depth.values())
-
-    def _records(self, record: type, source_ok: bool,
-                 first_ok: int) -> Tuple[tuple, bool]:
-        """``record(node, depth, verdict)`` for every node, in node order, and
-        whether every verdict passes. The source's verdict is ``source_ok``
-        and depth d >= 1's is ``d >= first_ok``: depth d sends depth 1's row
-        d-1 slots late, and the horizon cuts off more of it. Records are
-        frozen, so each record type keeps the tuple of its last pattern and
-        shares it with every report of that pattern."""
-        pattern = (source_ok, min(first_ok, self.max_depth + 1))
-        kept = self._shared.get(record)
-        if kept is None or kept[0] != pattern:
-            verdicts = [source_ok] + [d >= pattern[1]
-                                      for d in range(1, self.max_depth + 1)]
-            depth = self.depth
-            kept = self._shared[record] = (pattern, tuple(
-                record(v, depth[v], verdicts[depth[v]]) for v in self.nodes))
-        return kept[1], source_ok and pattern[1] <= 1
 
 
 def parse_tree(text: str) -> TreeTopology:
@@ -123,19 +103,17 @@ def parse_tree(text: str) -> TreeTopology:
 
     depth: Dict[int, int] = {}
     for start in declared:
-        trail: List[int] = []
-        on_trail = set()
+        trail: Dict[int, None] = {}  # the walk so far, in order
         current = start
         while current not in depth:
-            if current in on_trail:
+            if current in trail:
                 raise TopologyError("cycle",
                                     f"parent links loop through node {current}")
             parent = declared[current]
             if parent is None:
                 depth[current] = 0
                 break
-            trail.append(current)
-            on_trail.add(current)
+            trail[current] = None
             current = parent
         for node in reversed(trail):
             depth[node] = depth[declared[node]] + 1
@@ -260,9 +238,9 @@ def simulate(topo: TreeTopology, source_stream,
     ``extra_slots`` defaults to the tree depth, so the pipeline drains.
     The stream may be inadmissible; every slot where a node is ON under a
     data-transmitting parent is logged. Only depth 1 is scanned (see
-    :class:`SimTrace`), so time and memory are O(slots). A stream with a
-    byte code, a code or symbols below 255, is read as it once and gets
-    byte rows, its data mask one ``translate``: no Python work per symbol.
+    :class:`SimTrace`), so time and memory are O(slots). A byte code, or
+    symbols all below 255, gets byte rows and a data mask made by one
+    ``translate``: no Python work per symbol.
     A horizon past 2**26 slots (``_SLOT_BUDGET``) raises
     :class:`InvalidParameterError` before any row is built, as does any
     ``topo`` but a :class:`TreeTopology`."""
@@ -284,6 +262,29 @@ def simulate(topo: TreeTopology, source_stream,
 # ---------------------------------------------------------------------------
 # delivery verification
 
+class _NodeRecords(Sequence):
+    """A report's records in node order, ``record(node, depth,
+    verdicts[depth])`` each, built when read; a slice is a tuple."""
+
+    __slots__ = ("_topo", "_record", "_verdicts")
+
+    def __init__(self, topo: TreeTopology, record: type, verdicts: tuple):
+        self._topo, self._record, self._verdicts = topo, record, verdicts
+
+    def __len__(self) -> int:
+        return len(self._topo.nodes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        node = self._topo.nodes[index]
+        depth = self._topo.depth[node]
+        return self._record(node, depth, self._verdicts[depth])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True, slots=True)
 class NodeDelivery:
     """Whether one node forwarded the source stream, delayed by its depth."""
@@ -295,16 +296,21 @@ class NodeDelivery:
 
 @dataclass(frozen=True)
 class DeliveryReport:
-    """:func:`verify_delivery`'s verdict per node, in node order, and the
-    number of (slot, node) violations in the trace."""
+    """:func:`verify_delivery`'s verdict per depth, the source's first,
+    and the number of (slot, node) violations in the trace; ``nodes``
+    views the records."""
 
-    nodes: Tuple[NodeDelivery, ...]
+    passed: Tuple[bool, ...]
     violations: int
+    topology: TreeTopology = field(repr=False)
 
-    @cached_property
+    @property
+    def nodes(self) -> Sequence:
+        return _NodeRecords(self.topology, NodeDelivery, self.passed)
+
+    @property
     def all_passed(self) -> bool:
-        """Every node passed; :func:`verify_delivery` fills it in O(1)."""
-        return all(entry.passed for entry in self.nodes)
+        return all(self.passed)
 
 
 def verify_delivery(trace: SimTrace, topo: TreeTopology,
@@ -316,10 +322,9 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
     horizon: at every node for an admissible source, with no violations.
     Depth d >= 1 sends ``relayed`` d-1 slots late, so it passes iff
     ``relayed`` matches depth 1's expected row before slot ``horizon - d +
-    1``. ``topo`` must be the tree the trace ran on; its per-node records
-    are shared (see ``TreeTopology._records``). ``source_stream`` is read
-    as :func:`simulate` reads it. A ``trace`` or ``topo`` of another type
-    raises :class:`InvalidParameterError`."""
+    1``. ``topo`` must be the tree the trace ran on, and ``source_stream``
+    is read as :func:`simulate` reads it; another type of ``trace`` or
+    ``topo`` raises :class:`InvalidParameterError`."""
     _check_type(trace, SimTrace, "trace")
     _check_type(topo, TreeTopology, "topo")
     if topo.depth is not trace.depth and topo.depth != trace.depth:
@@ -333,13 +338,10 @@ def verify_delivery(trace: SimTrace, topo: TreeTopology,
                            enumerate(zip(trace.relayed, expected))
                            if got != want), horizon)
     source_ok = trace.source == (stream + _silence(stream, horizon))[:horizon]
-    nodes, all_passed = topo._records(NodeDelivery, source_ok,
-                                      horizon - first_miss + 1)
-    report = DeliveryReport(nodes=nodes,
-                            violations=len(trace.lost) * topo._relays)
-    # the verdict pattern decides the cached property without a walk
-    vars(report)["all_passed"] = all_passed
-    return report
+    failing = min(horizon - first_miss, topo.max_depth)
+    relays = (False,) * failing + (True,) * (topo.max_depth - failing)
+    return DeliveryReport(passed=(source_ok,) + relays, topology=topo,
+                          violations=len(trace.lost) * topo._relays)
 
 
 def baseline_rate(q: int) -> float:
@@ -367,8 +369,8 @@ class NodeRecovery:
 @dataclass(frozen=True)
 class EndToEndReport:
     """One :func:`end_to_end` run: the code's rate against the capacity
-    and the forwarding baseline, the message length, and each node's
-    recovery, in node order."""
+    and the forwarding baseline, the message length, and the recovery
+    verdict per depth, the source's first; ``nodes`` views the records."""
 
     q: int
     p: int
@@ -377,28 +379,29 @@ class EndToEndReport:
     capacity: float
     baseline: float
     message_bits: int
-    nodes: Tuple[NodeRecovery, ...]
+    recovered: Tuple[bool, ...]
+    topology: TreeTopology = field(repr=False)
 
-    @cached_property
+    @property
+    def nodes(self) -> Sequence:
+        return _NodeRecords(self.topology, NodeRecovery, self.recovered)
+
+    @property
     def all_recovered(self) -> bool:
-        """Every node recovered; :func:`end_to_end` fills it in O(1)."""
-        return all(entry.recovered for entry in self.nodes)
+        return all(self.recovered)
 
 
 def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
                message) -> EndToEndReport:
     """Encode, broadcast through the tree, decode at every node, compare.
 
-    Takes the rate p:n machine from :func:`build_encoder`, simulates the
-    encoded stream with the default extra slots, and decodes each depth's
-    forwarded stream after its depth-long silence: every node must recover
-    the message bits exactly. Every depth >= 1 forwards ``relayed[1:1 +
-    len(stream)]``, and a lost slot is always a data slot inside the
-    stream, so depth 1's window is decoded only when ``trace.lost`` is not
-    empty. Per-node records are shared per tree while the verdict pattern
-    repeats (see ``TreeTopology._records``), and the pattern decides
-    ``all_recovered``: no Python work per node. ``topo`` is checked by
-    :func:`simulate`."""
+    Simulates the stream of :func:`build_encoder`'s rate p:n machine with
+    the default extra slots; every node must decode the message bits
+    exactly from what it forwards after its depth-long silence. Every
+    depth >= 1 forwards ``relayed[1:1 + len(stream)]``, so the relays share
+    one verdict, and a lost slot is always a data slot inside the stream,
+    so that window is decoded only when ``trace.lost`` is not empty.
+    ``topo`` is checked by :func:`simulate`."""
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message, "message")
     stream, header = encode(machine, bits)
@@ -413,11 +416,7 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     source_ok = recovers(stream)
     relay_ok = (source_ok if not trace.lost or not topo.max_depth
                 else recovers(trace.relayed[1:1 + len(stream)]))
-    nodes, all_recovered = topo._records(
-        NodeRecovery, source_ok, 1 if relay_ok else topo.max_depth + 1)
-    report = EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
-                            baseline=baseline_rate(q), message_bits=len(bits),
-                            nodes=nodes)
-    # the verdict pattern decides the cached property without a walk
-    vars(report)["all_recovered"] = all_recovered
-    return report
+    return EndToEndReport(q=q, p=p, n=n, rate=p / n, capacity=capacity(q),
+                          baseline=baseline_rate(q), message_bits=len(bits),
+                          recovered=(source_ok,) + (relay_ok,) * topo.max_depth,
+                          topology=topo)

@@ -340,11 +340,34 @@ def test_640_digit_fields_end_in_one_line(capsys):
     assert err == "" and out == "1063.016990\n"  # 320 log2(10)
 
 
-def _python_m_relaycast(*args):
+def _python_m_relaycast(*args, timeout=60):
     env = dict(os.environ,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-m", "relaycast", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("length, code", [(str(2 ** 26 + 1), 1),
+                                          ("9" * 640, 1), ("9" * 5001, 3)],
+                         ids=["2**26+1", "640 digits", "5001 digits"])
+def test_end_to_end_refuses_a_random_length_past_the_slot_budget(
+        tmp_path, length, code):
+    """A random message longer than the simulator's 2**26-slot budget is
+    refused before any bit is drawn, with one error line: 1e9 bits ended
+    in a MemoryError traceback. A flag of more than 640 digits is
+    malformed (exit 3), as for every integer flag."""
+    tree = tmp_path / "chain.txt"
+    tree.write_text(chain_text(1))
+    done = _python_m_relaycast("end-to-end", "--q", "1", "--p", "2", "--n",
+                               "3", "--tree", str(tree), "--random", length,
+                               timeout=20)
+    assert done.returncode == code and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+    if code == 1:
+        assert done.stderr == (f"error: random={length} passes the limit of "
+                               f"{2 ** 26} message bits\n")
 
 
 def test_python_m_relaycast_runs_the_cli():

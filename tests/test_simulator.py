@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import tracemalloc
@@ -401,9 +402,10 @@ def test_relay_matches_per_slot_oracle(stream):
     assert (symbols_of(sent), lost) == relay_oracle(stream)
 
 
-def test_verify_delivery_shares_bounded_records_on_deep_chain():
+def test_verify_delivery_fails_the_shallowest_depths_on_deep_chain():
     """Claims that differ ever earlier in the drain fail at ever more
-    depths: 50 verdict patterns, of which the tree keeps the last."""
+    depths, always the shallowest: 50 verdict patterns on one tree, each
+    report holding one verdict per depth, which its records repeat."""
     topo = parse_tree(chain_text(2000))
     stream = random_admissible_stream(random.Random(10), 1, 100)
     trace = simulate(topo, stream)
@@ -414,15 +416,18 @@ def test_verify_delivery_shares_bounded_records_on_deep_chain():
         # horizon for the 40j shallowest relays, which fail
         claimed = stream + (N,) * (horizon - 1 - len(stream) - 40 * j) + (0,)
         report = verify_delivery(trace, topo, claimed)
+        assert report.passed == ((False,) * (1 + 40 * j)
+                                 + (True,) * (2000 - 40 * j))
         assert sum(entry.passed for entry in report.nodes) == 2000 - 40 * j
         assert report.nodes[0].passed is False
         assert report.nodes[-1].passed is True
-        # one kept pattern per record type: the report's own
-        assert list(topo._shared) == [NodeDelivery]
-        assert topo._shared[NodeDelivery][1] is report.nodes
+        assert [entry.passed for entry in report.nodes] == \
+            [report.passed[entry.depth] for entry in report.nodes]
+        assert not report.all_passed
     again = verify_delivery(trace, topo, stream)
-    assert again.all_passed
-    assert again.nodes is verify_delivery(trace, topo, stream).nodes
+    assert again.all_passed and again.passed == (True,) * 2001
+    assert again.nodes == verify_delivery(trace, topo, stream).nodes
+    assert again.nodes == tuple(again.nodes)
 
 
 def test_verify_delivery_rejects_another_tree():
@@ -509,17 +514,18 @@ def test_end_to_end_matches_per_node_decoding(topo, bits, code, flip):
                     for e in report.nodes] == expected
 
 
-def test_end_to_end_shares_records_for_equal_verdicts():
+def test_end_to_end_gives_equal_records_for_equal_verdicts():
     topo = parse_tree(fig1_text())
     rng = random.Random(7)
     first, second = (end_to_end(1, 2, 3, topo, random_bits(rng, 60))
                      for _ in range(2))
     assert first.all_recovered and second.all_recovered
-    assert first.nodes is second.nodes
-    # shared records are frozen and have no __dict__ to add attributes to
+    assert first.recovered == second.recovered == (True,) * 4
+    assert first.nodes == second.nodes == tuple(first.nodes)
+    # records are frozen and have no __dict__ to add attributes to
     assert not hasattr(first.nodes[0], "__dict__")
     other = end_to_end(1, 2, 3, parse_tree(fig1_text()), random_bits(rng, 60))
-    assert other.nodes is not first.nodes and other.nodes == first.nodes
+    assert other.topology is not first.topology and other.nodes == first.nodes
 
 
 def test_end_to_end_decodes_each_distinct_window_once():
@@ -564,8 +570,9 @@ def _changed(stream, change):
 @pytest.mark.parametrize("text", ["0 -\n", chain_text(1), fig1_text()])
 @pytest.mark.parametrize("change", [None, "insert", "silence"])
 def test_report_verdicts_follow_each_pattern(text, change):
-    """``end_to_end`` and ``verify_delivery`` fill the all-nodes verdict
-    from the verdict pattern; it equals the walk over the records."""
+    """``end_to_end`` and ``verify_delivery`` keep one verdict per depth;
+    it is the verdict of every record at that depth, and the all-nodes
+    verdict equals the walk over the records."""
     topo = parse_tree(text)
     bits = random_bits(random.Random(12), 90)
     stream, header = encode(build_encoder(1, 2, 3), bits)
@@ -576,21 +583,25 @@ def test_report_verdicts_follow_each_pattern(text, change):
     recovered = [entry.recovered for entry in report.nodes]
     assert recovered == [change is None or (change == "insert" and d > 0)
                          for d in (entry.depth for entry in report.nodes)]
-    assert vars(report)["all_recovered"] is all(recovered)
+    assert len(report.recovered) == topo.max_depth + 1
+    assert recovered == [report.recovered[e.depth] for e in report.nodes]
     assert report.all_recovered is all(recovered)
+    assert report.nodes == tuple(report.nodes)
 
     trace = simulate(topo, stream)
     for claim in (stream, _changed(stream, "silence")):
         delivery = verify_delivery(trace, topo, claim)
-        passed = all(entry.passed for entry in delivery.nodes)
-        assert vars(delivery)["all_passed"] is passed
-        assert delivery.all_passed is passed
+        passed = [entry.passed for entry in delivery.nodes]
+        assert len(delivery.passed) == topo.max_depth + 1
+        assert passed == [delivery.passed[e.depth] for e in delivery.nodes]
+        assert delivery.all_passed is all(passed)
+        assert delivery.nodes == tuple(delivery.nodes)
 
 
 def test_alternating_patterns_rebuild_the_kept_records():
-    """A topology keeps one pattern's records per record type; a call
-    with another pattern rebuilds them, and its verdict still equals the
-    walk over the records it returns."""
+    """Reports of two alternating verdict patterns on one topology each
+    read their own verdicts: records and the all-nodes verdict follow
+    the pattern of the call that made the report."""
     topo = parse_tree(fig1_text())
     bits = random_bits(random.Random(13), 90)
     stream, header = encode(build_encoder(1, 2, 3), bits)
@@ -613,21 +624,89 @@ def test_alternating_patterns_rebuild_the_kept_records():
     assert reports[1].nodes == reports[3].nodes
 
 
-def test_hand_built_reports_walk_their_records():
-    nodes = (NodeRecovery(0, 0, True), NodeRecovery(1, 1, False),
-             NodeRecovery(2, 2, True))
+def test_hand_built_reports_read_their_depth_verdicts():
+    """A report built from per-depth verdicts and a topology gives the
+    records and the all-nodes verdict those verdicts make; a copy with
+    other verdicts answers for its own."""
+    chain = parse_tree(chain_text(2))
     report = EndToEndReport(q=1, p=2, n=3, rate=2 / 3, capacity=capacity(1),
-                            baseline=0.5, message_bits=4, nodes=nodes)
+                            baseline=0.5, message_bits=4,
+                            recovered=(True, False, True), topology=chain)
     assert not report.all_recovered
-    assert dataclasses.replace(report, nodes=nodes[::2]).all_recovered
-    # a copy of a report end_to_end filled answers for its own records
-    filled = end_to_end(1, 2, 3, parse_tree(chain_text(2)), "0110")
+    assert report.nodes == (NodeRecovery(0, 0, True), NodeRecovery(1, 1, False),
+                            NodeRecovery(2, 2, True))
+    assert dataclasses.replace(report, recovered=(True,) * 3).all_recovered
+    # a copy of a report end_to_end filled answers for its own verdicts
+    filled = end_to_end(1, 2, 3, chain, "0110")
     assert filled.all_recovered
-    assert not dataclasses.replace(filled, nodes=nodes).all_recovered
-    delivered = (NodeDelivery(0, 0, True), NodeDelivery(1, 1, True),
-                 NodeDelivery(2, 2, False))
-    assert not DeliveryReport(nodes=delivered, violations=0).all_passed
-    assert DeliveryReport(nodes=delivered[:2], violations=0).all_passed
+    assert not dataclasses.replace(filled,
+                                   recovered=report.recovered).all_recovered
+    # records are read from the verdicts, not set: nodes is no field
+    with pytest.raises(TypeError):
+        dataclasses.replace(filled, nodes=report.nodes)
+    delivered = DeliveryReport(passed=(True, True, False), violations=0,
+                               topology=chain)
+    assert not delivered.all_passed
+    assert delivered.nodes == [NodeDelivery(0, 0, True),
+                               NodeDelivery(1, 1, True),
+                               NodeDelivery(2, 2, False)]
+    assert DeliveryReport(passed=(True, True), violations=0,
+                          topology=parse_tree(chain_text(1))).all_passed
+    # the topology stays out of the repr
+    assert repr(delivered) == ("DeliveryReport(passed=(True, True, False), "
+                               "violations=0)")
+
+
+def test_report_nodes_are_a_read_only_view():
+    """``nodes`` reads like the tuple of its records: indexes from either
+    end, slices to tuples, iteration, ``IndexError`` past the end, and
+    equality with any sequence of the same records."""
+    topo = parse_tree(fig1_text())
+    report = DeliveryReport(passed=(True, False, True, False), violations=0,
+                            topology=topo)
+    records = tuple(NodeDelivery(v, topo.depth[v], topo.depth[v] % 2 == 0)
+                    for v in topo.nodes)
+    view = report.nodes
+    assert len(view) == len(records) == 13
+    for i in range(-13, 13):
+        assert view[i] == records[i]
+    for cut in (slice(None), slice(2, 9, 3), slice(None, None, -1),
+                slice(-4, None), slice(20, 30)):
+        assert type(view[cut]) is tuple and view[cut] == records[cut]
+    assert list(view) == list(records) and tuple(reversed(view)) == records[::-1]
+    for i in (13, -14, 10**30):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view == records and records == view and view == list(records)
+    assert view != records[:-1] and view != records[::-1]
+    assert view != set(records) and view != None
+    assert view.index(records[4]) == 4 and records[4] in view
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+
+
+def test_end_to_end_keeps_no_memory_per_node():
+    """A report keeps one verdict per depth: on a 20,000-node star the
+    memory that ``end_to_end`` and its report keep alive stays under
+    64 KB, where 20,000 records would take over a megabyte."""
+    star = parse_tree("\n".join(["0 -"] + [f"{v} 0" for v in range(1, 20000)]))
+    bits = random_bits(random.Random(14), 256)
+    # the machine and its tables are memoised: warm them on another tree
+    end_to_end(6, 3, 2, parse_tree(chain_text(1)), bits)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        report = end_to_end(6, 3, 2, star, bits)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.all_recovered and len(report.nodes) == 20000
+    assert kept < 64 * 1024
 
 
 @pytest.mark.parametrize("record, names", [
