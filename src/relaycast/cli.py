@@ -18,6 +18,7 @@ import random
 import sys
 import textwrap
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Tuple
 
@@ -193,8 +194,8 @@ def _cmd_end_to_end(args) -> None:
             raise InvalidParameterError(
                 f"random={_spell(args.random)} passes the limit of "
                 f"{_SLOT_BUDGET} message bits")
-        rng = random.Random(args.seed)
-        bits = "".join(rng.choice("01") for _ in range(args.random))
+        bits = random.Random(args.seed).getrandbits(args.random)
+        bits = format(bits, f"0{args.random}b") if args.random else ""
     report = end_to_end(args.q, args.p, args.n, topo, bits)
     print(f"message bits: {report.message_bits}")
     print(f"rate: {_fmt(report.rate, args.format)}")
@@ -276,7 +277,9 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=len(_COMMANDS))
 def _build_parser(command: str) -> Tuple[_Parser, object]:
+    """Built on first use; ``parse_args`` keeps no state between calls."""
     handler, _, flags = _COMMANDS[command]
     parser = _Parser(prog=f"relaycast {command}")
     for flag, options in flags:

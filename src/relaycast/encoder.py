@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations
-from operator import getitem, invert
+from operator import invert
 from typing import Dict, List, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
@@ -573,12 +573,12 @@ def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
     chunks = iter(values)
     while True:
         try:
-            walk.extend(accumulate(chunks, getitem, initial=walk.pop()))
+            walk.extend(accumulate(chunks, list.__getitem__, initial=walk.pop()))
             break
         except IndexError:  # the walk reached an empty row: fill it, go on
             _fill(encoder, walk[-1])
             walk.append(walk[-1][values[len(walk) - 1]])
-    parts = map(getitem, walk, map(invert, values))
+    parts = map(list.__getitem__, walk, map(invert, values))
     stream = (b"".join(parts) if encoder.q <= 255
               else tuple(chain.from_iterable(parts)))
     return stream[:symbols], FrameHeader(length, pad)
@@ -638,14 +638,15 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     table = encoder._subset_table
     states, row = table.start
     history = []  # per key: the back-pointers of its step
+    append = history.append
     for key in keys:
-        step = row.get(key)
-        if step is None:  # the key's first block: chunks come first
+        try:
+            states, row, back = row[key]
+        except KeyError:  # the key's first block: chunks come first
             at = len(history)
-            step = table.advance(states, row, key,
-                                 at * k if at < chunks else at + chunks * (k - 1))
-        states, row, back = step
-        history.append(back)
+            states, row, back = table.advance(
+                states, row, key, at * k if at < chunks else at + chunks * (k - 1))
+        append(back)
     if fault:
         at, error = fault
         if isinstance(error, TypeError):  # looking an item up hashes it

@@ -20,7 +20,8 @@ import math
 import operator
 import re
 import struct
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import InvalidParameterError, RelaycastError, StreamFormatError
@@ -315,10 +316,19 @@ def _chunk_values(bits: str, width: int):
     return struct.unpack(f">{len(data) * 8 // size}{field}", data)
 
 
+@lru_cache(maxsize=256)
+def _cut(n: int, count: int) -> struct.Struct:
+    """``count`` n-byte fields, count <= 256, compiled once per pair."""
+    return struct.Struct(f"{n}s" * count)
+
+
 def _split(stream: Stream, n: int):
-    """``stream`` cut into its n-item slices; a byte code is cut in C."""
+    """``stream`` cut into its n-item slices; a byte code is cut in C,
+    256 slices per step of one compiled format, then the rest."""
     if isinstance(stream, bytes):
-        return struct.Struct(f"{n}s" * (len(stream) // n)).unpack(stream)
+        whole = len(stream) - len(stream) % (256 * n)
+        return (*chain.from_iterable(_cut(n, 256).iter_unpack(stream[:whole])),
+                *_cut(n, (len(stream) - whole) // n).unpack(stream[whole:]))
     return tuple(map(stream.__getitem__, map(slice, range(0, len(stream), n),
                                              range(n, len(stream) + n, n))))
 

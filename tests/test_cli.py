@@ -18,7 +18,8 @@ from relaycast import (StreamFormatError, build_encoder, capacity,
                        count_words, encode, parse_encoder, serialize_encoder,
                        table_report)
 import relaycast.encoder as encoder_module
-from relaycast.cli import _read_value, run
+import relaycast.simulator as simulator_module
+from relaycast.cli import _build_parser, _read_value, run
 from relaycast.symbols import is_bits
 from helpers import (chain_text, deep_encoder_text, fig1_text, outcome,
                      random_bits)
@@ -230,6 +231,27 @@ def test_repeated_codec_commands_reuse_one_machine(tmp_path, capsys,
     assert decode_steps() == 0
 
 
+def test_cached_parsers_keep_nothing_between_runs(tmp_path, capsys):
+    """Each command's parser is built once per process; a call after a
+    malformed flag, another format or ``-h`` parses as a first call."""
+    assert _build_parser("decode")[0] is _build_parser("decode")[0]
+    enc_path = tmp_path / "enc.txt"
+    enc_path.write_text(serialize_encoder(build_encoder(1, 2, 3)))
+    assert run(["encode", "--encoder", str(enc_path), "--bits", "110100",
+                "--format", "raw"]) == 0
+    header, stream = capsys.readouterr().out.splitlines()
+    assert header == "6 0"
+    assert run(["encode", "--encoder", str(enc_path), "--bits", "110100"]) == 0
+    assert capsys.readouterr().out == f"length: 6\npad: 0\nstream: {stream}\n"
+    assert run(["decode", "--encoder", str(enc_path), "--stream", stream,
+                "--length", "six"]) == 3
+    assert run(["decode", "-h"]) == 0
+    capsys.readouterr()
+    assert run(["decode", "--encoder", str(enc_path), "--stream", stream,
+                "--length", "6"]) == 0
+    assert capsys.readouterr() == ("110100\n", "")
+
+
 @pytest.mark.parametrize("stream,length,error", [
     ("N 0 N x N 0 N 0 N 0 N N", 6, "bad stream token 'x'"),
     ("N 0 N N N 1 N 0 N 0 N N", 6, "data symbol 1 out of range for q=1"),
@@ -414,6 +436,29 @@ def test_end_to_end_cli(tmp_path, capsys):
     assert "all recovered: yes" in out
     assert "rate: 0.666667" in out
     assert "baseline: 0.500000" in out
+
+
+@pytest.mark.parametrize("length, seed", [(200, 7), (4099, 3), (0, 7)])
+def test_end_to_end_draws_random_bits_in_one_call(tmp_path, capsys,
+                                                  monkeypatch, length, seed):
+    """``--random N`` draws the message as N bits of one ``getrandbits``,
+    zero-filled on the left; N = 0 is the empty message."""
+    messages = []
+    end_to_end = simulator_module.end_to_end
+
+    def recording(q, p, n, topo, bits):
+        messages.append(bits)
+        return end_to_end(q, p, n, topo, bits)
+
+    monkeypatch.setattr(simulator_module, "end_to_end", recording)
+    tree = tmp_path / "fig1.txt"
+    tree.write_text(fig1_text())
+    assert run(["end-to-end", "--q", "1", "--p", "2", "--n", "3", "--tree",
+                str(tree), "--random", str(length), "--seed", str(seed)]) == 0
+    expected = (format(random.Random(seed).getrandbits(length), f"0{length}b")
+                if length else "")
+    assert messages == [expected] and len(expected) == length
+    assert f"message bits: {length}\n" in capsys.readouterr().out
 
 
 def test_end_to_end_rejects_a_negative_random_length(tmp_path, capsys):

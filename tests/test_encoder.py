@@ -30,7 +30,7 @@ from relaycast.constraint import (_past_capacity, _power_adjacency,
 from relaycast.encoder import (ApproxEigenvector, Encoder, _anticipation,
                                _codeword_index, _parse, _synthesize,
                                find_approximate_eigenvector, split_states)
-from relaycast.symbols import _chunk_values
+from relaycast.symbols import _chunk_values, _split
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
                      approximate_eigenvector_oracle, code_of, decode_oracle,
                      deep_encoder_text, encode_oracle, matrix_vector,
@@ -503,6 +503,31 @@ def test_chunk_values_match_a_per_chunk_parse(width, bits):
     bits += "0" * (-len(bits) % width)
     assert list(_chunk_values(bits, width)) == [
         int(bits[i:i + width], 2) for i in range(0, len(bits), width)]
+
+
+# around the 256 slices that one compiled format cuts at a time
+_SPLIT_COUNTS = st.one_of(st.sampled_from([0, 255, 256, 257, 511, 512, 513]),
+                          st.integers(0, 600))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), count=_SPLIT_COUNTS, block=st.integers(1, 40),
+       blocks=st.integers(0, 20), seed=st.integers(0, 2 ** 32))
+def test_split_matches_plain_slicing(n, count, block, blocks, seed):
+    """``_split`` of a byte code and of a tuple against slicing one slice
+    at a time, as a tuple; decode joins a cut of whole chunks to a cut of
+    blocks, and that is a tuple too."""
+    rng = random.Random(seed)
+    chunks, tail = rng.randbytes(count * n), rng.randbytes(blocks * block)
+
+    def slices(stream, size):
+        return tuple(stream[i:i + size] for i in range(0, len(stream), size))
+
+    for head, rest in ((chunks, tail), (tuple(chunks), tuple(tail))):
+        cut = _split(head, n)
+        assert type(cut) is tuple and cut == slices(head, n)
+        keys = cut + _split(rest, block)
+        assert type(keys) is tuple and keys == cut + slices(rest, block)
 
 
 def test_encode_accepts_int_sequences(enc_q1):
