@@ -23,6 +23,7 @@ so that encode joins codewords and decode looks up byte slices."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations
@@ -119,12 +120,14 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
     smallest workable weight (1 when possible). Its outgoing edges, by
     descending head weight then label, are cut greedily into two groups
     whose edge-weight sums stay at least ``2**p`` times the descendant
-    weights; edges into the split state are duplicated to both. The result
-    has ``sum(x.vector)`` states, each with ``2**p`` or more outgoing
-    edges, after ``sum(x.vector)`` minus the nonzero weights rounds; all
-    ones return ``g`` itself. ``x`` satisfies the weight inequality,
-    unchecked. :class:`StateSplitError` is raised when the greedy cut
-    misses a partition, which may exist (``build_encoder(3, 6, 5)``)."""
+    weights, the first the shortest prefix that covers its weight (one
+    bisection of the prefix sums); edges into the split state are
+    duplicated to both. The result has ``sum(x.vector)`` states, each
+    with ``2**p`` or more outgoing edges, after ``sum(x.vector)`` minus
+    the nonzero weights rounds; all ones return ``g`` itself. ``x``
+    satisfies the weight inequality, unchecked. :class:`StateSplitError`
+    is raised when the greedy cut misses a partition, which may exist
+    (``build_encoder(3, 6, 5)``)."""
     if all(w == 1 for w in x.vector):
         return g
     target = 1 << x.p
@@ -149,14 +152,10 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
         # The weight inequality holds for every state after every round,
         # so the out-weight is at least target * heaviest and some prefix
         # covers each first_weight below heaviest.
-        out_weight = -sum(e[0] for e in outgoing)
+        acc = list(accumulate(-w for w, _, _ in outgoing))
         for first_weight in range(1, heaviest):
-            acc = 0
-            for cut, e in enumerate(outgoing, 1):
-                acc -= e[0]
-                if acc >= target * first_weight:
-                    break
-            if out_weight - acc >= target * (heaviest - first_weight):
+            cut = bisect_left(acc, target * first_weight) + 1
+            if acc[-1] - acc[cut - 1] >= target * (heaviest - first_weight):
                 break
         else:
             raise StateSplitError(
@@ -340,20 +339,18 @@ def _pair_successors(index, pair) -> set:
 
     Walks the codewords both emit in the first member's tag order, so the
     result does not hang on how codewords hash. A pair that collapses onto
-    a single state raises :class:`AmbiguousEncoderError`, naming the first
-    such codeword in that order."""
+    a single state raises :class:`AmbiguousEncoderError` at the first
+    codeword in that order that it collapses on, naming it."""
     a, b = pair
     a_index, b_index = index[a], index[b]
     following = set()
     for word in filter(b_index.__contains__, a_index):
         for _, ta in a_index[word]:
             for _, tb in b_index[word]:
+                if ta == tb:
+                    raise AmbiguousEncoderError(
+                        f"states {a} and {b} merge on {format_stream(word)!r}")
                 following.add((min(ta, tb), max(ta, tb)))
-    if any(ta == tb for ta, tb in following):
-        word = next(w for w in a_index if w in b_index
-                    and {t for _, t in a_index[w]} & {t for _, t in b_index[w]})
-        raise AmbiguousEncoderError(
-            f"states {a} and {b} merge on {format_stream(word)!r}")
     return following
 
 
@@ -363,11 +360,15 @@ def _anticipation(index) -> int:
     ``index`` is per state: codeword -> ((tag, next), ...), in tag order,
     as :func:`_codeword_index` builds it from a machine's transitions.
     Walks the graph over unordered state pairs reachable by emitting a
-    common codeword from both members, from the pairs a state forks
-    into, expanding each pair once. A pair that collapses onto a single
-    state, or that can be prolonged forever, can never be told apart,
-    so the machine is rejected. Returns 0 for a machine whose codewords
-    are distinct at every state, else 1 + the longest pair path.
+    common codeword from both members depth first, with no recursion,
+    from each pair a state forks into, in sorted order: a pair's
+    successors are computed once, when it is reached, and read once, and
+    its height (the pairs on its longest path) is set when it is left. A
+    pair that collapses onto a single state, or that reaches a pair on
+    the walk's path (so it can be prolonged forever), can never be told
+    apart, so the machine is rejected; a cycle is named by the fork being
+    walked, the least fork that reaches one. Returns 0 for a machine whose
+    codewords are distinct at every state, else 1 + the longest pair path.
     """
     # a shared codeword forks into the pairs of its heads; many codewords
     # share one group of heads, so each group is read once (built from a
@@ -386,37 +387,28 @@ def _anticipation(index) -> int:
                     f"state {state} emits {format_stream(word)!r} "
                     f"to state {a} under two different tags")
             forks.add((min(a, b), max(a, b)))
-    successors: Dict[Tuple[int, int], set] = {}
-    stack = sorted(forks)
-    while stack:
-        pair = stack.pop()
-        if pair not in successors:
-            successors[pair] = _pair_successors(index, pair)
-            stack.extend(successors[pair])
-    # Peel pairs whose successors are all peeled, sinks first: a pair's
-    # height is the number of pairs on its longest path. Pairs that can
-    # reach a cycle are never peeled.
-    predecessors: Dict[Tuple[int, int], list] = {pair: [] for pair in successors}
-    unpeeled = {}
-    for pair, following in successors.items():
-        unpeeled[pair] = len(following)
-        for nxt in following:
-            predecessors[nxt].append(pair)
-    ready = [pair for pair, count in unpeeled.items() if not count]
-    height: Dict[Tuple[int, int], int] = {}
-    while ready:
-        pair = ready.pop()
-        height[pair] = 1 + max(map(height.__getitem__, successors[pair]),
-                               default=0)
-        for before in predecessors[pair]:
-            unpeeled[before] -= 1
-            if not unpeeled[before]:
-                ready.append(before)
-    if len(height) < len(successors):
-        pair = min(f for f in forks if f not in height)
-        raise AmbiguousEncoderError(
-            f"state pair {pair} can stay indistinguishable forever")
-    return max((height[f] for f in forks), default=0)
+    height: Dict[Tuple[int, int], int] = {}  # 0 while on the path
+    # the path, each pair with its unread successors and their greatest
+    # height, from a root whose successors are the forks
+    path = [[None, iter(sorted(forks)), 0]]
+    while True:
+        top = path[-1]
+        for pair in top[1]:
+            seen = height.get(pair)
+            if seen is None:
+                height[pair] = 0
+                path.append([pair, iter(_pair_successors(index, pair)), 0])
+                break
+            if not seen:
+                raise AmbiguousEncoderError(
+                    f"state pair {path[1][0]} can stay indistinguishable forever")
+            top[2] = max(top[2], seen)
+        else:
+            path.pop()
+            if not path:
+                return top[2]
+            height[top[0]] = top[2] + 1
+            path[-1][2] = max(path[-1][2], top[2] + 1)
 
 
 def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:

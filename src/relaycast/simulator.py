@@ -229,6 +229,15 @@ def _relay(parent_stream: Stream, mask: bytes) -> Tuple[Stream, Tuple[int, ...]]
     return type(parent_stream)(sent[:-1]), tuple(lost)
 
 
+def _check_slots(stream_slots: int, extra_slots: int) -> None:
+    """Refuse a run of ``stream_slots`` then ``extra_slots`` slots past
+    ``_SLOT_BUDGET`` with :class:`InvalidParameterError`."""
+    if extra_slots > _SLOT_BUDGET - stream_slots:
+        raise InvalidParameterError(
+            f"{stream_slots} stream slots and extra_slots={_spell(extra_slots)} "
+            f"pass the simulation budget of {_SLOT_BUDGET} slots")
+
+
 def simulate(topo: TreeTopology, source_stream,
              extra_slots: Optional[int] = None) -> SimTrace:
     """Run ``len(source_stream) + extra_slots`` slots of forwarding.
@@ -249,10 +258,7 @@ def simulate(topo: TreeTopology, source_stream,
     if extra_slots is None:
         extra_slots = topo.max_depth
     _check_int(extra_slots, "extra_slots", 0)
-    if extra_slots > _SLOT_BUDGET - len(stream):
-        raise InvalidParameterError(
-            f"{len(stream)} stream slots and extra_slots={_spell(extra_slots)} "
-            f"pass the simulation budget of {_SLOT_BUDGET} slots")
+    _check_slots(len(stream), extra_slots)
     source = stream + _silence(stream, extra_slots)
     relayed, lost = _relay(source, _data_mask(stream))
     return SimTrace(nodes=topo.nodes, depth=topo.depth, source=source,
@@ -400,10 +406,16 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     exactly from what it forwards after its depth-long silence. Every
     depth >= 1 forwards ``relayed[1:1 + len(stream)]``, so the relays share
     one verdict, and a lost slot is always a data slot inside the stream,
-    so that window is decoded only when ``trace.lost`` is not empty.
-    ``topo`` is checked by :func:`simulate`."""
+    so that window is decoded only when ``trace.lost`` is not empty. Any
+    ``topo`` but a :class:`TreeTopology`, or a stream and drain past the
+    simulator's slot budget, raises :class:`InvalidParameterError` before
+    anything is encoded."""
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message, "message")
+    _check_type(topo, TreeTopology, "topo")
+    blocks = -(-len(bits) // p)
+    _check_slots(n * (blocks + machine.anticipation) if blocks else 0,
+                 topo.max_depth)
     stream, header = encode(machine, bits)
     trace = simulate(topo, stream)
 

@@ -801,3 +801,31 @@ def deep_encoder_text(steps):
                       f"{b} 0 2 {sink}", f"{b} 1 N {sink}"]
     lines += [f"{sink} 0 N {sink}", f"{sink} 1 0 {sink}"]
     return "\n".join(lines) + "\n"
+
+
+def wide_fork_text(p):
+    """Encoder text (q=9, p, n=6) with anticipation 2 and a wide pair graph.
+
+    State 0 forks on the codeword ``0 0 0 0 0 0`` into states 1 and 2,
+    which emit it under all ``2**p`` tags, to ``2**p`` distinct heads
+    each; every other transition has a codeword of its own (a number in
+    base 10, 9 spelled ``N``). So the pair graph holds the fork (1, 2),
+    its ``4**p`` successors (a head of 1, a head of 2) and the
+    ``2**p (2**p - 1)`` pairs of heads that 1 and 2 fork into, none of
+    which has a successor: at p = 8, 130,817 pairs. States ``3 + i`` and
+    ``3 + 2**p + i`` are the heads under tag i; heads leave to the last
+    state, the sink, which returns to 0.
+    """
+    fanout = 1 << p
+    sink = 3 + 2 * fanout
+    words = (" ".join(f"{k:06d}").replace("9", "N") for k in count())
+    shared = next(words)
+    lines = [f"ENC 9 {p} 6 {sink + 1} 0", f"0 0 {shared} 1", f"0 1 {shared} 2"]
+    lines += [f"0 {tag} {next(words)} {sink}" for tag in range(2, fanout)]
+    for tag in range(fanout):
+        lines += [f"1 {tag} {shared} {3 + tag}",
+                  f"2 {tag} {shared} {3 + fanout + tag}"]
+    for state in range(3, sink + 1):
+        nxt = 0 if state == sink else sink
+        lines += [f"{state} {tag} {next(words)} {nxt}" for tag in range(fanout)]
+    return "\n".join(lines) + "\n"

@@ -392,6 +392,30 @@ def test_end_to_end_refuses_a_random_length_past_the_slot_budget(
                                f"{2 ** 26} message bits\n")
 
 
+def test_end_to_end_refuses_a_random_message_whose_stream_passes_the_budget(
+        tmp_path, capsys, monkeypatch):
+    """At rate 2/3 a message within the CLI's bound on ``--random`` can
+    still encode past the slot budget: with the budget patched to 3,000
+    slots, 2,900 bits are refused with one error line before anything is
+    encoded, and 1,996 bits, the longest that fit, still run."""
+    tree = tmp_path / "fig1.txt"
+    tree.write_text(fig1_text())
+    monkeypatch.setattr(simulator_module, "_SLOT_BUDGET", 3000)
+    calls = []
+    monkeypatch.setattr(simulator_module, "encode",
+                        lambda *args: calls.append(args) or encode(*args))
+    args = ["end-to-end", "--q", "1", "--p", "2", "--n", "3",
+            "--tree", str(tree), "--random"]
+    assert run(args + ["2900"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not calls
+    assert err == ("error: 4353 stream slots and extra_slots=3 pass the "
+                   "simulation budget of 3000 slots\n")
+    assert run(args + ["1996"]) == 0
+    assert capsys.readouterr().out.endswith("all recovered: yes\n")
+    assert len(calls) == 1
+
+
 def test_python_m_relaycast_runs_the_cli():
     done = _python_m_relaycast("capacity", "--q", "1")
     assert (done.returncode, done.stdout, done.stderr) == (0, "0.694242\n", "")

@@ -35,7 +35,7 @@ from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
                      approximate_eigenvector_oracle, code_of, decode_oracle,
                      deep_encoder_text, encode_oracle, matrix_vector,
                      outcome, random_bits, rows_adjacency, rows_graph,
-                     symbols_of)
+                     symbols_of, wide_fork_text)
 
 
 def _satisfies_inequality(adjacency, vector, p):
@@ -1036,6 +1036,45 @@ def test_respelled_tokens_leave_the_subset_table_as_it_was(enc_q1):
     mixed = [symbols[i] if i // n % 2 else t for i, t in enumerate(tokens)]
     assert decode(machine, mixed, header) == bits
     assert keys() == stored
+
+
+@pytest.mark.parametrize("build, anticipation, pairs, edges", [
+    # the fork (1, 2) reaches every (head of 1, head of 2) pair, and the
+    # 2 * C(64, 2) pairs of heads that 1 and 2 fork into reach nothing
+    (lambda: _parse.__wrapped__(wide_fork_text(6)), 2, 8129, 4096),
+    # 13 forks, 11 of them reached again from other pairs
+    (lambda: _synthesize.__wrapped__(1, 9, 13), 5, 13, 34)],
+    ids=["wide fork", "(1,9,13)"])
+def test_certificate_expands_and_reads_each_pair_once(build, anticipation,
+                                                      pairs, edges):
+    """The certificate walk computes each pair's successors once and reads
+    each once: as many expansions as pairs, as many reads as pair-graph
+    edges, whether or not a pair is reached on several paths."""
+    calls, reads = [], []
+    real = encoder_module._pair_successors
+
+    class Successors:
+        """A pair's successors, each read counted, on every pass."""
+
+        def __init__(self, following):
+            self.following = following
+
+        def __iter__(self):
+            for nxt in self.following:
+                reads.append(nxt)
+                yield nxt
+
+    def counted(index, pair):
+        calls.append(pair)
+        return Successors(real(index, pair))
+
+    with mock.patch.object(encoder_module, "_pair_successors", counted):
+        machine = build()
+    assert machine.anticipation == anticipation
+    assert len(calls) == len(set(calls)) == pairs
+    assert len(reads) == edges
+    assert anticipation_oracle(_codeword_index(machine.transitions)) == \
+        anticipation
 
 
 @pytest.fixture(scope="module")

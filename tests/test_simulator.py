@@ -273,6 +273,29 @@ def test_end_to_end_empty_message():
     assert report.message_bits == 0
 
 
+def test_end_to_end_checks_the_slot_budget_before_encoding():
+    """With a 3,000-slot budget, (1,2,3) on the depth-3 figure-1 tree runs
+    3 (ceil(bits / 2) + 1) stream slots and 3 drain slots: 1,996 bits
+    fit exactly, and 1,997 or 2,900 are refused, with simulate's message,
+    before ``encode`` is called."""
+    topo = parse_tree(fig1_text())
+    assert build_encoder(1, 2, 3).anticipation == 1 and topo.max_depth == 3
+    counting = mock.Mock(wraps=relaycast.simulator.encode)
+    with mock.patch.object(relaycast.simulator, "_SLOT_BUDGET", 3000), \
+            mock.patch.object(relaycast.simulator, "encode", counting):
+        for length, slots in ((2900, 4353), (1997, 3000)):
+            with pytest.raises(InvalidParameterError) as excinfo:
+                end_to_end(1, 2, 3, topo, "1" * length)
+            assert str(excinfo.value) == (
+                f"{slots} stream slots and extra_slots=3 pass the "
+                f"simulation budget of 3000 slots")
+        assert not counting.called
+        bits = random_bits(random.Random(3), 1996)
+        assert end_to_end(1, 2, 3, topo, bits).all_recovered
+        assert counting.call_count == 1
+    assert len(encode(build_encoder(1, 2, 3), bits)[0]) == 2997
+
+
 # ---------------------------------------------------------------------------
 # the two-row simulator against the node-by-node and per-depth oracles
 
@@ -788,6 +811,29 @@ def test_coded_streams_read_as_their_tuples(topo, rate, bits, change):
         _views(topo, plain, header, machine)
     assert _views(topo, bytearray(code), header, machine) == \
         _views(topo, list(plain), header, machine)
+
+
+@pytest.mark.parametrize("rate, bits", [
+    ((12, 4, 2), "0110" * 25),
+    # past q = 255 encode gives a tuple, but a message of zero bits takes
+    # tag 0 at every block, whose codewords hold only symbols below 255
+    ((300, 8, 2), "0" * 64)])
+def test_streams_read_as_byte_codes_and_generators(rate, bits):
+    """A stream given as its symbols, as their byte code or as a generator
+    of the symbols gives every stream function the same results; decode
+    reads a byte code for a machine past q = 255 as its symbols."""
+    machine = build_encoder(*rate)
+    stream, header = encode(machine, bits)
+    symbols = symbols_of(stream)
+    topo = parse_tree(fig1_text())
+    views = _views(topo, symbols, header, machine)
+    assert views[-1] == bits
+    assert _views(topo, code_of(symbols), header, machine) == views
+    assert decode(machine, code_of(symbols), header) == bits
+    assert format_stream(s for s in symbols) == views[0]
+    assert is_admissible(s for s in symbols) == views[1]
+    trace = simulate(topo, (s for s in symbols))
+    assert (trace.source, trace.relayed, trace.lost) == views[2:5]
 
 
 @pytest.mark.parametrize("rate, coded", [((12, 4, 2), True),
