@@ -152,12 +152,13 @@ def _cmd_encode(args) -> None:
     machine = parse_encoder(_read_value(args.encoder))
     bits = _read_value(args.bits, "bits").strip()
     stream, header = encode(machine, bits)
+    pad = (-header.bit_length) % machine.p  # zero bits in the last block
     if args.format == "raw":
-        print(f"{header.bit_length} {header.pad}")
+        print(f"{header.bit_length} {pad}")
         print(format_stream(stream))
     else:
         print(f"length: {header.bit_length}")
-        print(f"pad: {header.pad}")
+        print(f"pad: {pad}")
         print(f"stream: {format_stream(stream)}")
 
 
@@ -166,8 +167,7 @@ def _cmd_decode(args) -> None:
     # blocks
     machine = parse_encoder(_read_value(args.encoder))
     stream = parse_stream(_read_value(args.stream, "stream"), q=machine.q)
-    pad = (-args.length) % machine.p
-    print(decode(machine, stream, FrameHeader(args.length, pad)))
+    print(decode(machine, stream, FrameHeader(args.length)))
 
 
 def _cmd_simulate(args) -> None:

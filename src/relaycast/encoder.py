@@ -11,13 +11,13 @@ keeping the concatenated output admissible. Construction:
 4. delete surplus edges down to 2**p per state, tags in codeword order.
 
 Out-splitting duplicates every edge into a split state, so two
-transitions can share a codeword (at these rates unavoidable). The
-builder certifies bounded lookahead instead: every pair of states
+transitions can share a codeword (at these rates unavoidable). Every
+machine certifies bounded lookahead instead: every pair of states
 reachable on identical blocks dies out within a fixed number of blocks,
 the *anticipation*, and ``encode`` appends that many flush blocks.
 ``decode`` follows the set of label-consistent states, one table lookup
-per chunk of up to 8 message bits, and walks back-pointers from the one
-path the flush leaves. A codeword is a piece of the stream, held in the
+per chunk of up to 8 message bits, and walks back-pointers from any path
+the flush leaves. A codeword is a piece of the stream, held in the
 stream's form: for q <= 255 its byte code (see :mod:`relaycast.symbols`),
 so that encode joins codewords and decode looks up byte slices."""
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations
-from operator import invert
+from itertools import accumulate, chain, combinations, tee
+from operator import invert, itemgetter
 from typing import Dict, List, Tuple
 
 from .constraint import (ConstraintGraph, Matrix, _label_order,
@@ -36,10 +36,9 @@ from .constraint import (ConstraintGraph, Matrix, _label_order,
 from .errors import (AmbiguousEncoderError, EncoderFormatError,
                      EnumerationCapError, FramingError, InfeasibleRateError,
                      StateSplitError, StreamFormatError, UnknownCodewordError)
-from .symbols import (Stream, _chars_code, _check_int, _check_iterable,
-                      _check_type, _chunk_values, _code_of, _Codes,
-                      _normalize_bits, _read, _spell, _split, _Symbols, _Table,
-                      format_stream, is_decimal)
+from .symbols import (N, Stream, _check_int, _check_iterable, _check_type,
+                      _chunk_values, _code_of, _normalize_bits, _read, _spell,
+                      _split, _Table, _word, format_stream, is_decimal)
 
 _PATH_BUDGET = 1 << 18  # power-graph paths; synthesis holds ~480 B per path
 # Machines kept by each of the two memos, built by rate and parsed by
@@ -186,19 +185,28 @@ def split_states(g: ConstraintGraph, x: ApproxEigenvector) -> ConstraintGraph:
 
 @dataclass(frozen=True)
 class Encoder:
-    """Immutable rate p:n machine. ``transitions[state][tag] = (codeword,
-    next)``; for q <= 255 a codeword is its byte code, as a stream is,
-    converted once from any sequence of symbols given."""
+    """Immutable rate p:n machine, checked and certified on construction,
+    built by hand too. ``transitions[state][tag] = (codeword, next)``; for
+    q <= 255 a codeword is its byte code, as a stream is, converted once
+    from any sequence of symbols given. ``anticipation`` is computed by
+    :func:`_anticipation`, never given, so every machine decodes exactly."""
 
     q: int
     p: int
     n: int
     start_state: int
     transitions: Tuple[Tuple[Tuple[Stream, int], ...], ...] = field(repr=False)
-    anticipation: int
+    anticipation: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", _coded(self.q, self.transitions))
+        for name in ("q", "p", "n"):
+            _check_int(getattr(self, name), name, error=EncoderFormatError)
+        rows, index = _table(self.q, self.p, self.n, self.transitions)
+        if not _is_state(self.start_state, len(rows)):
+            raise EncoderFormatError(
+                f"start state {_spell(self.start_state)} out of range")
+        object.__setattr__(self, "transitions", rows)
+        object.__setattr__(self, "anticipation", _anticipation(index))
 
     @property
     def num_states(self) -> int:
@@ -227,17 +235,53 @@ class Encoder:
         return _Table(_Row)
 
 
-def _coded(q, transitions):
-    """``transitions`` with each codeword as its byte code where it has one
-    (q <= 255); the builders' tables, coded already, and junk stay as given."""
+def _is_state(value, states: int) -> bool:
+    return type(value) is int and 0 <= value < states
+
+
+def _table(q: int, p: int, n: int, transitions) -> tuple:
+    """The rows of ``transitions``, codewords in the machine's form, and
+    their codeword index, or :class:`EncoderFormatError`. Each check is a
+    pass in C over all pairs or each state's distinct codewords; only
+    codewords given in another form are converted one by one."""
+    def column(i):
+        return map(itemgetter(i), chain.from_iterable(rows))
+
+    coded = q <= 255
+    words = targets = False
     try:
-        kinds = {type(word) for word, _ in chain.from_iterable(transitions)}
-        if q > 255 or kinds <= {bytes}:
-            return transitions
-        return tuple(tuple((_code_of(word) or word, nxt) for word, nxt in row)
-                     for row in transitions)
-    except (TypeError, ValueError):
-        return transitions
+        rows = tuple(map(tuple, transitions))
+        sizes = set(map(len, rows))
+        if rows and p < max(sizes).bit_length() and sizes == {1 << p}:
+            if set(map(type, column(0))) != {bytes if coded else tuple}:
+                convert = _code_of if coded else lambda word: tuple(_word(word))
+                rows = tuple(tuple((convert(word), nxt) for word, nxt in row)
+                             for row in rows)
+            index = _codeword_index(rows)  # unpacks every pair
+            if coded:  # a code byte is 0 for N and 1..q for a data symbol
+                symbols = bytes(range(q + 1))
+                words = not any(b"".join(by_word).translate(None, symbols)
+                                for by_word in index)
+            else:  # every pair's types: (1,) and (1.0,) are one key
+                kinds = set(map(type, chain.from_iterable(column(0))))
+                words = kinds <= {int, type(N)} and all(
+                    s is N or 0 <= s < q for s in
+                    set(chain.from_iterable(chain.from_iterable(index))))
+            words = words and set(map(len, chain.from_iterable(index))) == {n}
+            heads = set(column(1))
+            targets = (set(map(type, column(1))) == {int}
+                       and 0 <= min(heads) and max(heads) < len(rows))
+    except (TypeError, ValueError, IndexError):  # no pair, or unhashable items
+        pass
+    if not words:
+        raise EncoderFormatError(
+            f"transitions must be one or more rows of 2**{_spell(p)} (codeword, "
+            f"next) pairs, a codeword being n={_spell(n)} symbols for "
+            f"q={_spell(q)}")
+    if not targets:
+        bad = next(t for t in column(1) if not _is_state(t, len(rows)))
+        raise EncoderFormatError(f"transition target {_spell(bad)} out of range")
+    return rows, index
 
 
 class _Row(list):
@@ -321,9 +365,6 @@ class _SubsetTable:
         moves: Dict[int, tuple] = {}
         for j, state in enumerate(states):
             for tag, nxt in self._by_codeword[state].get(key, ()):
-                if nxt in moves:
-                    raise AmbiguousEncoderError(
-                        "two decode paths converged; machine certificate broken")
                 moves[nxt] = (j, format(tag, self._tag_format))
         if not moves:
             raise UnknownCodewordError(
@@ -419,9 +460,10 @@ def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
     from the start (the first descendant of OFF, index 0). Each distinct
     kept label is spelled once, in rank order: for q <= 255 all of them by
     one ``translate`` of the joined labels, cut into byte codes. The
-    certificate's codeword index, about half of a fresh machine's memory,
-    is dropped and built again on the first decode. ``g`` is a split graph
-    of n-symbol labels, 2**p out-edges or more per state, unchecked."""
+    :class:`Encoder` drops its certificate's codeword index, about half of
+    a fresh machine's memory, and builds it again on the first decode.
+    ``g`` is a split graph of n-symbol labels, 2**p out-edges or more per
+    state, unchecked."""
     q = g.q
     words = g.words
     fanout = 1 << p
@@ -462,13 +504,15 @@ def prune_to_encoder(g: ConstraintGraph, p: int, n: int) -> Encoder:
     else:
         spelled = zip(*[_label_symbols(q, labels)] * n)
     codewords = dict(zip(distinct, spelled))
-    # equal (rank, head) pairs share one transition: split states copy rows
-    pair = _Table(lambda key: (codewords[key[0]], key[1]))
-    transitions = tuple(tuple(map(pair.__getitem__, zip(r, h)))
-                        for r, h in zip(ranks, heads))
+    # equal pairs share one tuple, as split states copy rows: each pair is
+    # made, looked up and kept or dropped in turn, all in C
+    shared: Dict[Tuple[Stream, int], Tuple[Stream, int]] = {}
+    transitions = tuple(
+        tuple(map(shared.setdefault,
+                  *tee(zip(map(codewords.__getitem__, r), h))))
+        for r, h in zip(ranks, heads))
     return Encoder(q=q, p=p, n=n, start_state=renumber[start],
-                   transitions=transitions,
-                   anticipation=_anticipation(_codeword_index(transitions)))
+                   transitions=transitions)
 
 
 def build_encoder(q: int, p: int, n: int) -> Encoder:
@@ -525,14 +569,13 @@ def _weights(q: int, p: int, n: int) -> ApproxEigenvector:
 
 @dataclass(frozen=True)
 class FrameHeader:
-    """Framing metadata returned by encode and required by decode."""
+    """Framing metadata returned by encode and required by decode: the bit
+    length, all that a stream leaves open (its pad is ``-bit_length % p``)."""
 
     bit_length: int
-    pad: int
 
     def __post_init__(self):
         _check_int(self.bit_length, "bit_length", 0)
-        _check_int(self.pad, "pad", 0)
 
 
 def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
@@ -553,10 +596,9 @@ def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
     text = _normalize_bits(bits)
     length = len(text)
     if length == 0:
-        return b"" if encoder.q <= 255 else (), FrameHeader(0, 0)
+        return b"" if encoder.q <= 255 else (), FrameHeader(0)
     p, n = encoder.p, encoder.n
-    pad = (-length) % p
-    text += "0" * (pad + p * encoder.anticipation)
+    text += "0" * ((-length) % p + p * encoder.anticipation)
     symbols = len(text) // p * n
     width = encoder._chunk_blocks * p
     text += "0" * (-len(text) % width)
@@ -573,7 +615,7 @@ def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
     parts = map(list.__getitem__, walk, map(invert, values))
     stream = (b"".join(parts) if encoder.q <= 255
               else tuple(chain.from_iterable(parts)))
-    return stream[:symbols], FrameHeader(length, pad)
+    return stream[:symbols], FrameHeader(length)
 
 
 def decode(encoder: Encoder, word, header: FrameHeader) -> str:
@@ -584,8 +626,9 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     and then each block costs one lookup in the encoder's subset table,
     filled on first sight of a (tuple, key) pair: the next tuple and per
     next state a back-pointer, its index in the tuple before and its tag
-    bits. The survivors are walked back through the flush, where the
-    certificate merges them, and the one path left to block 0: O(blocks).
+    bits. Any survivor is walked back to block 0: O(blocks). Two paths that
+    part at a fork emit alike for at most ``anticipation`` blocks (the
+    certificate), so any two survivors part in the flush.
 
     ``word`` is a byte code, symbols or stream tokens such as
     ``text.split()``, checked as :func:`parse_stream` checks them; for q <=
@@ -606,10 +649,6 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
         raise FramingError(
             f"stream length {len(stream)} is not a multiple of n={n}")
     length = header.bit_length
-    if header.pad != (-length) % encoder.p:
-        raise FramingError(
-            f"pad {_spell(header.pad)} inconsistent with bit length "
-            f"{_spell(length)}")
     message_blocks = (length + encoder.p - 1) // encoder.p
     expected = message_blocks + (encoder.anticipation if message_blocks else 0)
     total = len(stream) // n
@@ -649,16 +688,9 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
                 f"block {at // n} ({format_stream(block)}) matches no transition")
         raise error
 
-    # survivors not merged within the flush differ in some message tag
-    message = len(history) - encoder.anticipation
-    live = range(len(states))
-    for back in reversed(history[message:]):
-        live = {back[j][0] for j in live}
-    if len(live) != 1:
-        raise AmbiguousEncoderError("flush failed to single out the message")
-    (j,) = live
-    tags = [""] * message
-    for i in range(message - 1, -1, -1):
+    j = 0  # any survivor: see the docstring
+    tags = [""] * len(history)
+    for i in range(len(history) - 1, -1, -1):
         j, tags[i] = history[i][j]
     return "".join(tags)[:length]
 
@@ -723,7 +755,9 @@ def parse_encoder(text: str) -> Encoder:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parse(text: str) -> Encoder:
-    """The body of :func:`parse_encoder`, on a checked exact str."""
+    """The body of :func:`parse_encoder`, on a checked exact str. Every
+    line's codeword tokens are read in one batch, after the line loop,
+    which a line's other error ends; :class:`Encoder` checks the targets."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EncoderFormatError("empty encoder text")
@@ -742,35 +776,35 @@ def _parse(text: str) -> Encoder:
     if given != num_states * fanout:
         raise EncoderFormatError(
             f"expected {num_states * fanout} transition lines, got {given}")
-    # per state, its transitions by tag
+    # per state and tag, the line number of its transition
     rows = [[None] * fanout for _ in range(num_states)]
-    # one token table for the whole file, to code bytes for q <= 255
-    table, join = (_Codes(q), bytes) if q <= 255 else (_Symbols(q), tuple)
-    for line in lines[1:]:
+    tokens: List[str] = []  # every line's codeword tokens, in file order
+    nexts: List[int] = []
+    held = None
+    for number, line in enumerate(lines[1:]):
         parts = line.split()
         if (len(parts) != 3 + n
                 or not all(map(is_decimal, (parts[0], parts[1], parts[-1])))):
-            raise EncoderFormatError(f"bad transition line {line!r}")
-        state, tag, nxt = int(parts[0]), int(parts[1]), int(parts[-1])
-        # the codeword in its final form, one-character tokens by one translate
-        chars = "".join(parts[2:-1])
-        word = _chars_code(chars, q) if q <= 255 and len(chars) == n else None
-        try:
-            word = word or join(map(table.__getitem__, parts[2:-1]))
-        except StreamFormatError as exc:
-            raise EncoderFormatError(f"bad transition line {line!r}") from exc
+            held = f"bad transition line {line!r}"
+            break
+        tokens += parts[2:-1]
+        state, tag = int(parts[0]), int(parts[1])
         if not 0 <= state < num_states or not 0 <= tag < fanout:
-            raise EncoderFormatError(f"state or tag out of range in {line!r}")
-        if rows[state][tag]:
-            raise EncoderFormatError(f"duplicate transition for state "
-                                     f"{state} tag {tag}")
-        rows[state][tag] = (word, nxt)
-    transitions = tuple(map(tuple, rows))
-    for outs in transitions:
-        for _, nxt in outs:
-            if nxt >= num_states:
-                raise EncoderFormatError(f"transition target {nxt} out of range")
-    if start >= num_states:
-        raise EncoderFormatError(f"start state {start} out of range")
-    return Encoder(q=q, p=p, n=n, start_state=start, transitions=transitions,
-                   anticipation=_anticipation(_codeword_index(transitions)))
+            held = f"state or tag out of range in {line!r}"
+            break
+        if rows[state][tag] is not None:
+            held = f"duplicate transition for state {state} tag {tag}"
+            break
+        rows[state][tag] = number
+        nexts.append(int(parts[-1]))
+    code, fault = _read(tokens, q)
+    del tokens  # 8 bytes per codeword symbol, the largest object here
+    if fault:
+        line = lines[1 + fault[0] // n]
+        raise EncoderFormatError(f"bad transition line {line!r}") from fault[1]
+    if held:
+        raise EncoderFormatError(held)
+    pairs = list(zip(_split(code, n), nexts))
+    return Encoder(q=q, p=p, n=n, start_state=start,
+                   transitions=tuple(tuple(map(pairs.__getitem__, row))
+                                     for row in rows))

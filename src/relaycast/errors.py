@@ -36,7 +36,7 @@ class StateSplitError(RelaycastError):
 
 
 class EncoderBuildError(RelaycastError):
-    """A machine, built or parsed, fails a check of its construction.
+    """A machine, however it was made, fails a check of its construction.
 
     Not raised itself: its one subclass is
     :class:`AmbiguousEncoderError`.
@@ -57,7 +57,7 @@ class FramingError(RelaycastError, ValueError):
 
 
 class EncoderFormatError(RelaycastError, ValueError):
-    """Serialized encoder text is malformed."""
+    """An encoder's text or transition table is malformed."""
 
 
 class TopologyError(RelaycastError, ValueError):

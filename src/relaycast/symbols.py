@@ -56,8 +56,9 @@ Word = Tuple[Symbol, ...]
 Stream = Union[bytes, Word]
 
 
-def _check_int(value, name: str, minimum: int = 1) -> None:
-    """Raise :class:`InvalidParameterError` unless ``value >= minimum``.
+def _check_int(value, name: str, minimum: int = 1,
+               error=InvalidParameterError) -> None:
+    """Raise ``error(message)`` unless ``value >= minimum``.
 
     ``value`` must be an ``int``; ``minimum`` is 1 for counts and 0 for
     lengths and offsets. ``bool`` is an ``int`` subclass but never a
@@ -65,7 +66,7 @@ def _check_int(value, name: str, minimum: int = 1) -> None:
     """
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
-        raise InvalidParameterError(
+        raise error(
             f"{name} must be a {kind} integer, got {_spell(value)}")
 
 

@@ -29,7 +29,7 @@ from relaycast import (ERASED, N, AmbiguousEncoderError, FrameHeader,
                        StateSplitError, StreamFormatError,
                        UnknownCodewordError, capacity, format_stream)
 from relaycast.constraint import ConstraintGraph
-from relaycast.encoder import Encoder, _anticipation, _codeword_index
+from relaycast.encoder import Encoder
 from relaycast.symbols import is_data, is_decimal
 
 
@@ -121,7 +121,7 @@ def encode_oracle(encoder, bits):
     length = len(text)
     form = code_of if encoder.q <= 255 else tuple
     if length == 0:
-        return form(()), FrameHeader(0, 0)
+        return form(()), FrameHeader(0)
     pad = (-length) % encoder.p
     text += "0" * pad
     out = []
@@ -132,7 +132,7 @@ def encode_oracle(encoder, bits):
     for _ in range(encoder.anticipation):
         word, state = encoder.transitions[state][0]
         out.extend(symbols_of(word))
-    return form(out), FrameHeader(length, pad)
+    return form(out), FrameHeader(length)
 
 
 def scan_admissible(word):
@@ -618,8 +618,7 @@ def prune_to_encoder_oracle(g, p, n):
         tuple((e.word, renumber[e.dst]) for e in kept[old])
         for old in order)
     return Encoder(q=g.q, p=p, n=n, start_state=renumber[start],
-                   transitions=transitions,
-                   anticipation=_anticipation(_codeword_index(transitions)))
+                   transitions=transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +677,15 @@ def decode_oracle(encoder, word, header):
     with the square of the message length. The flush appended by encode
     guarantees that all paths surviving to the end agree on the message
     bits; stray streams that match no transition raise
-    :class:`UnknownCodewordError` at the offending block.
+    :class:`UnknownCodewordError` at the offending block. It keeps the two
+    ambiguity checks that ``decode`` leaves to the certificate, so a
+    machine that passed a broken certificate would fail here.
     """
     stream = symbols_of(word)
     if len(stream) % encoder.n:
         raise FramingError(
             f"stream length {len(stream)} is not a multiple of n={encoder.n}")
     length = header.bit_length
-    if header.pad != (-length) % encoder.p:
-        raise FramingError(
-            f"pad {header.pad} inconsistent with bit length {length}")
     message_blocks = (length + encoder.p - 1) // encoder.p
     expected = message_blocks + (encoder.anticipation if message_blocks else 0)
     total = len(stream) // encoder.n

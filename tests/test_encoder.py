@@ -460,7 +460,7 @@ def test_block_streams_within_counting_bound(enc_q1, enc_q6):
 def test_encode_empty(enc_q1):
     stream, header = encode(enc_q1, "")
     assert stream == b""
-    assert header == FrameHeader(0, 0)
+    assert header == FrameHeader(0)
     assert decode(enc_q1, stream, header) == ""
 
 
@@ -478,7 +478,7 @@ def test_encode_length_formula(enc_q1, enc_q6):
             stream, header = encode(machine, "1" * length)
             blocks = -(-length // machine.p)
             assert len(stream) == machine.n * (blocks + machine.anticipation)
-            assert header.pad == (-length) % machine.p
+            assert header == FrameHeader(length)
 
 
 def test_roundtrip_randomized(enc_q1, enc_q6):
@@ -574,23 +574,14 @@ def test_decode_framing_errors(enc_q1):
         decode(enc_q1, stream[:-1], header)  # not a block multiple
     with pytest.raises(FramingError):
         decode(enc_q1, stream[:-enc_q1.n], header)  # missing flush block
-    with pytest.raises(FramingError):
-        decode(enc_q1, stream, FrameHeader(4, 1))  # inconsistent pad
 
 
-@pytest.mark.parametrize("wrong, named", [
-    (0, "frame implies an integer of about"),
-    (1, "bit length an integer of about 5001 digits")])
-def test_framing_errors_spell_a_bit_length_past_the_str_limit(enc_q1, wrong,
-                                                              named):
+def test_framing_errors_spell_a_bit_length_past_the_str_limit(enc_q1):
     """A bit length of 5,001 digits, past the interpreter's int-to-str
-    limit, ends in a ``FramingError`` with the right pad, naming the
-    block count it implies, and with a wrong one, naming the length."""
+    limit, ends in a ``FramingError`` naming the block count it implies."""
     stream, _ = encode(enc_q1, "1101")
-    length = 10**5000
-    pad = (wrong - length) % enc_q1.p
-    with pytest.raises(FramingError, match=named):
-        decode(enc_q1, stream, FrameHeader(length, pad))
+    with pytest.raises(FramingError, match="frame implies an integer of about"):
+        decode(enc_q1, stream, FrameHeader(10**5000))
 
 
 def test_encoder_repr_leaves_out_the_transitions():
@@ -606,10 +597,33 @@ def test_encoder_repr_leaves_out_the_transitions():
 
 def _converging_machine():
     """State 0 forks on N into states 1 and 2, which both reach 0 on N."""
-    return Encoder(q=1, p=1, n=1, start_state=0, anticipation=1,
+    return Encoder(q=1, p=1, n=1, start_state=0,
                    transitions=((((N,), 1), ((N,), 2)),
                                 (((N,), 0), ((0,), 0)),
                                 (((N,), 0), ((0,), 1))))
+
+
+def test_converging_machine_is_refused_on_construction():
+    """A machine built by hand is certified as a parsed one is: the same
+    table written as text fails with the same error and message."""
+    text = ("ENC 1 1 1 3 0\n0 0 N 1\n0 1 N 2\n1 0 N 0\n1 1 0 0\n"
+            "2 0 N 0\n2 1 0 1\n")
+    expected = outcome(parse_encoder, text)
+    assert expected == (AmbiguousEncoderError, "states 1 and 2 merge on 'N'")
+    assert outcome(_converging_machine) == expected
+
+
+def test_anticipation_is_computed_not_given():
+    """``anticipation`` is no constructor field: ``replace`` refuses it,
+    and a machine given other transitions certifies them afresh."""
+    shallow, deep = (parse_encoder(deep_encoder_text(steps)) for steps in (3, 5))
+    with pytest.raises(ValueError):
+        dataclasses.replace(shallow, anticipation=0)
+    with pytest.raises(TypeError):
+        Encoder(q=3, p=1, n=1, start_state=0, transitions=shallow.transitions,
+                anticipation=4)
+    assert (shallow.anticipation, deep.anticipation) == (4, 6)
+    assert dataclasses.replace(shallow, transitions=deep.transitions) == deep
 
 
 DIFFERENTIAL_RATES = [(1, 2, 3), (6, 3, 2), (1, 9, 13), (6, 11, 7)]
@@ -617,13 +631,8 @@ DIFFERENTIAL_RATES = [(1, 2, 3), (6, 3, 2), (1, 9, 13), (6, 11, 7)]
 
 @pytest.fixture(scope="module")
 def differential_machines():
-    """The four built machines, plus two whose certificate is broken:
-    one whose forks converge and (1,2,3) with too short a flush."""
-    machines = {rate: build_encoder(*rate) for rate in DIFFERENTIAL_RATES}
-    machines["converging"] = _converging_machine()
-    machines["short flush"] = dataclasses.replace(machines[(1, 2, 3)],
-                                                  anticipation=0)
-    return machines
+    """The four built machines."""
+    return {rate: build_encoder(*rate) for rate in DIFFERENTIAL_RATES}
 
 
 def _corrupt(data, machine, stream, header):
@@ -652,8 +661,7 @@ def _corrupt(data, machine, stream, header):
     elif kind == "truncate" and stream:
         stream = stream[:data.draw(st.integers(0, len(stream) - 1))]
     elif kind == "header":
-        header = FrameHeader(data.draw(st.integers(0, header.bit_length + 30)),
-                             data.draw(st.integers(0, machine.p)))
+        header = FrameHeader(data.draw(st.integers(0, header.bit_length + 30)))
     return kind, stream, header
 
 
@@ -670,20 +678,6 @@ def test_decode_matches_oracle(differential_machines, data):
     assert outcome(decode, machine, code_of(stream), header) == expected
     if kind == "none" and name in DIFFERENTIAL_RATES:
         assert expected == bits
-
-
-@pytest.mark.parametrize("name,message", [
-    ("converging", "two decode paths converged; machine certificate broken"),
-    ("short flush", "flush failed to single out the message"),
-])
-def test_broken_certificates_reach_both_ambiguity_errors(
-        differential_machines, name, message):
-    machine = differential_machines[name]
-    stream, header = encode(machine, "0110")
-    for fn in (decode, decode_oracle):
-        with pytest.raises(AmbiguousEncoderError) as excinfo:
-            fn(machine, stream, header)
-        assert str(excinfo.value) == message
 
 
 def _token_outcome(machine, symbols, header, at, token):
@@ -826,8 +820,8 @@ def test_wrong_types_end_in_a_relaycast_error(enc_q1, call, error, argument):
         assert excinfo.value.reason == "format"
 
 
-@pytest.mark.parametrize("fields", [(True, 0), (4, False), (4.0, 0),
-                                    ("4", 0), (None, 0), (-1, 0)])
+@pytest.mark.parametrize("fields", [(True,), (False,), (4.0,), ("4",),
+                                    (None,), (-1,)])
 def test_frame_header_rejects_bad_fields(fields):
     with pytest.raises(InvalidParameterError):
         FrameHeader(*fields)
@@ -983,6 +977,100 @@ def test_parse_encoder_rejects_out_of_range_states(text, message):
     with pytest.raises(EncoderFormatError) as excinfo:
         parse_encoder(text)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a bad token on line 2 and a duplicate on line 4, and the reverse
+    (["0 0 N 1", "0 1 x 0", "1 0 N 0", "0 0 0 0"],
+     "bad transition line '0 1 x 0'"),
+    (["0 0 N 1", "0 0 0 0", "1 0 N 0", "1 1 x 0"],
+     "duplicate transition for state 0 tag 0"),
+    # a line's bad token wins over its own duplicate or range error
+    (["0 0 N 1", "0 0 x 0", "1 0 N 0", "1 1 0 0"],
+     "bad transition line '0 0 x 0'"),
+    (["0 0 N 1", "5 1 x 0", "1 0 N 0", "1 1 0 0"],
+     "bad transition line '5 1 x 0'"),
+    # a line of the wrong shape, after and before a bad token
+    (["0 0 x 1", "0 1 N", "1 0 N 0", "1 1 0 0"],
+     "bad transition line '0 0 x 1'"),
+    (["0 0 N 1", "0 1 N", "1 0 x 0", "1 1 0 0"],
+     "bad transition line '0 1 N'"),
+])
+def test_parse_encoder_names_the_first_bad_line(lines, message):
+    """The codeword tokens are read after the line loop, yet the first
+    bad line in file order is the one named, and a bad token is reported
+    as its own StreamFormatError's consequence."""
+    with pytest.raises(EncoderFormatError) as excinfo:
+        parse_encoder("ENC 1 1 1 2 0\n" + "\n".join(lines) + "\n")
+    assert str(excinfo.value) == message
+    token = " x " in message
+    assert isinstance(excinfo.value.__cause__, StreamFormatError) == token
+
+
+# q=1, p=1, n=1: one state that emits N or 0 and stays
+_ONE_STATE = ((((N,), 0), ((0,), 0)),)
+_TABLE = ("transitions must be one or more rows of 2**1 (codeword, next) "
+          "pairs, a codeword being n=1 symbols for q={}")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"transitions": ((((N,), 3), ((0,), 0)),)},
+     "transition target 3 out of range"),
+    ({"transitions": 5}, _TABLE.format(1)),
+    ({"transitions": ((((N,), -1), ((0,), 0)),)},
+     "transition target -1 out of range"),
+    ({"transitions": ((((5,), 0), ((0,), 0)),)}, _TABLE.format(1)),
+    ({"start_state": 1}, "start state 1 out of range"),
+    ({"start_state": True}, "start state True out of range"),
+    ({"transitions": ((((N,), 0), ((0,), "0")),)},
+     "transition target '0' out of range"),
+    ({"transitions": ((((N,), 0), ((0,), [0])),)},
+     "transition target [0] out of range"),
+    ({"transitions": ()}, _TABLE.format(1)),
+    ({"transitions": ((((N,), 0),),)}, _TABLE.format(1)),
+    ({"transitions": ((((N,), 0, 0), ((0,), 0)),)}, _TABLE.format(1)),
+    ({"transitions": ((((N,), 0), 7),)}, _TABLE.format(1)),
+    ({"transitions": (((b"\x05", 0), ((0,), 0)),)}, _TABLE.format(1)),
+    ({"transitions": ((((N, N), 0), ((0,), 0)),)}, _TABLE.format(1)),
+    ({"transitions": ((("N", 0), ((0,), 0)),)}, _TABLE.format(1)),
+    ({"q": 300, "transitions": ((((300,), 0), ((0,), 0)),)},
+     _TABLE.format(300)),
+    ({"q": 300, "transitions": ((([[0]], 0), ((0,), 0)),)},
+     _TABLE.format(300)),
+    ({"q": 300, "transitions": ((((0,), 0), ((0.0,), 0)),)},
+     _TABLE.format(300)),
+    ({"transitions": ((((N,), 0), ((0,), 0.0)),)},
+     "transition target 0.0 out of range"),
+    ({"p": True}, "p must be a positive integer, got True"),
+    ({"q": 0}, "q must be a positive integer, got 0"),
+    ({"n": 2.0}, "n must be a positive integer, got 2.0"),
+    ({"p": 10**100}, _TABLE.replace("2**1", f"2**{10**100}").format(1)),
+], ids=["target 3", "int table", "target -1", "symbol 5", "start 1",
+        "start True", "target str", "target list", "no rows", "short row",
+        "triple", "int pair", "byte 5", "long codeword", "str codeword",
+        "symbol 300", "unhashable symbol", "float symbol", "float target",
+        "p True", "q 0", "n float", "huge p"])
+def test_malformed_machines_fail_on_construction(fields, message):
+    """A machine built by hand from a malformed table fails when it is
+    made, with an EncoderFormatError, not later in encode or decode."""
+    given = {"q": 1, "p": 1, "n": 1, "start_state": 0,
+             "transitions": _ONE_STATE, **fields}
+    with pytest.raises(EncoderFormatError) as excinfo:
+        Encoder(**given)
+    assert str(excinfo.value) == message
+
+
+def test_hand_built_tables_are_converted_once():
+    """Rows and codewords given as lists read as the tuple table, and
+    q > 255 keeps symbol tuples."""
+    listed = Encoder(q=1, p=1, n=1, start_state=0,
+                     transitions=[[([N], 0), ([0], 0)]])
+    assert listed == Encoder(q=1, p=1, n=1, start_state=0,
+                             transitions=_ONE_STATE)
+    assert listed.transitions == (((b"\x00", 0), (b"\x01", 0)),)
+    wide = Encoder(q=300, p=1, n=1, start_state=0,
+                   transitions=[[([N], 0), ([299], 0)]])
+    assert wide.transitions == ((((N,), 0), ((299,), 0)),)
 
 
 @pytest.mark.parametrize("token", ["x", "1", "N0"])
@@ -1210,7 +1298,7 @@ class SharedMachines(RuleBasedStateMachine):
         elif change == "bad token" and tokens:
             word = tokens[:at] + ["x"] + tokens[at + 1:]
         elif change == "length":
-            header = FrameHeader(header.bit_length + shared.p, header.pad)
+            header = FrameHeader(header.bit_length + shared.p)
         got = outcome(decode, shared, word, header)
         assert got == outcome(decode, twin, word, header)
         if change in ("none", "respell", "mix"):

@@ -343,7 +343,7 @@ def _spoil(data, machine, tokens, header):
     elif "bad token" in kind and tokens:
         tokens[at] = data.draw(st.sampled_from(BAD_TOKENS))
     if "wrong length" in kind:
-        header = FrameHeader(header.bit_length + machine.p, header.pad)
+        header = FrameHeader(header.bit_length + machine.p)
     return kind, tokens, header
 
 
