@@ -9,19 +9,20 @@ package computes those capacities, counts and enumerates the admissible
 streams, synthesizes finite-state encoders that approach the capacity,
 and verifies the whole story with a slot-synchronous tree simulator.
 
-The command line (``relaycast.cli``, with ``run`` and ``table_report``)
-and the tree simulator (``relaycast.simulator``, with its exports) load
-on first use, so importing the package loads neither them nor argparse,
-and the codec commands never load the simulator.
+The command line (``relaycast.cli``, with ``run`` and ``table_report``),
+the tree simulator (``relaycast.simulator``), its delivery checks
+(``relaycast.delivery``) and the encoder text form and report
+(``relaycast.encoder_file``), each with its exports, load on first use.
+Importing the package loads none of them nor argparse, the codec
+commands never load the simulator, and ``end_to_end`` loads neither the
+delivery checks nor the encoder text form.
 """
 
 import importlib
 
 from .constraint import (capacity, characteristic_roots, count_words,
                          enumerate_words, spectral_radius)
-from .encoder import (Encoder, EncoderReport, FrameHeader, build_encoder,
-                      decode, encode, encoder_report, parse_encoder,
-                      serialize_encoder)
+from .encoder import Encoder, FrameHeader, build_encoder, decode, encode
 from .errors import (AmbiguousEncoderError, EncoderBuildError,
                      EncoderFormatError, EnumerationCapError, FramingError,
                      InfeasibleRateError, InvalidMatrixError,
@@ -53,10 +54,15 @@ __all__ = [
 _LAZY = {
     "cli": "cli", "run": "cli", "table_report": "cli",
     **dict.fromkeys((
-        "simulator", "DeliveryReport", "EndToEndReport", "NodeDelivery",
-        "NodeRecovery", "SimTrace", "TreeTopology", "baseline_rate",
-        "end_to_end", "parse_tree", "simulate", "verify_delivery"),
-        "simulator"),
+        "simulator", "EndToEndReport", "NodeRecovery", "SimTrace",
+        "TreeTopology", "baseline_rate", "end_to_end", "parse_tree",
+        "simulate"), "simulator"),
+    **dict.fromkeys((
+        "delivery", "DeliveryReport", "NodeDelivery", "verify_delivery"),
+        "delivery"),
+    **dict.fromkeys((
+        "encoder_file", "EncoderReport", "encoder_report", "parse_encoder",
+        "serialize_encoder"), "encoder_file"),
 }
 
 

@@ -7,7 +7,8 @@ flags, 4 file not found.
 
 Only ``simulate``, ``end-to-end`` and ``table`` import
 ``relaycast.simulator``, inside their bodies, so the codec commands
-never compile or run it.
+never compile or run it; of them only ``simulate`` imports
+``relaycast.delivery``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import List, Tuple
 
 from .constraint import (DEFAULT_ENUMERATION_CAP, capacity, count_words,
                          enumerate_words)
-from .encoder import (FrameHeader, build_encoder, decode, encode,
-                      encoder_report, parse_encoder, serialize_encoder)
+from .encoder import FrameHeader, build_encoder, decode, encode
+from .encoder_file import encoder_report, parse_encoder, serialize_encoder
 from .errors import (InvalidParameterError, RelaycastError,
                      UnsupportedParameterError)
 from .symbols import (_check_int, _spell, format_stream, is_bits,
@@ -171,7 +172,8 @@ def _cmd_decode(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    from .simulator import parse_tree, simulate, verify_delivery
+    from .delivery import verify_delivery
+    from .simulator import parse_tree, simulate
     topo = parse_tree(_read_value(args.tree))
     stream = parse_stream(_read_value(args.stream, "stream"))
     trace = simulate(topo, stream, args.extra_slots)
@@ -184,16 +186,21 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_end_to_end(args) -> None:
-    from .simulator import _SLOT_BUDGET, end_to_end, parse_tree
+    from .simulator import (_SLOT_BUDGET, _check_slots, _stream_slots,
+                            end_to_end, parse_tree)
     topo = parse_tree(_read_value(args.tree))
     if args.bits is not None:
         bits = _read_value(args.bits, "bits").strip()
     else:
+        # refused before any bit is drawn: a length past the budget, or
+        # one whose stream and drain pass it (end_to_end's own check)
         _check_int(args.random, "random", 0)
-        if args.random > _SLOT_BUDGET:  # refused before any bit is drawn
+        if args.random > _SLOT_BUDGET:
             raise InvalidParameterError(
                 f"random={_spell(args.random)} passes the limit of "
                 f"{_SLOT_BUDGET} message bits")
+        machine = build_encoder(args.q, args.p, args.n)
+        _check_slots(_stream_slots(machine, args.random), topo.max_depth)
         bits = random.Random(args.seed).getrandbits(args.random)
         bits = format(bits, f"0{args.random}b") if args.random else ""
     report = end_to_end(args.q, args.p, args.n, topo, bits)

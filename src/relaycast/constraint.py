@@ -19,9 +19,9 @@ count grows like 3**n and leaves 64-bit range near n=40.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import (EnumerationCapError, InvalidMatrixError,
                      InvalidParameterError)
@@ -50,8 +50,7 @@ def _label_symbols(q: int, labels: Iterable[bytes]) -> Iterator[Symbol]:
                 for i in range(0, len(joined), width)])
 
 
-@dataclass(frozen=True)
-class ConstraintGraph:
+class ConstraintGraph(NamedTuple):
     """Labeled directed graph presenting the constraint or a power of it.
 
     One out-edge row per state: ``out[s]`` maps a head to the label
@@ -62,7 +61,9 @@ class ConstraintGraph:
     symbol), and no label is tracked by the cyclic garbage collector.
     Every bi-infinite edge-label sequence is admissible and every
     admissible stream is the label sequence of some path. Rows are
-    never mutated once built; stages build new graphs.
+    never mutated once built; stages build new graphs. Internal, so a
+    ``NamedTuple``: a class of it is made in a tenth of a frozen
+    dataclass's time, which every fresh import pays.
     """
 
     q: int

@@ -13,7 +13,9 @@ sends, and each deeper relay passes it on unchanged, one slot later.
 The simulator scans depth 1 once and keeps two rows, the source's and
 depth 1's, deriving deeper rows on read, and a report keeps one verdict
 per depth, building a node's record when it is read: every cost but a
-walk over the nodes is O(slots), whatever the tree's shape."""
+walk over the nodes is O(slots), whatever the tree's shape. Checking a
+trace against its source, which ``end_to_end`` never does, is
+:mod:`relaycast.delivery`'s."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import cached_property, partial
 from typing import Dict, Optional, Tuple
 
 from .constraint import capacity
-from .encoder import build_encoder, decode, encode
+from .encoder import Encoder, build_encoder, decode, encode
 from .errors import InvalidParameterError, RelaycastError, TopologyError
 from .symbols import (_DATA_RUN, ERASED, N, Stream, _check_int, _check_type,
                       _data_mask, _normalize_bits, _spell, _stream, _word,
@@ -238,6 +240,14 @@ def _check_slots(stream_slots: int, extra_slots: int) -> None:
             f"pass the simulation budget of {_SLOT_BUDGET} slots")
 
 
+def _stream_slots(machine: Encoder, bits: int) -> int:
+    """The length of ``machine``'s stream for ``bits`` message bits: n
+    symbols per p-bit block, the last block padded, and per flush block;
+    none for no bits."""
+    blocks = -(-bits // machine.p)
+    return machine.n * (blocks + machine.anticipation) if blocks else 0
+
+
 def simulate(topo: TreeTopology, source_stream,
              extra_slots: Optional[int] = None) -> SimTrace:
     """Run ``len(source_stream) + extra_slots`` slots of forwarding.
@@ -266,7 +276,7 @@ def simulate(topo: TreeTopology, source_stream,
 
 
 # ---------------------------------------------------------------------------
-# delivery verification
+# reports
 
 class _NodeRecords(Sequence):
     """A report's records in node order, ``record(node, depth,
@@ -289,65 +299,6 @@ class _NodeRecords(Sequence):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
-@dataclass(frozen=True, slots=True)
-class NodeDelivery:
-    """Whether one node forwarded the source stream, delayed by its depth."""
-
-    node: int
-    depth: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DeliveryReport:
-    """:func:`verify_delivery`'s verdict per depth, the source's first,
-    and the number of (slot, node) violations in the trace; ``nodes``
-    views the records."""
-
-    passed: Tuple[bool, ...]
-    violations: int
-    topology: TreeTopology = field(repr=False)
-
-    @property
-    def nodes(self) -> Sequence:
-        return _NodeRecords(self.topology, NodeDelivery, self.passed)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed)
-
-
-def verify_delivery(trace: SimTrace, topo: TreeTopology,
-                    source_stream) -> DeliveryReport:
-    """Check that every node relays the source stream delayed by its depth.
-
-    A node's transmissions, in which erased receptions appear as silence,
-    must equal depth-many silences, then the source stream, cut to the
-    horizon: at every node for an admissible source, with no violations.
-    Depth d >= 1 sends ``relayed`` d-1 slots late, so it passes iff
-    ``relayed`` matches depth 1's expected row before slot ``horizon - d +
-    1``. ``topo`` must be the tree the trace ran on, and ``source_stream``
-    is read as :func:`simulate` reads it; another type of ``trace`` or
-    ``topo`` raises :class:`InvalidParameterError`."""
-    _check_type(trace, SimTrace, "trace")
-    _check_type(topo, TreeTopology, "topo")
-    if topo.depth is not trace.depth and topo.depth != trace.depth:
-        raise InvalidParameterError("topology is not the one the trace ran on")
-    stream = _stream(source_stream, "source_stream")
-    horizon = trace.num_slots
-    expected = (_silence(stream, 1) + stream + _silence(stream, horizon))[:horizon]
-    first_miss = horizon
-    if trace.relayed != expected:  # compared in C; scanned only on a miss
-        first_miss = next((t for t, (got, want) in
-                           enumerate(zip(trace.relayed, expected))
-                           if got != want), horizon)
-    source_ok = trace.source == (stream + _silence(stream, horizon))[:horizon]
-    failing = min(horizon - first_miss, topo.max_depth)
-    relays = (False,) * failing + (True,) * (topo.max_depth - failing)
-    return DeliveryReport(passed=(source_ok,) + relays, topology=topo,
-                          violations=len(trace.lost) * topo._relays)
 
 
 def baseline_rate(q: int) -> float:
@@ -413,9 +364,7 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message, "message")
     _check_type(topo, TreeTopology, "topo")
-    blocks = -(-len(bits) // p)
-    _check_slots(n * (blocks + machine.anticipation) if blocks else 0,
-                 topo.max_depth)
+    _check_slots(_stream_slots(machine, len(bits)), topo.max_depth)
     stream, header = encode(machine, bits)
     trace = simulate(topo, stream)
 

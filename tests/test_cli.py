@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from relaycast import (StreamFormatError, build_encoder, capacity,
                        count_words, encode, parse_encoder, serialize_encoder,
                        table_report)
+import relaycast.cli as cli_module
 import relaycast.encoder as encoder_module
+import relaycast.encoder_file as encoder_file_module
 import relaycast.simulator as simulator_module
 from relaycast.cli import _build_parser, _read_value, run
 from relaycast.symbols import is_bits
@@ -226,7 +229,7 @@ def test_repeated_codec_commands_reuse_one_machine(tmp_path, capsys,
         assert capsys.readouterr() == (bits + "\n", "")
         return len(steps)
 
-    encoder_module._parse.cache_clear()  # the first decode starts cold
+    encoder_file_module._parse.cache_clear()  # the first decode starts cold
     assert decode_steps() > 0
     assert decode_steps() == 0
 
@@ -396,24 +399,31 @@ def test_end_to_end_refuses_a_random_message_whose_stream_passes_the_budget(
         tmp_path, capsys, monkeypatch):
     """At rate 2/3 a message within the CLI's bound on ``--random`` can
     still encode past the slot budget: with the budget patched to 3,000
-    slots, 2,900 bits are refused with one error line before anything is
-    encoded, and 1,996 bits, the longest that fit, still run."""
+    slots, 2,900 bits are refused with one error line before any bit is
+    drawn, and 1,996 bits, the longest that fit, still run."""
     tree = tmp_path / "fig1.txt"
     tree.write_text(fig1_text())
     monkeypatch.setattr(simulator_module, "_SLOT_BUDGET", 3000)
-    calls = []
+    calls, drawn = [], []
     monkeypatch.setattr(simulator_module, "encode",
                         lambda *args: calls.append(args) or encode(*args))
+
+    class Drawing(random.Random):
+        def getrandbits(self, k):
+            drawn.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(cli_module, "random", SimpleNamespace(Random=Drawing))
     args = ["end-to-end", "--q", "1", "--p", "2", "--n", "3",
             "--tree", str(tree), "--random"]
     assert run(args + ["2900"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and not calls
+    assert out == "" and not calls and not drawn
     assert err == ("error: 4353 stream slots and extra_slots=3 pass the "
                    "simulation budget of 3000 slots\n")
     assert run(args + ["1996"]) == 0
     assert capsys.readouterr().out.endswith("all recovered: yes\n")
-    assert len(calls) == 1
+    assert len(calls) == 1 and drawn == [1996]
 
 
 def test_python_m_relaycast_runs_the_cli():

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -24,12 +25,14 @@ from relaycast import (AmbiguousEncoderError, EncoderFormatError,
                        serialize_encoder, simulate, spectral_radius,
                        verify_delivery)
 import relaycast.encoder as encoder_module
+import relaycast.encoder_file as encoder_file_module
 import relaycast.symbols as symbols_module
 from relaycast.constraint import (_past_capacity, _power_adjacency,
                                   make_constraint, power_graph)
 from relaycast.encoder import (ApproxEigenvector, Encoder, _anticipation,
-                               _codeword_index, _parse, _synthesize,
+                               _codeword_index, _synthesize,
                                find_approximate_eigenvector, split_states)
+from relaycast.encoder_file import _parse
 from relaycast.symbols import _chunk_values, _split
 from helpers import (ROUND_TRIP_RATES, anticipation_oracle,
                      approximate_eigenvector_oracle, code_of, decode_oracle,
@@ -979,7 +982,7 @@ def test_parse_encoder_rejects_out_of_range_states(text, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("lines, message", [
+FIRST_BAD_LINES = [
     # a bad token on line 2 and a duplicate on line 4, and the reverse
     (["0 0 N 1", "0 1 x 0", "1 0 N 0", "0 0 0 0"],
      "bad transition line '0 1 x 0'"),
@@ -995,7 +998,10 @@ def test_parse_encoder_rejects_out_of_range_states(text, message):
      "bad transition line '0 0 x 1'"),
     (["0 0 N 1", "0 1 N", "1 0 x 0", "1 1 0 0"],
      "bad transition line '0 1 N'"),
-])
+]
+
+
+@pytest.mark.parametrize("lines, message", FIRST_BAD_LINES)
 def test_parse_encoder_names_the_first_bad_line(lines, message):
     """The codeword tokens are read after the line loop, yet the first
     bad line in file order is the one named, and a bad token is reported
@@ -1005,6 +1011,44 @@ def test_parse_encoder_names_the_first_bad_line(lines, message):
     assert str(excinfo.value) == message
     token = " x " in message
     assert isinstance(excinfo.value.__cause__, StreamFormatError) == token
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_parse_encoder_names_the_first_bad_line_across_batches(
+        batch, monkeypatch):
+    """Tokens are read in batches of ``_READ_LINES`` lines; whichever
+    batch holds the bad lines, the same line is named, with the same
+    cause, and a good text gives the same machine."""
+    monkeypatch.setattr(encoder_file_module, "_READ_LINES", batch)
+    for lines, message in FIRST_BAD_LINES:
+        with pytest.raises(EncoderFormatError) as excinfo:
+            _parse.__wrapped__("ENC 1 1 1 2 0\n" + "\n".join(lines) + "\n")
+        assert str(excinfo.value) == message
+        token = " x " in message
+        assert isinstance(excinfo.value.__cause__, StreamFormatError) == token
+    machine = build_encoder(6, 3, 2)
+    assert _parse.__wrapped__(serialize_encoder(machine)) == machine
+
+
+def test_parse_encoder_peak_memory():
+    """The (1,13,19) text has 24,577 lines: ``_parse`` reads their tokens
+    in batches and drops the lines before the machine certifies itself,
+    so its tracemalloc peak stays at 9.3 MB or less (11.6 MB when one
+    list held every token and the lines lived on)."""
+    text = serialize_encoder(build_encoder(1, 13, 19))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        machine = _parse.__wrapped__(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert machine.num_states == 3
+    assert peak <= 9.3e6
 
 
 # q=1, p=1, n=1: one state that emits N or 0 and stays

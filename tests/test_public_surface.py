@@ -1,6 +1,7 @@
 """The names ``relaycast`` exports, and the README tour that uses them."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import signal
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import relaycast
+from relaycast.encoder import ApproxEigenvector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -217,6 +219,7 @@ assert run("capacity", "--q", "1") == "0.694242\\n"
 assert run("count", "--q", "1", "--n", "5") == "13\\n"
 assert run("enumerate", "--q", "1", "--n", "2") == "0 N\\nN 0\\nN N\\n"
 assert "relaycast.simulator" not in sys.modules, "codec commands"
+assert "relaycast.delivery" not in sys.modules, "codec commands"
 """
 
 
@@ -224,28 +227,107 @@ def test_codec_commands_leave_the_simulator_unloaded(tmp_path):
     _fresh(CODEC_SKIPS_SIMULATOR, str(tmp_path))
 
 
-SIMULATOR_NAMES = ["simulator"] + [
-    name for name in PUBLIC
-    if getattr(relaycast, name).__module__ == "relaycast.simulator"]
+def _names_of(home):
+    """``home`` and the exported names that submodule defines."""
+    return [home] + [name for name in PUBLIC if getattr(relaycast, name)
+                     .__module__ == f"relaycast.{home}"]
 
-# The first use of one name of SIMULATOR_NAMES loads relaycast.simulator,
-# and every name is then the simulator's own object.
-LAZY_SIMULATOR = """
+
+SIMULATOR_NAMES = _names_of("simulator")
+# the names of the two modules split out of the simulator and the encoder
+SPLIT_NAMES = [(home, name) for home in ("delivery", "encoder_file")
+               for name in _names_of(home)]
+
+# The first use of one name of a lazy submodule (argv: the submodule,
+# the name, then all its names) loads that submodule, and every one of
+# its names is then the submodule's own object.
+LAZY_MODULE = """
 import sys
 import relaycast
-name, names = sys.argv[1], sys.argv[2:]
-assert "relaycast.simulator" not in sys.modules, "import"
+home, name, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+assert "relaycast." + home not in sys.modules, "import"
 getattr(relaycast, name)
-simulator = sys.modules["relaycast.simulator"]
+module = sys.modules["relaycast." + home]
 for other in names:
-    own = simulator if other == "simulator" else getattr(simulator, other)
+    own = module if other == home else getattr(module, other)
     assert getattr(relaycast, other) is own, other
 """
 
 
 @pytest.mark.parametrize("name", SIMULATOR_NAMES)
 def test_simulator_names_load_the_simulator(name):
-    _fresh(LAZY_SIMULATOR, name, *SIMULATOR_NAMES)
+    _fresh(LAZY_MODULE, "simulator", name, *SIMULATOR_NAMES)
+
+
+def test_split_modules_export_what_they_define():
+    assert SPLIT_NAMES == [
+        ("delivery", "delivery"), ("delivery", "DeliveryReport"),
+        ("delivery", "NodeDelivery"), ("delivery", "verify_delivery"),
+        ("encoder_file", "encoder_file"), ("encoder_file", "EncoderReport"),
+        ("encoder_file", "encoder_report"), ("encoder_file", "parse_encoder"),
+        ("encoder_file", "serialize_encoder")]
+
+
+@pytest.mark.parametrize("home, name", SPLIT_NAMES,
+                         ids=[name for _, name in SPLIT_NAMES])
+def test_split_names_load_their_module(home, name):
+    _fresh(LAZY_MODULE, home, name,
+           *[other for where, other in SPLIT_NAMES if where == home])
+
+
+# A library broadcast, and the CLI's end-to-end command after it, never
+# check delivery; neither reads or writes an encoder file but the CLI,
+# which imports the text form with the codec commands' names.
+BROADCAST_SKIPS_CHECKS = """
+import contextlib, io, os, sys
+import relaycast
+os.chdir(sys.argv[1])
+topo = relaycast.parse_tree("0 -\\n1 0\\n2 1\\n")
+machine = relaycast.build_encoder(1, 2, 3)
+stream, _ = relaycast.encode(machine, "110100")
+assert relaycast.simulate(topo, stream).num_slots == len(stream) + 2
+assert relaycast.end_to_end(1, 2, 3, topo, "110100").all_recovered
+assert "relaycast.simulator" in sys.modules
+loaded = {"relaycast.delivery", "relaycast.encoder_file"} & set(sys.modules)
+assert not loaded, loaded
+with open("tree.txt", "w") as f:
+    f.write("0 -\\n1 0\\n")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert relaycast.run(["end-to-end", "--q", "1", "--p", "2", "--n", "3",
+                          "--tree", "tree.txt", "--random", "12"]) == 0
+assert out.getvalue().endswith("all recovered: yes\\n")
+assert "relaycast.encoder_file" in sys.modules
+assert "relaycast.delivery" not in sys.modules, "end-to-end"
+"""
+
+
+def test_broadcasts_leave_delivery_checks_and_encoder_files_unloaded(tmp_path):
+    _fresh(BROADCAST_SKIPS_CHECKS, str(tmp_path))
+
+
+def test_public_records_stay_frozen_dataclasses():
+    """Every exported class but the errors, and ``ApproxEigenvector``, is
+    a frozen dataclass, whichever module defines it; the moved reports
+    keep ``replace`` and refuse assignment."""
+    records = [getattr(relaycast, name) for name in PUBLIC
+               if isinstance(getattr(relaycast, name), type)
+               and not issubclass(getattr(relaycast, name), Exception)]
+    assert len(records) == 9
+    for record in records + [ApproxEigenvector]:
+        assert dataclasses.is_dataclass(record), record
+        assert record.__dataclass_params__.frozen, record
+    machine = relaycast.build_encoder(1, 2, 3)
+    topo = relaycast.parse_tree("0 -\n1 0\n")
+    stream, _ = relaycast.encode(machine, "110100")
+    for report, name, value in [
+            (relaycast.encoder_report(machine), "num_states", 9),
+            (relaycast.verify_delivery(relaycast.simulate(topo, stream), topo,
+                                       stream), "violations", 2)]:
+        assert getattr(dataclasses.replace(report, **{name: value}),
+                       name) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, value)
 
 
 def _quick_tour():
