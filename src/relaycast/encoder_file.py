@@ -16,12 +16,7 @@ from typing import List
 from .constraint import capacity
 from .encoder import _MEMO_SIZE, Encoder
 from .errors import EncoderFormatError
-from .symbols import (Stream, _check_type, _read, _split, format_stream,
-                      is_decimal)
-
-# Transition lines whose codeword tokens _parse reads in one batch: the
-# batch's token list, 8 bytes per symbol, bounds its peak memory.
-_READ_LINES = 1024
+from .symbols import _check_type, _read, _split, format_stream, is_decimal
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,9 @@ def parse_encoder(text: str) -> Encoder:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _parse(text: str) -> Encoder:
-    """The body of :func:`parse_encoder`, on a checked exact str. The
-    codeword tokens of each ``_READ_LINES`` lines are read in one batch,
-    after the loop over those lines, which a line's other error ends; so
-    the first bad line in file order is named, and a line's bad token wins
-    over its other errors. :class:`Encoder` checks the targets."""
+    """The body of :func:`parse_encoder`, on a checked exact str. Every
+    line's codeword tokens are read in one batch, after the line loop,
+    which a line's other error ends; :class:`Encoder` checks the targets."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EncoderFormatError("empty encoder text")
@@ -106,37 +99,34 @@ def _parse(text: str) -> Encoder:
             f"expected {num_states * fanout} transition lines, got {given}")
     # per state and tag, the line number of its transition
     rows = [[None] * fanout for _ in range(num_states)]
-    words: List[Stream] = []  # every line's codeword, in file order
+    tokens: List[str] = []  # every line's codeword tokens, in file order
     nexts: List[int] = []
-    for first in range(1, len(lines), _READ_LINES):
-        tokens: List[str] = []  # the batch's codeword tokens
-        held = None
-        for number, line in enumerate(lines[first:first + _READ_LINES],
-                                      first - 1):
-            parts = line.split()
-            if (len(parts) != 3 + n
-                    or not all(map(is_decimal, (parts[0], parts[1], parts[-1])))):
-                held = f"bad transition line {line!r}"
-                break
-            tokens += parts[2:-1]
-            state, tag = int(parts[0]), int(parts[1])
-            if not 0 <= state < num_states or not 0 <= tag < fanout:
-                held = f"state or tag out of range in {line!r}"
-                break
-            if rows[state][tag] is not None:
-                held = f"duplicate transition for state {state} tag {tag}"
-                break
-            rows[state][tag] = number
-            nexts.append(int(parts[-1]))
-        code, fault = _read(tokens, q)
-        if fault:
-            line = lines[first + fault[0] // n]
-            raise EncoderFormatError(f"bad transition line {line!r}") from fault[1]
-        if held:
-            raise EncoderFormatError(held)
-        words += _split(code, n)
-    pairs = list(zip(words, nexts))
+    held = None
+    for number, line in enumerate(lines[1:]):
+        parts = line.split()
+        if (len(parts) != 3 + n
+                or not all(map(is_decimal, (parts[0], parts[1], parts[-1])))):
+            held = f"bad transition line {line!r}"
+            break
+        tokens += parts[2:-1]
+        state, tag = int(parts[0]), int(parts[1])
+        if not 0 <= state < num_states or not 0 <= tag < fanout:
+            held = f"state or tag out of range in {line!r}"
+            break
+        if rows[state][tag] is not None:
+            held = f"duplicate transition for state {state} tag {tag}"
+            break
+        rows[state][tag] = number
+        nexts.append(int(parts[-1]))
+    code, fault = _read(tokens, q)
+    del tokens  # 8 bytes per codeword symbol, the largest object here
+    if fault:
+        line = lines[1 + fault[0] // n]
+        raise EncoderFormatError(f"bad transition line {line!r}") from fault[1]
+    if held:
+        raise EncoderFormatError(held)
+    pairs = list(zip(_split(code, n), nexts))
     transitions = tuple(tuple(map(pairs.__getitem__, row)) for row in rows)
-    # gone before the machine certifies itself, the step that peaks
-    del lines, rows, words, pairs
+    # gone before the machine certifies itself
+    del lines, rows, pairs, code
     return Encoder(q=q, p=p, n=n, start_state=start, transitions=transitions)

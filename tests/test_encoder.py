@@ -25,7 +25,6 @@ from relaycast import (AmbiguousEncoderError, EncoderFormatError,
                        serialize_encoder, simulate, spectral_radius,
                        verify_delivery)
 import relaycast.encoder as encoder_module
-import relaycast.encoder_file as encoder_file_module
 import relaycast.symbols as symbols_module
 from relaycast.constraint import (_past_capacity, _power_adjacency,
                                   make_constraint, power_graph)
@@ -982,7 +981,7 @@ def test_parse_encoder_rejects_out_of_range_states(text, message):
     assert str(excinfo.value) == message
 
 
-FIRST_BAD_LINES = [
+@pytest.mark.parametrize("lines, message", [
     # a bad token on line 2 and a duplicate on line 4, and the reverse
     (["0 0 N 1", "0 1 x 0", "1 0 N 0", "0 0 0 0"],
      "bad transition line '0 1 x 0'"),
@@ -998,10 +997,7 @@ FIRST_BAD_LINES = [
      "bad transition line '0 0 x 1'"),
     (["0 0 N 1", "0 1 N", "1 0 x 0", "1 1 0 0"],
      "bad transition line '0 1 N'"),
-]
-
-
-@pytest.mark.parametrize("lines, message", FIRST_BAD_LINES)
+])
 def test_parse_encoder_names_the_first_bad_line(lines, message):
     """The codeword tokens are read after the line loop, yet the first
     bad line in file order is the one named, and a bad token is reported
@@ -1013,28 +1009,11 @@ def test_parse_encoder_names_the_first_bad_line(lines, message):
     assert isinstance(excinfo.value.__cause__, StreamFormatError) == token
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3])
-def test_parse_encoder_names_the_first_bad_line_across_batches(
-        batch, monkeypatch):
-    """Tokens are read in batches of ``_READ_LINES`` lines; whichever
-    batch holds the bad lines, the same line is named, with the same
-    cause, and a good text gives the same machine."""
-    monkeypatch.setattr(encoder_file_module, "_READ_LINES", batch)
-    for lines, message in FIRST_BAD_LINES:
-        with pytest.raises(EncoderFormatError) as excinfo:
-            _parse.__wrapped__("ENC 1 1 1 2 0\n" + "\n".join(lines) + "\n")
-        assert str(excinfo.value) == message
-        token = " x " in message
-        assert isinstance(excinfo.value.__cause__, StreamFormatError) == token
-    machine = build_encoder(6, 3, 2)
-    assert _parse.__wrapped__(serialize_encoder(machine)) == machine
-
-
 def test_parse_encoder_peak_memory():
-    """The (1,13,19) text has 24,577 lines: ``_parse`` reads their tokens
-    in batches and drops the lines before the machine certifies itself,
-    so its tracemalloc peak stays at 9.3 MB or less (11.6 MB when one
-    list held every token and the lines lived on)."""
+    """The (1,13,19) text has 24,577 lines: ``_parse`` drops them and
+    its other tables before the machine certifies itself, so its
+    tracemalloc peak, reached while its tokens are read, stays at 9.3 MB
+    or less (11.6 MB when the lines and pairs lived on through it)."""
     text = serialize_encoder(build_encoder(1, 13, 19))
     tracing = tracemalloc.is_tracing()
     if not tracing:
