@@ -14,14 +14,14 @@ the tree simulator (``relaycast.simulator``), its delivery checks
 (``relaycast.delivery``) and the encoder text form and report
 (``relaycast.encoder_file``), each with its exports, load on first use.
 Importing the package loads none of them nor argparse, the codec
-commands never load the simulator, and ``end_to_end`` loads neither the
-delivery checks nor the encoder text form.
+commands and the rate table never load the simulator, and ``end_to_end``
+loads neither the delivery checks nor the encoder text form.
 """
 
 import importlib
 
-from .constraint import (capacity, characteristic_roots, count_words,
-                         enumerate_words, spectral_radius)
+from .constraint import (baseline_rate, capacity, characteristic_roots,
+                         count_words, enumerate_words, spectral_radius)
 from .encoder import Encoder, FrameHeader, build_encoder, decode, encode
 from .errors import (AmbiguousEncoderError, EncoderBuildError,
                      EncoderFormatError, EnumerationCapError, FramingError,
@@ -55,8 +55,7 @@ _LAZY = {
     "cli": "cli", "run": "cli", "table_report": "cli",
     **dict.fromkeys((
         "simulator", "EndToEndReport", "NodeRecovery", "SimTrace",
-        "TreeTopology", "baseline_rate", "end_to_end", "parse_tree",
-        "simulate"), "simulator"),
+        "TreeTopology", "end_to_end", "parse_tree", "simulate"), "simulator"),
     **dict.fromkeys((
         "delivery", "DeliveryReport", "NodeDelivery", "verify_delivery"),
         "delivery"),

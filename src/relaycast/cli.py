@@ -5,10 +5,9 @@ call, format. Exit codes: 0 success, 1 domain error (invalid parameter,
 infeasible rate, malformed data, ...), 2 unknown subcommand, 3 malformed
 flags, 4 file not found.
 
-Only ``simulate``, ``end-to-end`` and ``table`` import
-``relaycast.simulator``, inside their bodies, so the codec commands
-never compile or run it; of them only ``simulate`` imports
-``relaycast.delivery``.
+Only ``simulate`` and ``end-to-end`` import ``relaycast.simulator``,
+inside their bodies, so the codec commands and ``table`` never compile
+or run it; of the two only ``simulate`` imports ``relaycast.delivery``.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Tuple
 
-from .constraint import (DEFAULT_ENUMERATION_CAP, capacity, count_words,
-                         enumerate_words)
+from .constraint import (DEFAULT_ENUMERATION_CAP, baseline_rate, capacity,
+                         count_words, enumerate_words)
 from .encoder import FrameHeader, build_encoder, decode, encode
 from .encoder_file import encoder_report, parse_encoder, serialize_encoder
 from .errors import (InvalidParameterError, RelaycastError,
@@ -64,7 +63,6 @@ def table_report(q: int) -> List[TableRow]:
     if q != 1:
         raise UnsupportedParameterError(
             f"reference rates are only tabulated for q=1, got q={_spell(q)}")
-    from .simulator import baseline_rate
     cap = capacity(1)
     fwd = baseline_rate(1)
     return [TableRow(depth=label, reference_rate=ref,
@@ -186,8 +184,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_end_to_end(args) -> None:
-    from .simulator import (_SLOT_BUDGET, _check_slots, _stream_slots,
-                            end_to_end, parse_tree)
+    from .simulator import _SLOT_BUDGET, _check_slots, end_to_end, parse_tree
     topo = parse_tree(_read_value(args.tree))
     if args.bits is not None:
         bits = _read_value(args.bits, "bits").strip()
@@ -200,7 +197,8 @@ def _cmd_end_to_end(args) -> None:
                 f"random={_spell(args.random)} passes the limit of "
                 f"{_SLOT_BUDGET} message bits")
         machine = build_encoder(args.q, args.p, args.n)
-        _check_slots(_stream_slots(machine, args.random), topo.max_depth)
+        _check_slots(machine.n * machine._stream_blocks(args.random),
+                     topo.max_depth)
         bits = random.Random(args.seed).getrandbits(args.random)
         bits = format(bits, f"0{args.random}b") if args.random else ""
     report = end_to_end(args.q, args.p, args.n, topo, bits)

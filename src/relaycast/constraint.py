@@ -281,6 +281,16 @@ def capacity(q: int) -> float:
     return math.log2(q) / 2
 
 
+def baseline_rate(q: int) -> float:
+    """Rate of deterministic store-and-forward with alternating slots.
+
+    Each node stays OFF half the time, so ``0.5 * log2(q+1)`` bits per
+    symbol.
+    """
+    _check_int(q, "q")
+    return 0.5 * math.log2(q + 1)
+
+
 def _past_capacity(q: int, p: int, n: int) -> bool:
     """True when ``p/n`` surely exceeds ``capacity(q)``.
 

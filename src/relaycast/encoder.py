@@ -218,10 +218,6 @@ class Encoder:
         return self.p / self.n
 
     @cached_property
-    def _by_codeword(self):
-        return _codeword_index(self.transitions)
-
-    @cached_property
     def _subset_table(self) -> _SubsetTable:
         return _SubsetTable(self)
 
@@ -229,6 +225,13 @@ class Encoder:
     def _chunk_blocks(self) -> int:
         """Blocks per encode-table lookup: as many as fit in one byte."""
         return max(1, 8 // self.p)
+
+    def _stream_blocks(self, bits: int) -> int:
+        """The frame: blocks in the stream of a ``bits``-bit message, one
+        per p bits, the last padded, then ``anticipation`` flush blocks;
+        none for no bits."""
+        blocks = -(-bits // self.p)
+        return blocks + self.anticipation if blocks else 0
 
     @cached_property
     def _encode_rows(self) -> _Table:
@@ -310,7 +313,7 @@ def _fill(encoder: Encoder, row: _Row) -> None:
 def _codeword_index(transitions) -> Tuple[Dict[Stream, tuple], ...]:
     """Per state: codeword -> ((tag, next), ...), in tag order, from each
     state's ``(codeword, next)`` pairs. A machine builds it for its
-    certificate and again, as ``_by_codeword``, on its first decode."""
+    certificate and again, for its subset table, on its first decode."""
     index = []
     for outs in transitions:
         lookup: Dict[Stream, tuple] = {}
@@ -333,7 +336,7 @@ class _SubsetTable:
     decoders at worst repeat a step."""
 
     def __init__(self, encoder: Encoder):
-        self._by_codeword = encoder._by_codeword
+        self._index = _codeword_index(encoder.transitions)
         self._tag_format = f"0{encoder.p}b"
         self._n = encoder.n
         self._rows: Dict[Tuple[int, ...], dict] = {}
@@ -365,7 +368,7 @@ class _SubsetTable:
             return step
         moves: Dict[int, tuple] = {}
         for j, state in enumerate(states):
-            for tag, nxt in self._by_codeword[state].get(key, ()):
+            for tag, nxt in self._index[state].get(key, ()):
                 moves[nxt] = (j, format(tag, self._tag_format))
         if not moves:
             raise UnknownCodewordError(
@@ -595,15 +598,12 @@ def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
     :class:`Encoder` raises :class:`InvalidParameterError`."""
     _check_type(encoder, Encoder, "encoder")
     text = _normalize_bits(bits)
-    length = len(text)
-    if length == 0:
+    blocks = encoder._stream_blocks(len(text))
+    if not blocks:
         return b"" if encoder.q <= 255 else (), FrameHeader(0)
-    p, n = encoder.p, encoder.n
-    text += "0" * ((-length) % p + p * encoder.anticipation)
-    symbols = len(text) // p * n
-    width = encoder._chunk_blocks * p
-    text += "0" * (-len(text) % width)
-    values = _chunk_values(text, width)
+    k, p = encoder._chunk_blocks, encoder.p
+    # zero tags pad the last block, flush and fill the last chunk
+    values = _chunk_values(text.ljust(-(-blocks // k) * k * p, "0"), k * p)
     walk = [encoder._encode_rows[encoder.start_state]]
     chunks = iter(values)
     while True:
@@ -616,20 +616,20 @@ def encode(encoder: Encoder, bits) -> Tuple[Stream, FrameHeader]:
     parts = map(list.__getitem__, walk, map(invert, values))
     stream = (b"".join(parts) if encoder.q <= 255
               else tuple(chain.from_iterable(parts)))
-    return stream[:symbols], FrameHeader(length)
+    return stream[:blocks * encoder.n], FrameHeader(len(text))
 
 
 def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     """Recover the original bits; exact inverse of :func:`encode`.
 
     The decoder's state is the tuple of machine states the blocks so far
-    allow. Each whole chunk of the message (``k = max(1, 8 // p)`` blocks)
-    and then each block costs one lookup in the encoder's subset table,
-    filled on first sight of a (tuple, key) pair: the next tuple and per
-    next state a back-pointer, its index in the tuple before and its tag
-    bits. Any survivor is walked back to block 0: O(blocks). Two paths that
-    part at a fork emit alike for at most ``anticipation`` blocks (the
-    certificate), so any two survivors part in the flush.
+    allow. Every whole chunk of the stream (``k = max(1, 8 // p)``
+    blocks), then each block after them, costs one lookup in the encoder's
+    subset table, filled on first sight of a (tuple, key) pair: the next
+    tuple and per next state a back-pointer, its index in the tuple before
+    and its tag bits. Any survivor is walked back to block 0: O(blocks).
+    Two paths that part at a fork emit alike for at most ``anticipation``
+    blocks (the certificate), so any two survivors part in the flush.
 
     ``word`` is a byte code, symbols or stream tokens such as
     ``text.split()``, checked as :func:`parse_stream` checks them; for q <=
@@ -649,22 +649,20 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     if len(stream) % n:
         raise FramingError(
             f"stream length {len(stream)} is not a multiple of n={n}")
-    length = header.bit_length
-    message_blocks = (length + encoder.p - 1) // encoder.p
-    expected = message_blocks + (encoder.anticipation if message_blocks else 0)
+    expected = encoder._stream_blocks(header.bit_length)
     total = len(stream) // n
     if total != expected:
         raise FramingError(
             f"stream has {total} blocks, frame implies {_spell(expected)}")
-    if message_blocks == 0:
+    if not total:
         return ""
 
     read, fault = _read(stream, encoder.q)
     k = encoder._chunk_blocks
-    # the message's whole chunks, then block by block; a fault cuts the
-    # stream before its block
+    # every whole chunk, then block by block, as encode cuts the stream; a
+    # fault cuts it before its block
     end = len(read) - len(read) % n
-    chunks = min(message_blocks // k, end // (k * n))
+    chunks = end // (k * n)
     whole = chunks * k * n
     keys = _split(read[:whole], k * n) + _split(read[whole:end], n)
     table = encoder._subset_table
@@ -693,4 +691,4 @@ def decode(encoder: Encoder, word, header: FrameHeader) -> str:
     tags = [""] * len(history)
     for i in range(len(history) - 1, -1, -1):
         j, tags[i] = history[i][j]
-    return "".join(tags)[:length]
+    return "".join(tags)[:header.bit_length]

@@ -19,14 +19,13 @@ trace against its source, which ``end_to_end`` never does, is
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Dict, Optional, Tuple
 
-from .constraint import capacity
-from .encoder import Encoder, build_encoder, decode, encode
+from .constraint import baseline_rate, capacity
+from .encoder import build_encoder, decode, encode
 from .errors import InvalidParameterError, RelaycastError, TopologyError
 from .symbols import (_DATA_RUN, ERASED, N, Stream, _check_int, _check_type,
                       _data_mask, _normalize_bits, _spell, _stream, _word,
@@ -240,14 +239,6 @@ def _check_slots(stream_slots: int, extra_slots: int) -> None:
             f"pass the simulation budget of {_SLOT_BUDGET} slots")
 
 
-def _stream_slots(machine: Encoder, bits: int) -> int:
-    """The length of ``machine``'s stream for ``bits`` message bits: n
-    symbols per p-bit block, the last block padded, and per flush block;
-    none for no bits."""
-    blocks = -(-bits // machine.p)
-    return machine.n * (blocks + machine.anticipation) if blocks else 0
-
-
 def simulate(topo: TreeTopology, source_stream,
              extra_slots: Optional[int] = None) -> SimTrace:
     """Run ``len(source_stream) + extra_slots`` slots of forwarding.
@@ -299,16 +290,6 @@ class _NodeRecords(Sequence):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
-
-
-def baseline_rate(q: int) -> float:
-    """Rate of deterministic store-and-forward with alternating slots.
-
-    Each node stays OFF half the time, so ``0.5 * log2(q+1)`` bits per
-    symbol.
-    """
-    _check_int(q, "q")
-    return 0.5 * math.log2(q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +345,7 @@ def end_to_end(q: int, p: int, n: int, topo: TreeTopology,
     machine = build_encoder(q, p, n)
     bits = _normalize_bits(message, "message")
     _check_type(topo, TreeTopology, "topo")
-    _check_slots(_stream_slots(machine, len(bits)), topo.max_depth)
+    _check_slots(machine.n * machine._stream_blocks(len(bits)), topo.max_depth)
     stream, header = encode(machine, bits)
     trace = simulate(topo, stream)
 

@@ -473,14 +473,22 @@ def test_encode_first_block_is_tagged_codeword(enc_q6):
     assert stream[:2] == word
 
 
-def test_encode_length_formula(enc_q1, enc_q6):
-    # blocks for the padded message plus the fixed flush tail
-    for machine in (enc_q1, enc_q6):
-        for length in (1, 2, 3, 5, 8, 64, 101):
+def test_encode_length_formula(differential_machines):
+    """Blocks for the padded message plus the fixed flush tail, none for no
+    bits: encode's stream, the machine's frame rule and decode's framing
+    error all count the same blocks."""
+    for machine in differential_machines.values():
+        for length in (0, 1, 2, 3, 5, 8, 64, 101):
             stream, header = encode(machine, "1" * length)
             blocks = -(-length // machine.p)
-            assert len(stream) == machine.n * (blocks + machine.anticipation)
+            expected = blocks + machine.anticipation if blocks else 0
+            assert len(stream) == machine.n * expected
+            assert len(stream) == machine.n * machine._stream_blocks(length)
             assert header == FrameHeader(length)
+            if length:
+                with pytest.raises(FramingError,
+                                   match=f"frame implies {expected}$"):
+                    decode(machine, stream[:-machine.n], header)
 
 
 def test_roundtrip_randomized(enc_q1, enc_q6):
@@ -542,6 +550,15 @@ def test_decode_unknown_codeword(enc_q1):
     stream, header = encode(enc_q1, "110010")
     corrupted = (0, 0, 0) + symbols_of(stream)[3:]  # adjacent data symbols
     with pytest.raises(UnknownCodewordError):
+        decode(enc_q1, corrupted, header)
+    # 14 bits are 7 message blocks and 1 flush block: with 4 blocks per
+    # chunk, the flush block is the last of the second chunk
+    stream, header = encode(enc_q1, "11010011101001")
+    assert (len(stream) // enc_q1.n, enc_q1._chunk_blocks) == (8, 4)
+    assert decode(enc_q1, stream, header) == "11010011101001"
+    corrupted = symbols_of(stream)[:21] + (0, 0, N)
+    with pytest.raises(UnknownCodewordError,
+                       match=r"^block 7 \(0 0 N\) matches no transition$"):
         decode(enc_q1, corrupted, header)
 
 

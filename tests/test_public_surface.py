@@ -227,6 +227,23 @@ def test_codec_commands_leave_the_simulator_unloaded(tmp_path):
     _fresh(CODEC_SKIPS_SIMULATOR, str(tmp_path))
 
 
+# The forwarding baseline is a rate formula beside the capacity, so the
+# rate table, in the library and on the command line, needs no simulator.
+TABLE_SKIPS_SIMULATOR = """
+import contextlib, io, sys
+import relaycast
+assert relaycast.baseline_rate(1) == 0.5
+assert relaycast.table_report(1)[0].forwarding_pct == 100 * 0.5 / 0.7729
+with contextlib.redirect_stdout(io.StringIO()):
+    assert relaycast.run(["table", "--q", "1"]) == 0
+assert "relaycast.simulator" not in sys.modules
+"""
+
+
+def test_rate_table_leaves_the_simulator_unloaded():
+    _fresh(TABLE_SKIPS_SIMULATOR)
+
+
 def _names_of(home):
     """``home`` and the exported names that submodule defines."""
     return [home] + [name for name in PUBLIC if getattr(relaycast, name)
